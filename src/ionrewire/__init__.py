@@ -47,7 +47,8 @@ from .stochastic import (
     ShelvingProcess,
     DeshelvingModel,
     MeasurementModel,
-    ShotRecord,
+    ShotRecords,
+    ShotStreams,
     shelf_survival,
     sample_shelving,
     deshelve_probability,
@@ -94,7 +95,8 @@ __all__ = [
     "ShelvingProcess",
     "DeshelvingModel",
     "MeasurementModel",
-    "ShotRecord",
+    "ShotRecords",
+    "ShotStreams",
     "shelf_survival",
     "sample_shelving",
     "deshelve_probability",

@@ -21,11 +21,13 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from importlib import resources
+from functools import cache
+from importlib import metadata, resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
+import scipy
 import yaml
 
 from . import __version__
@@ -38,7 +40,7 @@ from .coupling import (
     perpendicular_delta_k,
 )
 from .crystal import TrapConfig, compute_normal_modes, solve_equilibrium
-from .dynamics import DecoherenceModel, ObservableSeries, scan_evolution
+from .dynamics import SIZE_CAP, DecoherenceModel, ObservableSeries, scan_evolution
 from .estimator import fit_exponential, fit_pair_coupling, fit_power_law
 from .lattice import (
     ShelveMask,
@@ -53,11 +55,17 @@ from .stochastic import (
     DeshelvingModel,
     MeasurementModel,
     ShelvingProcess,
+    ShotStreams,
     run_protocol,
+    sample_deshelving_scan,
     sample_shelving,
+    sample_shelving_decay,
 )
 
 TWO_PI = 2.0 * math.pi
+
+# stream index of the `mask` artifact's sample; no per-shot stream reaches it
+MASK_STREAM = 2**48
 
 BUNDLED_SCENARIOS = ("fig4b", "fig4c", "fig4d", "fig4e-g", "fig_op", "fig6")
 
@@ -184,6 +192,10 @@ def _cross_validate(raw: dict):
             drive = raw["drive"]
             if "rabi_freq_hz" not in drive:
                 raise ScenarioError("$.drive.rabi_freq_hz: required")
+            direction = np.asarray(drive.get("direction", [1.0]), dtype=float)
+            if not (np.all(np.isfinite(direction)) and np.any(direction)):
+                raise ScenarioError(
+                    "$.drive.direction: must be a finite nonzero vector")
             has_mu = drive.get("detuning_hz") is not None
             has_cal = "calibration" in drive
             if has_mu == has_cal:
@@ -247,6 +259,11 @@ def load_scenario(ref: str, seed_override: int | None = None) -> Scenario:
 
 
 def _fmt_cell(value) -> str:
+    kind = type(value)
+    if kind is float:  # most cells: Python floats from tolist()
+        return repr(value)
+    if kind is int or kind is str:
+        return str(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -266,17 +283,42 @@ def _json_cell(value):
     return value
 
 
-def write_table(out_dir: Path, stem: str, header: list, rows: list,
+@dataclass(frozen=True)
+class CodedColumns:
+    """Table rows held column by column: row r of column j is
+    values[j][codes[j][r]], so each distinct cell is formatted once."""
+
+    values: tuple
+    codes: tuple
+
+    def __len__(self) -> int:
+        return len(self.codes[0])
+
+    def formatted_rows(self, convert):
+        columns = []
+        for values, codes in zip(self.values, self.codes):
+            cells = np.empty(len(values), dtype=object)
+            cells[:] = [convert(v) for v in values]
+            columns.append(cells[codes])
+        return zip(*columns)
+
+
+def write_table(out_dir: Path, stem: str, header: list, rows,
                 fmt: str) -> str:
-    """Write one tabular artifact; returns the file name."""
+    """Write one tabular artifact from a list of rows or a CodedColumns;
+    returns the file name."""
+    convert = _fmt_cell if fmt == "csv" else _json_cell
+    if isinstance(rows, CodedColumns):
+        cells = rows.formatted_rows(convert)
+    else:
+        cells = (map(convert, row) for row in rows)
     if fmt == "csv":
         name = f"{stem}.csv"
-        lines = [",".join(header)]
-        lines += [",".join(_fmt_cell(cell) for cell in row) for row in rows]
+        lines = [",".join(header), *map(",".join, cells)]
         (out_dir / name).write_text("\n".join(lines) + "\n")
     else:
         name = f"{stem}.json"
-        payload = [dict(zip(header, (_json_cell(c) for c in row))) for row in rows]
+        payload = [dict(zip(header, row)) for row in cells]
         (out_dir / name).write_text(json.dumps(payload, indent=2) + "\n")
     return name
 
@@ -400,12 +442,11 @@ def _series_rows(series: ObservableSeries):
     labels = series.outcome_labels()
     header = (["time_s"] + [f"p_{lab}" for lab in labels]
               + ["mean_sigma_z", "p_all_up", "p_all_down"])
-    mag = series.mean_magnetization()
+    mag = series.mean_magnetization().tolist()
     rows = []
-    for i, t in enumerate(series.times):
-        p = series.probabilities[i]
-        rows.append([float(t), *map(float, p), float(mag[i]),
-                     float(p[-1]), float(p[0])])
+    for t, p, m in zip(series.times.tolist(), series.probabilities, mag):
+        p = p.tolist()
+        rows.append([t, *p, m, p[-1], p[0]])
     return header, rows
 
 
@@ -438,10 +479,13 @@ def _modes_artifact(ctx, out_dir, fmt):
 def _couplings_artifact(ctx, out_dir, fmt):
     j = ctx.coupling.j
     n = ctx.coupling.n_ions
-    header = ["i", "j", "j_hz"]
-    rows = [[i, k, float(j[i, k] / TWO_PI)]
-            for i in range(n) for k in range(n) if i < k]
-    names = [write_table(out_dir, "couplings", header, rows, fmt)]
+    names = []
+    if fmt == "csv":
+        # the JSON payload below already holds every pair in j_hz
+        header = ["i", "j", "j_hz"]
+        rows = [[i, k, float(j[i, k] / TWO_PI)]
+                for i in range(n) for k in range(n) if i < k]
+        names.append(write_table(out_dir, "couplings", header, rows, fmt))
     payload = {
         "n_ions": n,
         "j_hz": (j / TWO_PI).tolist(),
@@ -456,9 +500,8 @@ def _couplings_artifact(ctx, out_dir, fmt):
 def _mask_artifact(ctx, out_dir, fmt):
     scenario = ctx.scenario
     if ctx.mask is None:
-        # probabilistic source: report one seeded sample for inspection,
-        # on a stream that cannot collide with any per-shot stream
-        rng = np.random.default_rng([scenario.seed, 2**48])
+        # probabilistic source: report one seeded sample for inspection
+        rng = next(ShotStreams(scenario.seed, [MASK_STREAM]).generators([0]))
         mask = sample_shelving(ctx.coupling.n_ions, ctx.beam_time,
                                scenario.shelving(), rng)
         sampled = True
@@ -501,7 +544,7 @@ def _simulate_artifact(ctx, out_dir, fmt, threads=1):
     mask = ctx.mask if ctx.mask is not None else ShelveMask.all_qubits(
         ctx.coupling.n_ions)
     graph = apply_mask(ctx.coupling, mask)
-    if graph.n_spins > 14:
+    if graph.n_spins > SIZE_CAP:
         raise ValueError(
             f"{graph.n_spins} surviving spins exceed the exact-evolution cap")
     series = scan_evolution(graph, scenario.times(),
@@ -529,28 +572,40 @@ def _protocol_artifact(ctx, out_dir, fmt):
         drive_rabi=drive_rabi if deshelving is not None else None,
         decoherence=scenario.decoherence())
 
-    names = []
+    records = result.records
+    survivors = np.array([result.groups[c].survivors.size for c in records.configs])
+    # an outcome's label depends on its value and its survivor count
+    width = int(survivors.max(initial=0)) + 1
+    outcome_keys, outcome_codes = np.unique(
+        records.outcome * width + survivors[records.config], return_inverse=True)
+    columns = CodedColumns(
+        values=(records.shot.tolist(), result.times.tolist(), records.configs,
+                [_bits(*divmod(key, width)) for key in outcome_keys.tolist()],
+                [False, True]),
+        codes=(np.arange(len(records)), records.time_index, records.config,
+               outcome_codes, records.intact.astype(np.intp)))
     header = ["shot", "time_s", "config", "outcomes", "intact"]
-    rows = [[r.shot, r.time_s, r.config, r.outcomes, r.intact]
-            for r in result.records]
-    names.append(write_table(out_dir, "records", header, rows, fmt))
+    names = [write_table(out_dir, "records", header, columns, fmt)]
 
     for config in sorted(result.groups):
         group = result.groups[config]
         k = group.survivors.size
-        labels = [format(m, f"0{k}b")[::-1] if k else "" for m in range(2**k)]
+        labels = [_bits(m, k) for m in range(2**k)]
         gheader = (["time_s", "n_total", "n_intact"]
                    + [f"c_{lab}" for lab in labels]
                    + [f"f_{lab}" for lab in labels])
-        freq = group.frequencies()
-        grows = []
-        for ti, t in enumerate(group.times):
-            grows.append([float(t), int(group.n_total[ti]),
-                          int(group.n_intact[ti]),
-                          *map(int, group.counts[ti]),
-                          *map(float, freq[ti])])
+        grows = [[t, total, intact, *counts.tolist(), *freq.tolist()]
+                 for t, total, intact, counts, freq
+                 in zip(group.times.tolist(), group.n_total.tolist(),
+                        group.n_intact.tolist(), group.counts,
+                        group.frequencies())]
         names.append(write_table(out_dir, f"group_{config}", gheader, grows, fmt))
     return names, result
+
+
+def _bits(outcome: int, k: int) -> str:
+    """Outcome label over k survivors: character i is survivor i, 1 = up."""
+    return format(outcome, f"0{k}b")[::-1] if k else ""
 
 
 @_stage("estimator")
@@ -593,21 +648,16 @@ def _fit_artifact(ctx, out_dir, protocol_result):
 @_stage("stochastic")
 def _run_shelving_decay(scenario: Scenario, out_dir: Path, fmt: str):
     process = scenario.shelving()
-    measurement = scenario.measurement()
+    shots = scenario.measurement().shots
     times = scenario.times()
     n = scenario.raw["n_ions"]
-    shots = measurement.shots
+    in_ground = sample_shelving_decay(n, times, process, shots, scenario.seed)
 
     header = ["time_s", "p_s_model", "n_ions_sampled", "n_in_s", "f_in_s"]
     rows = []
     fractions = []
-    for ti, t in enumerate(times):
-        in_s = 0
-        for s in range(shots):
-            rng = np.random.default_rng([scenario.seed, ti * shots + s])
-            mask = sample_shelving(n, float(t), process, rng)
-            in_s += n - len(mask.shelved_indices)
-        total = shots * n
+    total = shots * n
+    for t, in_s in zip(times, in_ground.tolist()):
         rows.append([float(t), math.exp(-t / process.tau_shelve), total,
                      in_s, in_s / total])
         fractions.append(in_s / total)
@@ -628,35 +678,25 @@ def _run_shelving_decay(scenario: Scenario, out_dir: Path, fmt: str):
 
 @_stage("stochastic")
 def _run_deshelving_scan(scenario: Scenario, out_dir: Path, fmt: str):
-    model = scenario.deshelving()
-    measurement = scenario.measurement()
     scan = scenario.raw["scan"]
     rabi_hz = sorted(scan["rabi_freqs_hz"])
-    points = scan.get("points_per_curve", 25)
-    factor = scan.get("max_time_factor", 3.0)
-    shots = measurement.shots
+    omegas = [TWO_PI * rhz for rhz in rabi_hz]
+    shots = scenario.measurement().shots
+    sample = sample_deshelving_scan(
+        scenario.deshelving(), omegas, scan.get("points_per_curve", 25),
+        scan.get("max_time_factor", 3.0), shots, scenario.seed)
 
     curve_header = ["rabi_hz", "time_s", "p_g_model", "n_shots",
                     "n_returned", "f_returned"]
     curve_rows = []
     tau_rows = []
     tau_fits = []
-    for oi, rhz in enumerate(rabi_hz):
-        omega = TWO_PI * rhz
-        tau_g = model.tau_g(omega)
-        times = np.linspace(0.0, factor * tau_g, points)
-        fractions = []
-        for ti, t in enumerate(times):
-            p_g = 1.0 - math.exp(-t / tau_g)
-            returned = 0
-            for s in range(shots):
-                rng = np.random.default_rng(
-                    [scenario.seed, (oi * points + ti) * shots + s])
-                if rng.random() < p_g:
-                    returned += 1
-            curve_rows.append([float(rhz), float(t), p_g, shots, returned,
-                               returned / shots])
-            fractions.append(returned / shots)
+    for rhz, omega, times, p_g, returned in zip(
+            rabi_hz, omegas, sample.times, sample.p_returned.tolist(),
+            sample.returned.tolist()):
+        fractions = [r / shots for r in returned]
+        curve_rows += [[float(rhz), t, p, shots, r, f] for t, p, r, f
+                       in zip(times.tolist(), p_g, returned, fractions)]
         fit = fit_exponential(times, np.array(fractions), model="inverse")
         tau_fits.append((omega, fit))
         tau_rows.append([float(rhz), fit.parameters["tau"],
@@ -689,6 +729,18 @@ def _run_deshelving_scan(scenario: Scenario, out_dir: Path, fmt: str):
 # command dispatch
 
 
+@cache
+def _versions() -> dict:
+    return {
+        "ionrewire": __version__,
+        "jsonschema": metadata.version("jsonschema"),
+        "numpy": np.__version__,
+        "python": sys.version.split()[0],
+        "pyyaml": yaml.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
 def _write_manifest(scenario: Scenario, out_dir: Path, outputs: list) -> str:
     digests = {}
     for name in sorted(outputs):
@@ -699,11 +751,7 @@ def _write_manifest(scenario: Scenario, out_dir: Path, outputs: list) -> str:
         "seed": scenario.seed,
         "scenario_sha256": scenario.source_sha256,
         "resolved_scenario": scenario.raw,
-        "versions": {
-            "ionrewire": __version__,
-            "numpy": np.__version__,
-            "python": sys.version.split()[0],
-        },
+        "versions": _versions(),
         "outputs": digests,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -758,7 +806,7 @@ def run_command(command: str, scenario: Scenario, out_dir: Path, fmt: str,
     outputs += _mask_artifact(ctx, out_dir, fmt)
     survivors = (ctx.mask.survivors.size if ctx.mask is not None
                  else ctx.coupling.n_ions)
-    if survivors <= 14:
+    if survivors <= SIZE_CAP:
         names, _, _ = _simulate_artifact(ctx, out_dir, fmt, threads=threads)
         outputs += names
         names, result = _protocol_artifact(ctx, out_dir, fmt)

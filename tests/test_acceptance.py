@@ -21,7 +21,7 @@ from ionrewire import (
     compute_normal_modes,
     project_modes,
 )
-from ionrewire.cli import load_scenario, run_command
+from ionrewire.cli import BUNDLED_SCENARIOS, load_scenario, run_command
 from ionrewire.coupling import (
     CouplingMatrix,
     RamanDrive,
@@ -343,7 +343,7 @@ def test_criterion_9_determinism(tmp_path):
                      / "ionrewire" / "scenarios" / "checksums.json")
     committed = json.loads(checksum_path.read_text())
 
-    for name in ("fig4b", "fig_op", "fig6"):
+    for name in BUNDLED_SCENARIOS:
         scenario = load_scenario(name)
         out_a = tmp_path / f"{name}_a"
         out_b = tmp_path / f"{name}_b"
@@ -352,5 +352,5 @@ def test_criterion_9_determinism(tmp_path):
         first, second = _digests(out_a), _digests(out_b)
         assert first == second, f"{name}: reruns differ"
         assert first == committed[name], f"{name}: drifted from committed outputs"
-    print("ACCEPTANCE 9 PASS: fig4b, fig_op, fig6 reruns byte-identical and "
-          "match committed checksums")
+    print(f"ACCEPTANCE 9 PASS: {', '.join(BUNDLED_SCENARIOS)} reruns "
+          "byte-identical and match committed checksums")

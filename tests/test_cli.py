@@ -87,6 +87,14 @@ class TestValidation:
                        "--out", tmp_path / "o") == 2
         assert "not applicable" in capsys.readouterr().err
 
+    def test_zero_drive_direction_rejected(self, tmp_path, capsys):
+        drive = dict(MINI_SCENARIO["drive"], direction=[0.0, 0.0, 0.0])
+        path = write_scenario(tmp_path, dict(MINI_SCENARIO, drive=drive))
+        out = tmp_path / "out"
+        assert run_cli("couplings", "--scenario", path, "--out", out) == 2
+        assert "$.drive.direction" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pipeline_error_names_the_module(self, tmp_path, capsys):
         drive = dict(MINI_SCENARIO["drive"])
         drive["calibration"] = {"target_j_hz": 1.0e9, "pair": [0, 1],
@@ -164,6 +172,8 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == MINI_SCENARIO["seed"]
         assert manifest["versions"]["ionrewire"]
+        for library in ("numpy", "scipy", "pyyaml", "jsonschema"):
+            assert manifest["versions"][library]
         assert set(manifest["outputs"]) == set(data_files(out))
         import hashlib
         for name, digest in manifest["outputs"].items():
@@ -176,6 +186,23 @@ class TestPipeline:
                        "--format", "json") == 0
         payload = json.loads((out / "series.json").read_text())
         assert isinstance(payload, list) and "time_s" in payload[0]
+
+    def test_json_run_lists_each_output_once(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, MINI_SCENARIO)
+        out = tmp_path / "out"
+        assert run_cli("all", "--scenario", path, "--out", out,
+                       "--format", "json") == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert len(listed) == len(set(listed))
+        assert sorted(Path(name).name for name in listed) == sorted(
+            p.name for p in out.iterdir())
+        couplings = json.loads((out / "couplings.json").read_text())
+        assert len(couplings["j_hz"]) == MINI_SCENARIO["n_ions"]
+        records = json.loads((out / "records.json").read_text())
+        assert len(records) == 16 * 40
+        assert isinstance(records[0]["shot"], int)
+        assert isinstance(records[0]["time_s"], float)
+        assert isinstance(records[0]["intact"], bool)
 
     def test_threads_flag_gives_identical_series(self, tmp_path):
         path = write_scenario(tmp_path, MINI_SCENARIO)

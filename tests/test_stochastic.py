@@ -13,10 +13,13 @@ from ionrewire.stochastic import (
     MeasurementModel,
     ProtocolResult,
     ShelvingProcess,
+    ShotStreams,
     deshelve_probability,
     run_protocol,
+    sample_deshelving_scan,
     sample_measurement,
     sample_shelving,
+    sample_shelving_decay,
     shelf_survival,
 )
 
@@ -144,6 +147,131 @@ class TestSampleMeasurement:
                                np.random.default_rng(0))
 
 
+class TestShotStreams:
+    """The block streams against numpy's own per-shot generators."""
+
+    # both sides of 2**32, where a shot index becomes two entropy words, and
+    # the mask artifact's stream 2**48
+    SHOTS = (0, 1, 2, 1000, 2**32 - 1, 2**32, 2**32 + 1, 2**48, 2**63 + 7)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_draws_match_default_rng(self, seed):
+        streams = ShotStreams(seed, np.array(self.SHOTS, dtype=np.uint64))
+        words = streams.next_uint64(3)
+        doubles = streams.random(5)
+        for i, shot in enumerate(self.SHOTS):
+            rng = np.random.default_rng([seed, shot])
+            assert np.array_equal(words[i], rng.bit_generator.random_raw(3))
+            assert np.array_equal(doubles[i], rng.random(5))
+
+    def test_exponential_continuation(self):
+        streams = ShotStreams(20240802, np.arange(40))
+        shelving = streams.random(2)
+        for i, continued in zip(range(40), streams.generators(np.arange(40))):
+            rng = np.random.default_rng([20240802, i])
+            assert np.array_equal(shelving[i], rng.random(2))
+            assert np.array_equal(continued.exponential(0.5, size=3),
+                                  rng.exponential(0.5, size=3))
+            assert np.array_equal(continued.random(3), rng.random(3))
+
+    def test_continuation_leaves_the_block_in_place(self):
+        streams = ShotStreams(5, [7, 8])
+        next(streams.generators([0])).random(10)
+        assert np.array_equal(streams.random(1)[0],
+                              np.random.default_rng([5, 7]).random(1))
+
+    def test_empty_block(self):
+        assert ShotStreams(3, []).random(2).shape == (0, 2)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            ShotStreams(-1, [0])
+
+
+def reference_protocol(coupling, beam_time, times, measurement, seed,
+                       deshelving=None, drive_rabi=None):
+    """Per-shot protocol, one generator per shot, as the block sampler must
+    reproduce it: (config, outcome, intact) for every shot in order."""
+    n, shots = coupling.n_ions, measurement.shots
+    tables = {}
+    rows = []
+    for ti, t in enumerate(times):
+        for s in range(shots):
+            rng = np.random.default_rng([seed, ti * shots + s])
+            mask = sample_shelving(n, beam_time, ShelvingProcess(), rng)
+            config = mask.to_string()
+            if config not in tables:
+                series = scan_evolution(apply_mask(coupling, mask), times)
+                tables[config] = np.cumsum(series.probabilities, axis=1)
+            k = mask.survivors.size
+            intact = True
+            if deshelving is not None and mask.shelved_indices.size:
+                returns = rng.exponential(deshelving.tau_g(drive_rabi),
+                                          size=mask.shelved_indices.size)
+                intact = bool(np.all(returns > t))
+            outcome = min(int(np.searchsorted(tables[config][ti], rng.random(),
+                                              side="right")), 2**k - 1)
+            if measurement.spam_error > 0.0 and k > 0:
+                flips = rng.random(k) < measurement.spam_error
+                outcome ^= int(flips @ (1 << np.arange(k)))
+            rows.append((config, outcome, intact))
+    return rows
+
+
+class TestBlockSamplers:
+    @pytest.mark.parametrize("spam,deshelve", [(0.0, False), (0.05, False),
+                                               (0.3, True)])
+    def test_protocol_matches_per_shot_reference(self, spam, deshelve):
+        pairs = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
+                 (1, 2): TWO_PI * 480.0}
+        coupling = CouplingMatrix.from_pairs(3, pairs)
+        times = np.linspace(0.0, 1e-3, 5)
+        measurement = MeasurementModel(shots=60, spam_error=spam)
+        deshelving = DeshelvingModel(reference_tau=2e-3) if deshelve else None
+        drive = TWO_PI * 76e3 if deshelve else None
+        result = run_protocol(coupling, beam_time=40e-3, times=times,
+                              shelving=ShelvingProcess(),
+                              measurement=measurement, seed=4242,
+                              deshelving=deshelving, drive_rabi=drive)
+        expected = reference_protocol(coupling, 40e-3, times, measurement,
+                                      4242, deshelving, drive)
+        records = result.records
+        got = [(records.configs[c], o, i) for c, o, i in zip(
+            records.config.tolist(), records.outcome.tolist(),
+            records.intact.tolist())]
+        assert got == expected
+        assert records.shot.tolist() == list(range(len(expected)))
+        assert list(records.configs) == sorted(result.groups)
+        if deshelve:
+            assert not records.intact.all()
+
+    def test_shelving_decay_matches_per_shot_draws(self):
+        process = ShelvingProcess(tau_shelve=55e-3)
+        times = np.linspace(0.0, 0.2, 6)
+        got = sample_shelving_decay(3, times, process, shots=25, seed=91)
+        for ti, t in enumerate(times):
+            in_ground = sum(
+                3 - sample_shelving(3, float(t), process, np.random.default_rng(
+                    [91, ti * 25 + s])).shelved_indices.size
+                for s in range(25))
+            assert got[ti] == in_ground
+
+    def test_deshelving_scan_matches_per_shot_draws(self):
+        model = DeshelvingModel()
+        omegas = [TWO_PI * 76e3, TWO_PI * 152e3]
+        scan = sample_deshelving_scan(model, omegas, points=4,
+                                      max_time_factor=3.0, shots=30, seed=6)
+        for oi, omega in enumerate(omegas):
+            tau = model.tau_g(omega)
+            for ti, t in enumerate(np.linspace(0.0, 3.0 * tau, 4)):
+                p = 1.0 - math.exp(-t / tau)
+                returned = sum(np.random.default_rng(
+                    [6, (oi * 4 + ti) * 30 + s]).random() < p for s in range(30))
+                assert scan.times[oi, ti] == t
+                assert scan.p_returned[oi, ti] == p
+                assert scan.returned[oi, ti] == returned
+
+
 def uniform_triangle_coupling(j=TWO_PI * 450.0):
     return CouplingMatrix.uniform(3, j)
 
@@ -193,7 +321,10 @@ class TestProtocol:
                       drive_rabi=TWO_PI * 76e3)
         a = run_protocol(coupling, **kwargs)
         b = run_protocol(coupling, **kwargs)
-        assert a.records == b.records
+        assert a.records.configs == b.records.configs
+        for column in ("shot", "time_index", "config", "outcome", "intact"):
+            assert np.array_equal(getattr(a.records, column),
+                                  getattr(b.records, column))
         for config in a.groups:
             assert np.array_equal(a.groups[config].counts, b.groups[config].counts)
 
@@ -221,7 +352,7 @@ class TestProtocol:
                               shelving=ShelvingProcess(),
                               measurement=MeasurementModel(shots=400, spam_error=0.0),
                               seed=23)
-        assert all(r.intact for r in result.records)
+        assert result.records.intact.all()
 
     def test_single_shelved_group_shows_pair_oscillation(self):
         pairs = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
