@@ -52,7 +52,6 @@ from .stochastic import (
     shelf_survival,
     sample_shelving,
     deshelve_probability,
-    sample_measurement,
     run_protocol,
 )
 from .estimator import (
@@ -100,7 +99,6 @@ __all__ = [
     "shelf_survival",
     "sample_shelving",
     "deshelve_probability",
-    "sample_measurement",
     "run_protocol",
     "FitResult",
     "fit_pair_coupling",

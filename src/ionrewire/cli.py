@@ -539,16 +539,13 @@ def _mask_artifact(ctx, out_dir, fmt):
 
 
 @_stage("dynamics")
-def _simulate_artifact(ctx, out_dir, fmt, threads=1):
+def _simulate_artifact(ctx, out_dir, fmt):
     scenario = ctx.scenario
     mask = ctx.mask if ctx.mask is not None else ShelveMask.all_qubits(
         ctx.coupling.n_ions)
     graph = apply_mask(ctx.coupling, mask)
-    if graph.n_spins > SIZE_CAP:
-        raise ValueError(
-            f"{graph.n_spins} surviving spins exceed the exact-evolution cap")
     series = scan_evolution(graph, scenario.times(),
-                            model=scenario.decoherence(), threads=threads)
+                            model=scenario.decoherence())
     header, rows = _series_rows(series)
     return [write_table(out_dir, "series", header, rows, fmt)], series, graph
 
@@ -760,8 +757,8 @@ def _write_manifest(scenario: Scenario, out_dir: Path, outputs: list) -> str:
     return "manifest.json"
 
 
-def run_command(command: str, scenario: Scenario, out_dir: Path, fmt: str,
-                threads: int = 1) -> list:
+def run_command(command: str, scenario: Scenario, out_dir: Path,
+                fmt: str) -> list:
     """Execute one subcommand; returns the list of files written."""
     out_dir.mkdir(parents=True, exist_ok=True)
     kind = scenario.kind
@@ -788,7 +785,7 @@ def run_command(command: str, scenario: Scenario, out_dir: Path, fmt: str,
     if command == "mask":
         return _mask_artifact(ctx, out_dir, fmt)
     if command == "simulate":
-        names, _, _ = _simulate_artifact(ctx, out_dir, fmt, threads=threads)
+        names, _, _ = _simulate_artifact(ctx, out_dir, fmt)
         return names
     if command == "protocol":
         names, _ = _protocol_artifact(ctx, out_dir, fmt)
@@ -806,14 +803,19 @@ def run_command(command: str, scenario: Scenario, out_dir: Path, fmt: str,
     outputs += _mask_artifact(ctx, out_dir, fmt)
     survivors = (ctx.mask.survivors.size if ctx.mask is not None
                  else ctx.coupling.n_ions)
+    fit = scenario.fit_kind() == "pair_couplings"
     if survivors <= SIZE_CAP:
-        names, _, _ = _simulate_artifact(ctx, out_dir, fmt, threads=threads)
+        names, _, _ = _simulate_artifact(ctx, out_dir, fmt)
         outputs += names
         names, result = _protocol_artifact(ctx, out_dir, fmt)
         outputs += names
-        if scenario.fit_kind() == "pair_couplings":
+        if fit:
             names, _ = _fit_artifact(ctx, out_dir, result)
             outputs += names
+    else:
+        skipped = "dynamics, stochastic" + (", estimator" if fit else "")
+        print(f"skipped stages {skipped}: {survivors} survivors exceed the "
+              f"exact-evolution cap of {SIZE_CAP}", file=sys.stderr)
     outputs.append(_write_manifest(scenario, out_dir, outputs))
     return outputs
 
@@ -834,7 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (default: the scenario's "
                             "output_dir field, else ./out)")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -849,8 +850,7 @@ def main(argv=None) -> int:
     out_dir = Path(args.out if args.out is not None
                    else scenario.raw.get("output_dir", "out"))
     try:
-        written = run_command(args.command, scenario, out_dir,
-                              args.format, threads=args.threads)
+        written = run_command(args.command, scenario, out_dir, args.format)
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return 2

@@ -5,6 +5,12 @@ a Walsh-Hadamard butterfly, accumulate phases exp(-i t E(s)) with
 E(s) = sum_{i<j} J_ij s_i s_j over spin signs s = +-1, and transform back.
 Cost is O(n 2^n) per time point, exact to machine precision.
 
+One kernel, _walsh_hadamard, transforms the rows of a block of time points
+(evolve_ising, scan_evolution) or energy levels (dephased_limit). A block of
+at most BLOCK_ELEMENTS = 2^13 amplitudes (128 KiB, and a work buffer as big)
+stays in cache; on a 2-core x86 host it beat 2^12 (more numpy calls per row)
+and 2^14 (30% slower at n = 12) in total scan_evolution time over n = 9-14.
+
 z-basis indexing: bit i of the amplitude index is the state of spin i,
 0 = down. Outcome labels read spin 0 first, '1' = up.
 """
@@ -17,6 +23,8 @@ import numpy as np
 from .lattice import InteractionGraph, ShelveMask
 
 SIZE_CAP = 14
+BLOCK_ELEMENTS = 2**13
+ENERGY_RTOL = 1e-9  # relative gap under which dephased_limit merges levels
 
 
 class CapacityError(ValueError):
@@ -114,18 +122,34 @@ class ObservableSeries:
         return self.probabilities @ signs.mean(axis=1)
 
 
-def _walsh_hadamard(amps: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform (its own inverse)."""
-    out = amps.copy()
-    size = out.size
-    h = 1
-    while h < size:
-        out = out.reshape(-1, 2, h)
-        top = out[:, 0, :] + out[:, 1, :]
-        bottom = out[:, 0, :] - out[:, 1, :]
-        out = np.stack((top, bottom), axis=1)
-        h *= 2
-    return out.reshape(size) / math.sqrt(size)
+def _walsh_hadamard(block: np.ndarray) -> np.ndarray:
+    """Normalized Walsh-Hadamard transform (its own inverse) of each row of a
+    C-contiguous complex (rows, 2^n) block, in place.
+
+    A pass fuses two radix-2 stages: with a, b, c, d = x[0::4], ..., x[3::4]
+    it writes (a+b)+(c+d), (a-b)+(c-d), (a+b)-(c+d), (a-b)-(c-d) as quarters,
+    a self-sorting order with long numpy loops; odd n ends with one radix-2
+    stage. Additions and their order are those of one stage at a time, so
+    each row is bit-identical to a vector butterfly.
+    """
+    rows, size = block.shape
+    n = size.bit_length() - 1
+    pairs = np.empty((rows, 2, size // 2), dtype=complex)
+    sums, diffs = pairs[:, 0], pairs[:, 1]
+    for _ in range(n // 2):
+        quarters = block.reshape(rows, 4, -1)
+        np.add(block[:, 0::2], block[:, 1::2], out=sums)
+        np.subtract(block[:, 0::2], block[:, 1::2], out=diffs)
+        np.add(sums[:, 0::2], sums[:, 1::2], out=quarters[:, 0])
+        np.add(diffs[:, 0::2], diffs[:, 1::2], out=quarters[:, 1])
+        np.subtract(sums[:, 0::2], sums[:, 1::2], out=quarters[:, 2])
+        np.subtract(diffs[:, 0::2], diffs[:, 1::2], out=quarters[:, 3])
+    result = block
+    if n % 2:
+        np.add(block[:, 0::2], block[:, 1::2], out=sums)
+        np.subtract(block[:, 0::2], block[:, 1::2], out=diffs)
+        result = pairs.reshape(rows, size)
+    return np.divide(result, math.sqrt(size), out=block)
 
 
 def _spin_signs(n: int) -> np.ndarray:
@@ -142,24 +166,36 @@ def ising_energies(couplings: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("si,ij,sj->s", signs, couplings, signs)
 
 
-def _check_capacity(n: int):
+def _prepare(graph: InteractionGraph, initial: SpinState | None) -> tuple:
+    """The checked initial state (all down if None) and its x-basis form."""
+    n = graph.n_spins
     if n > SIZE_CAP:
         raise CapacityError(
             f"{n} spins exceeds the exact-evolution cap of {SIZE_CAP}")
+    initial = SpinState.all_down(n) if initial is None else initial
+    if initial.n_spins != n:
+        raise ValueError(
+            f"state has {initial.n_spins} spins, graph has {n} survivors")
+    return initial, _walsh_hadamard(initial.amplitudes[None, :].copy())[0]
+
+
+def _evolve(psi_x: np.ndarray, spectrum: tuple, times: np.ndarray) -> np.ndarray:
+    """z-basis amplitudes exp(-iHt)|psi>, one row per time in the block.
+
+    spectrum is np.unique(energies, return_inverse=True): phases are computed
+    once per distinct energy, for at most half the states as E(s) = E(-s).
+    """
+    energies, level = spectrum
+    phases = np.exp(-1j * times[:, None] * energies)[:, level]
+    return _walsh_hadamard(np.multiply(psi_x, phases, out=phases))
 
 
 def evolve_ising(graph: InteractionGraph, t: float, initial: SpinState) -> SpinState:
     """Exact |psi(t)> = exp(-iHt) |psi(0)> for the graph's Ising couplings."""
-    n = graph.n_spins
-    _check_capacity(n)
-    if initial.n_spins != n:
-        raise ValueError(
-            f"state has {initial.n_spins} spins, graph has {n} survivors")
-    if n == 0:
-        return initial
-    psi_x = _walsh_hadamard(initial.amplitudes)
-    psi_x = psi_x * np.exp(-1j * t * ising_energies(graph.couplings))
-    return SpinState(n_spins=n, amplitudes=_walsh_hadamard(psi_x))
+    _, psi_x = _prepare(graph, initial)
+    spectrum = np.unique(ising_energies(graph.couplings), return_inverse=True)
+    amps = _evolve(psi_x, spectrum, np.array([t], dtype=float))[0]
+    return SpinState(n_spins=graph.n_spins, amplitudes=amps)
 
 
 def populations(state: SpinState) -> np.ndarray:
@@ -168,51 +204,46 @@ def populations(state: SpinState) -> np.ndarray:
     return p / p.sum()
 
 
-def dephased_limit(graph: InteractionGraph, initial: SpinState,
-                   energy_rtol: float = 1e-9) -> np.ndarray:
+def dephased_limit(graph: InteractionGraph, initial: SpinState) -> np.ndarray:
     """Long-time average of the outcome probabilities.
 
     Cross terms between x-basis states of different energy average to zero,
     so the limit is the incoherent sum over equal-energy groups. For a
     periodic signal this equals the average over one fundamental period.
+    Energies within ENERGY_RTOL of the largest |E| count as one level.
     """
     n = graph.n_spins
-    _check_capacity(n)
-    if n == 0:
-        return np.ones(1)
-    psi_x = _walsh_hadamard(initial.amplitudes)
+    _, psi_x = _prepare(graph, initial)
     energies = ising_energies(graph.couplings)
     scale = max(np.max(np.abs(energies)), 1.0)
-    keys = np.round(energies / (scale * energy_rtol)).astype(np.int64)
+    keys = np.round(energies / (scale * ENERGY_RTOL)).astype(np.int64)
+    keys, level = np.unique(keys, return_inverse=True)
 
+    # one row per level, summed in level order
     limit = np.zeros(2**n)
-    for key in np.unique(keys):
-        member = keys == key
-        component = np.where(member, psi_x, 0.0)
-        limit += np.abs(_walsh_hadamard(component)) ** 2
+    step = max(1, BLOCK_ELEMENTS // 2**n)
+    for first in range(0, keys.size, step):
+        rows = min(step, keys.size - first)
+        cols = np.flatnonzero((level >= first) & (level < first + rows))
+        block = np.zeros((rows, 2**n), dtype=complex)
+        block[level[cols] - first, cols] = psi_x[cols]
+        for row in np.abs(_walsh_hadamard(block)) ** 2:
+            limit += row
     return limit / limit.sum()
 
 
 def apply_decoherence(series: ObservableSeries, model: DecoherenceModel,
-                      long_time_limit: np.ndarray | None = None,
-                      graph: InteractionGraph | None = None,
-                      initial: SpinState | None = None) -> ObservableSeries:
+                      graph: InteractionGraph,
+                      initial: SpinState) -> ObservableSeries:
     """Damp probabilities toward their dephased limit:
 
         p(t) -> p_inf + (p(t) - p_inf) exp(-t / tau_d)
 
-    p_inf defaults to the exact long-time average, which needs the graph and
-    initial state; pass long_time_limit to override with a constant.
+    p_inf is the exact long-time average for the graph and initial state.
     """
     if not math.isfinite(model.tau_d):
         return series
-    if long_time_limit is None:
-        if graph is None or initial is None:
-            raise ValueError(
-                "provide graph and initial state (or an explicit "
-                "long_time_limit) to compute the dephased limit")
-        long_time_limit = dephased_limit(graph, initial)
-    p_inf = np.asarray(long_time_limit, dtype=float)
+    p_inf = dephased_limit(graph, initial)
     envelope = np.exp(-series.times / model.tau_d)[:, None]
     damped = p_inf[None, :] + (series.probabilities - p_inf[None, :]) * envelope
     return ObservableSeries(n_spins=series.n_spins, times=series.times,
@@ -220,43 +251,27 @@ def apply_decoherence(series: ObservableSeries, model: DecoherenceModel,
 
 
 def scan_evolution(graph: InteractionGraph, times, initial: SpinState | None = None,
-                   model: DecoherenceModel | None = None,
-                   threads: int = 1) -> ObservableSeries:
+                   model: DecoherenceModel | None = None) -> ObservableSeries:
     """Outcome probabilities over a time grid, optionally decohered.
 
-    Evaluates the shared x-basis transform once; independent time points may
-    be computed in parallel with identical (bit-exact) results.
+    Evaluates the shared x-basis transform once, then evolves blocks of time
+    points; each row is bit-identical to evolve_ising at its time.
     """
     n = graph.n_spins
-    _check_capacity(n)
     times = np.asarray(times, dtype=float)
-    if initial is None:
-        initial = SpinState.all_down(n)
-    if initial.n_spins != n:
-        raise ValueError("initial state size does not match survivor count")
-
-    if n == 0:
-        probs = np.ones((times.size, 1))
-    else:
-        psi_x = _walsh_hadamard(initial.amplitudes)
-        energies = ising_energies(graph.couplings)
-
-        def one_time(t):
-            psi_z = _walsh_hadamard(psi_x * np.exp(-1j * t * energies))
-            p = np.abs(psi_z) ** 2
-            return p / p.sum()
-
-        if threads > 1 and times.size > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(one_time, times))
-        else:
-            rows = [one_time(t) for t in times]
-        probs = np.array(rows).reshape(times.size, 2**n)
+    initial, psi_x = _prepare(graph, initial)
+    spectrum = np.unique(ising_energies(graph.couplings), return_inverse=True)
+    probs = np.empty((times.size, 2**n))
+    step = max(1, BLOCK_ELEMENTS // 2**n)
+    for first in range(0, times.size, step):
+        p = probs[first:first + step]
+        np.abs(_evolve(psi_x, spectrum, times[first:first + step]), out=p)
+        np.square(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
 
     series = ObservableSeries(n_spins=n, times=times, probabilities=probs)
-    if model is not None and math.isfinite(model.tau_d):
-        series = apply_decoherence(series, model, graph=graph, initial=initial)
+    if model is not None:
+        series = apply_decoherence(series, model, graph, initial)
     return series
 
 

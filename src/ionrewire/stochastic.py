@@ -147,25 +147,6 @@ def deshelve_probability(t: float, rabi_frequency: float,
     return 1.0 - math.exp(-t / model.tau_g(rabi_frequency))
 
 
-def sample_measurement(probabilities, model: MeasurementModel,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Multinomial outcome counts with independent per-qubit SPAM flips."""
-    p = np.asarray(probabilities, dtype=float)
-    if p.ndim != 1 or p.size < 1 or (p.size & (p.size - 1)):
-        raise ValueError("probabilities must have length 2**n_qubits")
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("probabilities must be normalized")
-    n = p.size.bit_length() - 1
-
-    counts = rng.multinomial(model.shots, p / p.sum())
-    if model.spam_error > 0.0 and n > 0:
-        outcomes = np.repeat(np.arange(p.size), counts)
-        flips = rng.random((model.shots, n)) < model.spam_error
-        flip_ints = flips @ (1 << np.arange(n))
-        counts = np.bincount(outcomes ^ flip_ints, minlength=p.size)
-    return counts
-
-
 # --------------------------------------------------------------------------
 # per-shot streams, computed in blocks
 

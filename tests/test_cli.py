@@ -6,6 +6,7 @@ import pytest
 import yaml
 
 from ionrewire import cli
+from ionrewire.dynamics import SIZE_CAP
 
 
 MINI_SCENARIO = {
@@ -204,13 +205,6 @@ class TestPipeline:
         assert isinstance(records[0]["time_s"], float)
         assert isinstance(records[0]["intact"], bool)
 
-    def test_threads_flag_gives_identical_series(self, tmp_path):
-        path = write_scenario(tmp_path, MINI_SCENARIO)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_cli("simulate", "--scenario", path, "--out", out_a)
-        run_cli("simulate", "--scenario", path, "--out", out_b, "--threads", 4)
-        assert (out_a / "series.csv").read_bytes() == (out_b / "series.csv").read_bytes()
-
 
 class TestSubcommands:
     @pytest.mark.parametrize("command,expected", [
@@ -261,13 +255,25 @@ class TestPatternScenarios:
         assert report["mask"].count("S") == 1
         assert (out / "series.csv").exists()
 
-    def test_large_pattern_skips_dynamics(self, tmp_path):
+    def test_large_pattern_skips_dynamics(self, tmp_path, capsys):
         payload = self.make_pattern_scenario("honeycomb", 12, 12)
         path = write_scenario(tmp_path, payload)
         out = tmp_path / "out"
         assert run_cli("all", "--scenario", path, "--out", out) == 0
         assert not (out / "series.csv").exists()
         assert (out / "geometry.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["skipped stages dynamics, stochastic: 96 survivors "
+                       f"exceed the exact-evolution cap of {SIZE_CAP}"]
+
+    def test_large_pattern_simulate_fails_in_dynamics(self, tmp_path, capsys):
+        payload = self.make_pattern_scenario("honeycomb", 12, 12)
+        path = write_scenario(tmp_path, payload)
+        assert run_cli("simulate", "--scenario", path,
+                       "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert "stage 'dynamics'" in err
+        assert f"cap of {SIZE_CAP}" in err
 
     def test_modes_not_applicable(self, tmp_path, capsys):
         payload = self.make_pattern_scenario("honeycomb", 3, 3)

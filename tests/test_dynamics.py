@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from ionrewire.coupling import CouplingMatrix
 from ionrewire.dynamics import (
+    BLOCK_ELEMENTS,
+    ENERGY_RTOL,
     CapacityError,
     DecoherenceModel,
     ObservableSeries,
@@ -12,6 +16,7 @@ from ionrewire.dynamics import (
     dephased_limit,
     embed_survivor_state,
     evolve_ising,
+    ising_energies,
     populations,
     scan_evolution,
     survivor_marginal,
@@ -55,6 +60,38 @@ def dense_evolution(j: np.ndarray, t: float, amplitudes: np.ndarray) -> np.ndarr
                 term = np.kron(term, op)
             h = h + j[i, k] * term
     return scipy.linalg.expm(-1j * t * h) @ amplitudes
+
+
+def random_state(n, rng) -> SpinState:
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return SpinState(n_spins=n, amplitudes=amps / np.linalg.norm(amps))
+
+
+def vector_walsh_hadamard(amps: np.ndarray) -> np.ndarray:
+    """One radix-2 stage at a time on a single vector."""
+    out = amps.copy()
+    size = out.size
+    h = 1
+    while h < size:
+        out = out.reshape(-1, 2, h)
+        out = np.stack((out[:, 0, :] + out[:, 1, :],
+                        out[:, 0, :] - out[:, 1, :]), axis=1)
+        h *= 2
+    return out.reshape(size) / math.sqrt(size)
+
+
+def per_level_dephased_limit(graph: InteractionGraph,
+                             initial: SpinState) -> np.ndarray:
+    """Oracle: one vector transform per energy level, summed in level order."""
+    psi_x = vector_walsh_hadamard(initial.amplitudes)
+    energies = ising_energies(graph.couplings)
+    scale = max(np.max(np.abs(energies)), 1.0)
+    keys = np.round(energies / (scale * ENERGY_RTOL)).astype(np.int64)
+    limit = np.zeros(2**graph.n_spins)
+    for key in np.unique(keys):
+        component = np.where(keys == key, psi_x, 0.0)
+        limit += np.abs(vector_walsh_hadamard(component)) ** 2
+    return limit / limit.sum()
 
 
 class TestEvolve:
@@ -134,6 +171,11 @@ class TestEvolve:
         graph = graph_of(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             evolve_ising(graph, 1e-4, SpinState.all_down(2))
+        for state in (SpinState.all_down(2), SpinState.all_down(4)):
+            with pytest.raises(ValueError, match="graph has 3 survivors"):
+                scan_evolution(graph, [0.0], initial=state)
+            with pytest.raises(ValueError, match="graph has 3 survivors"):
+                dephased_limit(graph, state)
 
 
 class TestShelvingEquivalence:
@@ -186,7 +228,8 @@ class TestDecoherence:
         times = np.linspace(0, 1e-3, 7)
         j = CouplingMatrix.uniform(2, TWO_PI * 750.0).j
         series = scan_evolution(graph_of(j), times)
-        damped = apply_decoherence(series, DecoherenceModel(tau_d=np.inf))
+        damped = apply_decoherence(series, DecoherenceModel(tau_d=np.inf),
+                                   graph_of(j), SpinState.all_down(2))
         assert np.array_equal(damped.probabilities, series.probabilities)
 
     def test_dephased_limit_two_ions(self):
@@ -225,32 +268,31 @@ class TestDecoherence:
         expected = 0.5 + (coherent - 0.5) / np.e
         assert damped.outcome("11")[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_requires_limit_inputs(self):
-        times = np.linspace(0, 1e-3, 3)
-        j = CouplingMatrix.uniform(2, TWO_PI * 750.0).j
-        series = scan_evolution(graph_of(j), times)
-        with pytest.raises(ValueError):
-            apply_decoherence(series, DecoherenceModel(tau_d=1e-3))
+    @pytest.mark.parametrize("n,blocks", [(0, 1), (3, 1), (9, 9), (12, 158)])
+    def test_dephased_limit_matches_per_level_loop(self, n, blocks):
+        rng = np.random.default_rng(20 + n)
+        # integer couplings make degenerate levels with several members
+        j = rng.integers(-3, 4, size=(n, n)) * TWO_PI * 100.0
+        graph = graph_of(np.triu(j, 1) + np.triu(j, 1).T)
+        initial = random_state(n, rng)
+        levels = np.unique(ising_energies(graph.couplings)).size
+        assert math.ceil(levels / (BLOCK_ELEMENTS // 2**n)) == blocks
+        assert np.array_equal(dephased_limit(graph, initial),
+                              per_level_dephased_limit(graph, initial))
 
 
 class TestScan:
-    def test_matches_pointwise_evolution(self):
+    @pytest.mark.parametrize("n", [3, 9, 13])
+    def test_matches_pointwise_evolution(self, n):
         rng = np.random.default_rng(13)
-        j = random_symmetric_j(3, rng)
-        graph = graph_of(j)
-        times = np.linspace(0, 2e-3, 9)
-        series = scan_evolution(graph, times)
+        graph = graph_of(random_symmetric_j(n, rng))
+        initial = random_state(n, rng)
+        # three blocks of time rows, the last one partial
+        times = np.linspace(0, 2e-3, 2 * (BLOCK_ELEMENTS // 2**n) + 1)
+        series = scan_evolution(graph, times, initial=initial)
         for row, t in zip(series.probabilities, times):
-            p = populations(evolve_ising(graph, t, SpinState.all_down(3)))
+            p = populations(evolve_ising(graph, t, initial))
             assert np.array_equal(row, p)
-
-    def test_threaded_scan_is_bit_identical(self):
-        rng = np.random.default_rng(14)
-        j = random_symmetric_j(4, rng)
-        times = np.linspace(0, 2e-3, 17)
-        a = scan_evolution(graph_of(j), times, threads=1)
-        b = scan_evolution(graph_of(j), times, threads=4)
-        assert np.array_equal(a.probabilities, b.probabilities)
 
     def test_empty_graph_scan(self):
         graph = InteractionGraph(survivors=np.array([], dtype=int),
@@ -258,6 +300,8 @@ class TestScan:
         series = scan_evolution(graph, np.linspace(0, 1e-3, 4))
         assert series.probabilities.shape == (4, 1)
         assert np.all(series.probabilities == 1.0)
+        state = evolve_ising(graph, 1e-3, SpinState.all_down(0))
+        assert state.amplitudes.tolist() == [1.0]
 
     def test_outcome_labels_and_lookup(self):
         j = CouplingMatrix.uniform(2, TWO_PI * 750.0).j

@@ -17,7 +17,6 @@ from ionrewire.stochastic import (
     deshelve_probability,
     run_protocol,
     sample_deshelving_scan,
-    sample_measurement,
     sample_shelving,
     sample_shelving_decay,
     shelf_survival,
@@ -107,44 +106,6 @@ class TestDeshelving:
             DeshelvingModel(reference_tau=-1.0)
         with pytest.raises(ValueError):
             DeshelvingModel().tau_g(0.0)
-
-
-class TestSampleMeasurement:
-    def test_pure_state_no_spam(self):
-        counts = sample_measurement(
-            [1.0, 0.0, 0.0, 0.0], MeasurementModel(shots=150, spam_error=0.0),
-            np.random.default_rng(1))
-        assert counts[0] == 150 and counts.sum() == 150
-
-    def test_spam_flip_rate_single_qubit(self):
-        shots = 100_000
-        counts = sample_measurement(
-            [1.0, 0.0], MeasurementModel(shots=shots, spam_error=0.04),
-            np.random.default_rng(5))
-        sigma = math.sqrt(shots * 0.04 * 0.96)
-        assert abs(counts[1] - shots * 0.04) < 4 * sigma
-
-    def test_uniform_distribution_chi_square(self):
-        shots = 40_000
-        stats = []
-        for seed in range(5):
-            counts = sample_measurement(
-                np.full(8, 1 / 8), MeasurementModel(shots=shots, spam_error=0.0),
-                np.random.default_rng(seed))
-            expected = shots / 8
-            stats.append(np.sum((counts - expected) ** 2 / expected))
-        threshold = scipy.stats.chi2.ppf(0.999, df=7)
-        assert np.median(stats) < threshold
-
-    def test_unnormalized_input_rejected(self):
-        with pytest.raises(ValueError):
-            sample_measurement([0.5, 0.1], MeasurementModel(shots=10),
-                               np.random.default_rng(0))
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            sample_measurement([0.5, 0.25, 0.25], MeasurementModel(shots=10),
-                               np.random.default_rng(0))
 
 
 class TestShotStreams:
