@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from importlib import metadata, resources
@@ -40,7 +41,13 @@ from .coupling import (
     perpendicular_delta_k,
 )
 from .crystal import TrapConfig, compute_normal_modes, solve_equilibrium
-from .dynamics import SIZE_CAP, DecoherenceModel, ObservableSeries, scan_evolution
+from .dynamics import (
+    SIZE_CAP,
+    DecoherenceModel,
+    ObservableSeries,
+    outcome_label,
+    scan_evolution,
+)
 from .estimator import fit_exponential, fit_pair_coupling, fit_power_law
 from .lattice import (
     ShelveMask,
@@ -132,9 +139,8 @@ class Scenario:
         return np.linspace(t["start_s"], t["stop_s"], t["num"])
 
     def mask_source(self) -> tuple:
-        mask = self.raw["mask"]
-        ((key, value),) = mask.items()
-        return key, value
+        """(source, value) of the scenario's one mask source."""
+        return next(iter(self.raw["mask"].items()))
 
     def decoherence(self) -> DecoherenceModel | None:
         tau = self.raw.get("decoherence", {}).get("tau_d_s")
@@ -164,59 +170,37 @@ class Scenario:
         return self.raw.get("fit", defaults[self.kind])
 
 
-def _require(raw: dict, field: str, kind: str):
-    if field not in raw:
-        raise ScenarioError(f"$.{field}: required for kind '{kind}'")
+def _check_finite(node, where: str = "$"):
+    """Every number in the scenario is finite (null, not .inf, means unset)."""
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ScenarioError(f"{where}: must be finite")
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        _check_finite(value, f"{where}.{key}")
 
 
 def _cross_validate(raw: dict):
-    kind = raw["kind"]
-    if kind == "ising":
-        for field in ("n_ions", "times", "mask", "measurement"):
-            _require(raw, field, kind)
-        mask = raw["mask"]
-        n = raw["n_ions"]
-        if "explicit" in mask and len(mask["explicit"]) != n:
+    """The rules the schema cannot state: finite numbers, and the sizes that
+    must match n_ions."""
+    _check_finite(raw)
+    if raw["kind"] != "ising":
+        return
+    n = raw["n_ions"]
+    ((source, value),) = raw["mask"].items()
+    if source == "explicit" and len(value) != n:
+        raise ScenarioError(
+            f"$.mask.explicit: length {len(value)} does not match n_ions={n}")
+    if source == "pattern":
+        if value["rows"] * value["cols"] != n:
             raise ScenarioError(
-                f"$.mask.explicit: length {len(mask['explicit'])} does not "
-                f"match n_ions={n}")
-        if "pattern" in mask:
-            p = mask["pattern"]
-            if p["rows"] * p["cols"] != n:
-                raise ScenarioError(
-                    f"$.mask.pattern: rows*cols={p['rows'] * p['cols']} does "
-                    f"not match n_ions={n}")
-        else:
-            for field in ("trap", "drive"):
-                _require(raw, field, kind)
-            drive = raw["drive"]
-            if "rabi_freq_hz" not in drive:
-                raise ScenarioError("$.drive.rabi_freq_hz: required")
-            direction = np.asarray(drive.get("direction", [1.0]), dtype=float)
-            if not (np.all(np.isfinite(direction)) and np.any(direction)):
-                raise ScenarioError(
-                    "$.drive.direction: must be a finite nonzero vector")
-            has_mu = drive.get("detuning_hz") is not None
-            has_cal = "calibration" in drive
-            if has_mu == has_cal:
-                raise ScenarioError(
-                    "$.drive: exactly one of detuning_hz or calibration")
-            if has_cal:
-                pair = drive["calibration"]["pair"]
-                if pair[0] == pair[1] or max(pair) >= n:
-                    raise ScenarioError(
-                        f"$.drive.calibration.pair: invalid pair {pair} for "
-                        f"n_ions={n}")
-    elif kind == "shelving_decay":
-        for field in ("n_ions", "times", "measurement"):
-            _require(raw, field, kind)
-    elif kind == "deshelving_scan":
-        for field in ("scan", "measurement"):
-            _require(raw, field, kind)
-    if "times" in raw and "list_s" not in raw["times"]:
-        for field in ("start_s", "stop_s", "num"):
-            if field not in raw["times"]:
-                raise ScenarioError(f"$.times.{field}: required unless list_s given")
+                f"$.mask.pattern: rows*cols={value['rows'] * value['cols']} "
+                f"does not match n_ions={n}")
+        return
+    pair = raw["drive"].get("calibration", {}).get("pair", [])
+    if max(pair, default=-1) >= n:
+        raise ScenarioError(
+            f"$.drive.calibration.pair: invalid pair {pair} for n_ions={n}")
 
 
 def load_scenario(ref: str, seed_override: int | None = None) -> Scenario:
@@ -243,9 +227,17 @@ def load_scenario(ref: str, seed_override: int | None = None) -> Scenario:
     validator = jsonschema.Draft202012Validator(_schema())
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
+        # name the failing field; a missing one is named, not its parent
         err = errors[0]
-        where = "$." + ".".join(str(p) for p in err.absolute_path) if err.absolute_path else "$"
-        raise ScenarioError(f"{path}: {where}: {err.message}")
+        fields = list(err.absolute_path)
+        if err.validator == "required":
+            fields.append(next(f for f in err.validator_value
+                               if f not in err.instance))
+        where = "".join(f".{f}" for f in fields)
+        # the schema's errorMessage, where it has one, replaces jsonschema's
+        message = err.schema.get("errorMessage", {}).get(err.validator,
+                                                         err.message)
+        raise ScenarioError(f"{path}: ${where}: {message}")
     _cross_validate(raw)
 
     if seed_override is not None:
@@ -347,28 +339,25 @@ class IsingContext:
     """Everything the ising pipeline derives before sampling."""
 
     scenario: Scenario
-    constants: PhysicalConstants
     crystal: object | None
     modes: object | None
     array: object | None
     coupling: CouplingMatrix
     drive: RamanDrive | None
-    detuning: float | None
     mask: ShelveMask | None      # None for the probabilistic source
-    beam_time: float
+    beam_time: float             # 0 unless the source is beam_time_s
 
 
+@contextmanager
 def _stage(name):
-    def wrap(fn):
-        def inner(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except (ScenarioError, PipelineError):
-                raise
-            except Exception as err:
-                raise PipelineError(name, err) from err
-        return inner
-    return wrap
+    """Report any failure inside as a PipelineError of stage `name`; works as
+    a `with` block and as a decorator."""
+    try:
+        yield
+    except (ScenarioError, PipelineError):
+        raise
+    except Exception as err:
+        raise PipelineError(name, err) from err
 
 
 def build_ising_context(scenario: Scenario) -> IsingContext:
@@ -378,7 +367,7 @@ def build_ising_context(scenario: Scenario) -> IsingContext:
     n = raw["n_ions"]
 
     if key == "pattern":
-        try:
+        with _stage("lattice"):
             array = triangular_array(value["rows"], value["cols"])
             strength = TWO_PI * value.get("coupling_strength_hz", 1.0)
             exponent = value.get("coupling_exponent", 3.0)
@@ -387,21 +376,16 @@ def build_ising_context(scenario: Scenario) -> IsingContext:
             mask = {"triangular": lambda a: ShelveMask.all_qubits(len(a.sites)),
                     "honeycomb": honeycomb_mask,
                     "kagome": kagome_mask}[value["name"]](array)
-        except Exception as err:
-            raise PipelineError("lattice", err) from err
-        return IsingContext(scenario=scenario, constants=constants,
-                            crystal=None, modes=None, array=array,
-                            coupling=coupling, drive=None, detuning=None,
+        return IsingContext(scenario=scenario, crystal=None, modes=None,
+                            array=array, coupling=coupling, drive=None,
                             mask=mask, beam_time=0.0)
 
-    try:
+    with _stage("crystal"):
         trap = scenario.trap()
         crystal = solve_equilibrium(constants, trap, n, seed=scenario.seed)
         modes = compute_normal_modes(constants, trap, crystal)
-    except Exception as err:
-        raise PipelineError("crystal", err) from err
 
-    try:
+    with _stage("coupling"):
         drive_raw = raw["drive"]
         if "delta_k_rad_per_m" in drive_raw:
             delta_k = drive_raw["delta_k_rad_per_m"]
@@ -425,16 +409,13 @@ def build_ising_context(scenario: Scenario) -> IsingContext:
         drive = RamanDrive(rabi_frequency=rabi, delta_k_magnitude=delta_k,
                            detuning=detuning, delta_k_direction=direction)
         coupling = coupling_matrix(modes, drive, constants)
-    except Exception as err:
-        raise PipelineError("coupling", err) from err
 
     if key == "explicit":
         mask, beam_time = ShelveMask.from_string(value), 0.0
     else:
         mask, beam_time = None, float(value)
-    return IsingContext(scenario=scenario, constants=constants,
-                        crystal=crystal, modes=modes, array=None,
-                        coupling=coupling, drive=drive, detuning=detuning,
+    return IsingContext(scenario=scenario, crystal=crystal, modes=modes,
+                        array=None, coupling=coupling, drive=drive,
                         mask=mask, beam_time=beam_time)
 
 
@@ -442,23 +423,18 @@ def _series_rows(series: ObservableSeries):
     labels = series.outcome_labels()
     header = (["time_s"] + [f"p_{lab}" for lab in labels]
               + ["mean_sigma_z", "p_all_up", "p_all_down"])
-    mag = series.mean_magnetization().tolist()
-    rows = []
-    for t, p, m in zip(series.times.tolist(), series.probabilities, mag):
-        p = p.tolist()
-        rows.append([t, *p, m, p[-1], p[0]])
+    rows = [[t, *p, m, p[-1], p[0]] for t, p, m in zip(
+        series.times.tolist(), map(np.ndarray.tolist, series.probabilities),
+        series.mean_magnetization().tolist())]
     return header, rows
 
 
 def _positions_artifact(ctx, out_dir, fmt):
     if ctx.crystal is not None:
-        header = ["ion", "x_m", "y_m", "z_m"]
-        rows = [[i, *map(float, ctx.crystal.positions[i])]
-                for i in range(ctx.crystal.n_ions)]
+        header, points = ["ion", "x_m", "y_m", "z_m"], ctx.crystal.positions
     else:
-        header = ["site", "x_lattice", "y_lattice"]
-        rows = [[i, *map(float, ctx.array.coordinates[i])]
-                for i in range(len(ctx.array.sites))]
+        header, points = ["site", "x_lattice", "y_lattice"], ctx.array.coordinates
+    rows = [[i, *map(float, point)] for i, point in enumerate(points)]
     return [write_table(out_dir, "positions", header, rows, fmt)]
 
 
@@ -469,29 +445,31 @@ def _modes_artifact(ctx, out_dir, fmt):
     n = ctx.modes.n_ions
     header = ["mode", "freq_hz"] + [
         f"b_ion{i}_{axis}" for i in range(n) for axis in "xyz"]
-    rows = []
-    for k in range(3 * n):
-        rows.append([k, float(ctx.modes.frequencies[k] / TWO_PI),
-                     *map(float, ctx.modes.eigenvectors[:, k])])
+    rows = [[k, float(ctx.modes.frequencies[k] / TWO_PI),
+             *map(float, ctx.modes.eigenvectors[:, k])] for k in range(3 * n)]
     return [write_table(out_dir, "modes", header, rows, fmt)]
+
+
+def _pair_table(out_dir, stem, labels, j, fmt) -> str:
+    """One row (label a, label b, J_ab / 2 pi) per pair a < b."""
+    rows = [[labels[a], labels[b], float(j[a, b] / TWO_PI)]
+            for a in range(len(labels)) for b in range(a + 1, len(labels))]
+    return write_table(out_dir, stem, ["i", "j", "j_hz"], rows, fmt)
 
 
 def _couplings_artifact(ctx, out_dir, fmt):
     j = ctx.coupling.j
     n = ctx.coupling.n_ions
-    names = []
-    if fmt == "csv":
-        # the JSON payload below already holds every pair in j_hz
-        header = ["i", "j", "j_hz"]
-        rows = [[i, k, float(j[i, k] / TWO_PI)]
-                for i in range(n) for k in range(n) if i < k]
-        names.append(write_table(out_dir, "couplings", header, rows, fmt))
+    drive = ctx.drive
+    # the JSON payload below holds every pair in j_hz, so JSON needs no table
+    names = ([_pair_table(out_dir, "couplings", range(n), j, fmt)]
+             if fmt == "csv" else [])
     payload = {
         "n_ions": n,
         "j_hz": (j / TWO_PI).tolist(),
-        "detuning_hz": None if ctx.detuning is None else ctx.detuning / TWO_PI,
-        "rabi_freq_hz": None if ctx.drive is None else ctx.drive.rabi_frequency / TWO_PI,
-        "delta_k_rad_per_m": None if ctx.drive is None else ctx.drive.delta_k_magnitude,
+        "detuning_hz": None if drive is None else drive.detuning / TWO_PI,
+        "rabi_freq_hz": None if drive is None else drive.rabi_frequency / TWO_PI,
+        "delta_k_rad_per_m": None if drive is None else drive.delta_k_magnitude,
     }
     names.append(write_json(out_dir, "couplings", payload))
     return names
@@ -512,13 +490,8 @@ def _mask_artifact(ctx, out_dir, fmt):
     names = [write_table(out_dir, "mask", header, rows, fmt)]
 
     graph = apply_mask(ctx.coupling, mask)
-    gheader = ["i", "j", "j_hz"]
-    grows = []
-    for a in range(graph.n_spins):
-        for b in range(a + 1, graph.n_spins):
-            grows.append([int(graph.survivors[a]), int(graph.survivors[b]),
-                          float(graph.couplings[a, b] / TWO_PI)])
-    names.append(write_table(out_dir, "graph", gheader, grows, fmt))
+    names.append(_pair_table(out_dir, "graph", graph.survivors.tolist(),
+                             graph.couplings, fmt))
 
     if ctx.array is not None:
         key, value = scenario.mask_source()
@@ -540,30 +513,26 @@ def _mask_artifact(ctx, out_dir, fmt):
 
 @_stage("dynamics")
 def _simulate_artifact(ctx, out_dir, fmt):
-    scenario = ctx.scenario
     mask = ctx.mask if ctx.mask is not None else ShelveMask.all_qubits(
         ctx.coupling.n_ions)
     graph = apply_mask(ctx.coupling, mask)
-    series = scan_evolution(graph, scenario.times(),
-                            model=scenario.decoherence())
+    series = scan_evolution(graph, ctx.scenario.times(),
+                            model=ctx.scenario.decoherence())
     header, rows = _series_rows(series)
-    return [write_table(out_dir, "series", header, rows, fmt)], series, graph
+    return [write_table(out_dir, "series", header, rows, fmt)]
 
 
 @_stage("stochastic")
 def _protocol_artifact(ctx, out_dir, fmt):
     scenario = ctx.scenario
+    coupling = ctx.coupling
     if ctx.mask is not None:
         reduced = apply_mask(ctx.coupling, ctx.mask)
         coupling = CouplingMatrix(reduced.n_spins, reduced.couplings)
-        beam_time = 0.0
-    else:
-        coupling = ctx.coupling
-        beam_time = ctx.beam_time
     deshelving = scenario.deshelving()
     drive_rabi = ctx.drive.rabi_frequency if ctx.drive is not None else None
     result = run_protocol(
-        coupling, beam_time=beam_time, times=scenario.times(),
+        coupling, beam_time=ctx.beam_time, times=scenario.times(),
         shelving=scenario.shelving(), measurement=scenario.measurement(),
         seed=scenario.seed, deshelving=deshelving,
         drive_rabi=drive_rabi if deshelving is not None else None,
@@ -577,7 +546,8 @@ def _protocol_artifact(ctx, out_dir, fmt):
         records.outcome * width + survivors[records.config], return_inverse=True)
     columns = CodedColumns(
         values=(records.shot.tolist(), result.times.tolist(), records.configs,
-                [_bits(*divmod(key, width)) for key in outcome_keys.tolist()],
+                [outcome_label(*divmod(key, width))
+                 for key in outcome_keys.tolist()],
                 [False, True]),
         codes=(np.arange(len(records)), records.time_index, records.config,
                outcome_codes, records.intact.astype(np.intp)))
@@ -587,7 +557,7 @@ def _protocol_artifact(ctx, out_dir, fmt):
     for config in sorted(result.groups):
         group = result.groups[config]
         k = group.survivors.size
-        labels = [_bits(m, k) for m in range(2**k)]
+        labels = [outcome_label(m, k) for m in range(2**k)]
         gheader = (["time_s", "n_total", "n_intact"]
                    + [f"c_{lab}" for lab in labels]
                    + [f"f_{lab}" for lab in labels])
@@ -598,11 +568,6 @@ def _protocol_artifact(ctx, out_dir, fmt):
                         group.frequencies())]
         names.append(write_table(out_dir, f"group_{config}", gheader, grows, fmt))
     return names, result
-
-
-def _bits(outcome: int, k: int) -> str:
-    """Outcome label over k survivors: character i is survivor i, 1 = up."""
-    return format(outcome, f"0{k}b")[::-1] if k else ""
 
 
 @_stage("estimator")
@@ -623,10 +588,9 @@ def _fit_artifact(ctx, out_dir, protocol_result):
             continue
         result = fit_pair_coupling(times[usable], values[usable],
                                    shots=shots[usable])
-        pair = [int(survivors_map[s]) for s in group.survivors]
         fits["pair_couplings"].append({
             "config": config,
-            "pair": pair,
+            "pair": [int(survivors_map[s]) for s in group.survivors],
             "coupling_rad_per_s": result.parameters["coupling"],
             "coupling_hz": result.parameters["coupling"] / TWO_PI,
             "std_error_hz": result.std_errors["coupling"] / TWO_PI,
@@ -635,7 +599,7 @@ def _fit_artifact(ctx, out_dir, protocol_result):
             "residual_norm": result.residual_norm,
             "n_points": int(usable.sum()),
         })
-    return [write_json(out_dir, "fits", fits)], fits
+    return [write_json(out_dir, "fits", fits)]
 
 
 # --------------------------------------------------------------------------
@@ -651,26 +615,23 @@ def _run_shelving_decay(scenario: Scenario, out_dir: Path, fmt: str):
     in_ground = sample_shelving_decay(n, times, process, shots, scenario.seed)
 
     header = ["time_s", "p_s_model", "n_ions_sampled", "n_in_s", "f_in_s"]
-    rows = []
-    fractions = []
     total = shots * n
-    for t, in_s in zip(times, in_ground.tolist()):
-        rows.append([float(t), math.exp(-t / process.tau_shelve), total,
-                     in_s, in_s / total])
-        fractions.append(in_s / total)
+    rows = [[float(t), math.exp(-t / process.tau_shelve), total, in_s,
+             in_s / total] for t, in_s in zip(times, in_ground.tolist())]
     names = [write_table(out_dir, "survival", header, rows, fmt)]
+    if scenario.fit_kind() == "none":
+        return names
 
-    fits = {}
-    if scenario.fit_kind() == "exponential":
-        result = fit_exponential(times, np.array(fractions), model="decay")
-        fits = {"exponential": {
-            "model": "decay",
-            "tau_s": result.parameters["tau"],
-            "std_error_s": result.std_errors["tau"],
-            "residual_norm": result.residual_norm,
-        }}
-        names.append(write_json(out_dir, "fits", fits))
-    return names, fits
+    with _stage("estimator"):
+        result = fit_exponential(times, np.array([row[-1] for row in rows]),
+                                 model="decay")
+    names.append(write_json(out_dir, "fits", {"exponential": {
+        "model": "decay",
+        "tau_s": result.parameters["tau"],
+        "std_error_s": result.std_errors["tau"],
+        "residual_norm": result.residual_norm,
+    }}))
+    return names
 
 
 @_stage("stochastic")
@@ -685,29 +646,29 @@ def _run_deshelving_scan(scenario: Scenario, out_dir: Path, fmt: str):
 
     curve_header = ["rabi_hz", "time_s", "p_g_model", "n_shots",
                     "n_returned", "f_returned"]
-    curve_rows = []
-    tau_rows = []
-    tau_fits = []
-    for rhz, omega, times, p_g, returned in zip(
-            rabi_hz, omegas, sample.times, sample.p_returned.tolist(),
+    curve_rows, curves = [], []
+    for rhz, times, p_g, returned in zip(
+            rabi_hz, sample.times, sample.p_returned.tolist(),
             sample.returned.tolist()):
         fractions = [r / shots for r in returned]
         curve_rows += [[float(rhz), t, p, shots, r, f] for t, p, r, f
                        in zip(times.tolist(), p_g, returned, fractions)]
-        fit = fit_exponential(times, np.array(fractions), model="inverse")
-        tau_fits.append((omega, fit))
-        tau_rows.append([float(rhz), fit.parameters["tau"],
-                         fit.std_errors["tau"]])
-
+        curves.append((times, np.array(fractions)))
     names = [write_table(out_dir, "deshelve_curves", curve_header,
-                         curve_rows, fmt),
-             write_table(out_dir, "taus", ["rabi_hz", "tau_g_s",
-                                           "std_error_s"], tau_rows, fmt)]
+                         curve_rows, fmt)]
+    if scenario.fit_kind() == "none":
+        return names
 
-    omegas = np.array([w for w, _ in tau_fits])
-    taus = np.array([f.parameters["tau"] for _, f in tau_fits])
-    power = fit_power_law(omegas, taus)
-    fits = {
+    with _stage("estimator"):
+        tau_fits = [fit_exponential(times, fractions, model="inverse")
+                    for times, fractions in curves]
+        power = fit_power_law(np.array(omegas), np.array(
+            [f.parameters["tau"] for f in tau_fits]))
+    tau_rows = [[float(rhz), f.parameters["tau"], f.std_errors["tau"]]
+                for rhz, f in zip(rabi_hz, tau_fits)]
+    names.append(write_table(out_dir, "taus", ["rabi_hz", "tau_g_s",
+                                               "std_error_s"], tau_rows, fmt))
+    names.append(write_json(out_dir, "fits", {
         "power_law": {
             "exponent": power.parameters["exponent"],
             "std_error": power.std_errors["exponent"],
@@ -716,10 +677,9 @@ def _run_deshelving_scan(scenario: Scenario, out_dir: Path, fmt: str):
         "deshelve_times": [
             {"rabi_hz": w / TWO_PI, "tau_g_s": f.parameters["tau"],
              "std_error_s": f.std_errors["tau"]}
-            for w, f in tau_fits],
-    }
-    names.append(write_json(out_dir, "fits", fits))
-    return names, fits
+            for w, f in zip(omegas, tau_fits)],
+    }))
+    return names
 
 
 # --------------------------------------------------------------------------
@@ -739,9 +699,8 @@ def _versions() -> dict:
 
 
 def _write_manifest(scenario: Scenario, out_dir: Path, outputs: list) -> str:
-    digests = {}
-    for name in sorted(outputs):
-        digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in sorted(outputs)}
     manifest = {
         "name": scenario.name,
         "kind": scenario.kind,
@@ -757,66 +716,60 @@ def _write_manifest(scenario: Scenario, out_dir: Path, outputs: list) -> str:
     return "manifest.json"
 
 
+def _run_ising(command: str, ctx: IsingContext, out_dir: Path,
+               fmt: str) -> list:
+    """The protocol, fit and all subcommands of an ising scenario."""
+    outputs = []
+    fit = command == "fit"
+    if command == "all":
+        outputs += _positions_artifact(ctx, out_dir, fmt)
+        if ctx.modes is not None:
+            outputs += _modes_artifact(ctx, out_dir, fmt)
+        outputs += _couplings_artifact(ctx, out_dir, fmt)
+        outputs += _mask_artifact(ctx, out_dir, fmt)
+        fit = ctx.scenario.fit_kind() == "pair_couplings"
+        survivors = (ctx.mask.survivors.size if ctx.mask is not None
+                     else ctx.coupling.n_ions)
+        if survivors > SIZE_CAP:
+            skipped = "dynamics, stochastic" + (", estimator" if fit else "")
+            print(f"skipped stages {skipped}: {survivors} survivors exceed the "
+                  f"exact-evolution cap of {SIZE_CAP}", file=sys.stderr)
+            return outputs
+        outputs += _simulate_artifact(ctx, out_dir, fmt)
+    names, result = _protocol_artifact(ctx, out_dir, fmt)
+    outputs += names
+    if fit:
+        outputs += _fit_artifact(ctx, out_dir, result)
+    return outputs
+
+
+# ising subcommands that write one stage's artifacts
+ISING_STAGES = {"solve-crystal": _positions_artifact, "modes": _modes_artifact,
+                "couplings": _couplings_artifact, "mask": _mask_artifact,
+                "simulate": _simulate_artifact}
+
+
 def run_command(command: str, scenario: Scenario, out_dir: Path,
                 fmt: str) -> list:
     """Execute one subcommand; returns the list of files written."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ScenarioError(f"--out {out_dir}: cannot create: {err.strerror}") from err
     kind = scenario.kind
-
-    if kind in ("shelving_decay", "deshelving_scan"):
-        if command not in ("protocol", "fit", "all"):
-            raise ScenarioError(
-                f"subcommand '{command}' is not applicable to kind '{kind}'")
-        runner = (_run_shelving_decay if kind == "shelving_decay"
-                  else _run_deshelving_scan)
-        names, _ = runner(scenario, out_dir, fmt)
-        if command == "all":
-            names.append(_write_manifest(scenario, out_dir, names))
-        return names
-
-    ctx = build_ising_context(scenario)
-    outputs = []
-    if command == "solve-crystal":
-        return _positions_artifact(ctx, out_dir, fmt)
-    if command == "modes":
-        return _modes_artifact(ctx, out_dir, fmt)
-    if command == "couplings":
-        return _couplings_artifact(ctx, out_dir, fmt)
-    if command == "mask":
-        return _mask_artifact(ctx, out_dir, fmt)
-    if command == "simulate":
-        names, _, _ = _simulate_artifact(ctx, out_dir, fmt)
-        return names
-    if command == "protocol":
-        names, _ = _protocol_artifact(ctx, out_dir, fmt)
-        return names
-    if command == "fit":
-        names, result = _protocol_artifact(ctx, out_dir, fmt)
-        fit_names, _ = _fit_artifact(ctx, out_dir, result)
-        return names + fit_names
-
-    # command == "all"
-    outputs += _positions_artifact(ctx, out_dir, fmt)
-    if ctx.modes is not None:
-        outputs += _modes_artifact(ctx, out_dir, fmt)
-    outputs += _couplings_artifact(ctx, out_dir, fmt)
-    outputs += _mask_artifact(ctx, out_dir, fmt)
-    survivors = (ctx.mask.survivors.size if ctx.mask is not None
-                 else ctx.coupling.n_ions)
-    fit = scenario.fit_kind() == "pair_couplings"
-    if survivors <= SIZE_CAP:
-        names, _, _ = _simulate_artifact(ctx, out_dir, fmt)
-        outputs += names
-        names, result = _protocol_artifact(ctx, out_dir, fmt)
-        outputs += names
-        if fit:
-            names, _ = _fit_artifact(ctx, out_dir, result)
-            outputs += names
+    if kind != "ising" and command not in ("protocol", "fit", "all"):
+        raise ScenarioError(
+            f"subcommand '{command}' is not applicable to kind '{kind}'")
+    if kind == "shelving_decay":
+        outputs = _run_shelving_decay(scenario, out_dir, fmt)
+    elif kind == "deshelving_scan":
+        outputs = _run_deshelving_scan(scenario, out_dir, fmt)
+    elif command in ISING_STAGES:
+        outputs = ISING_STAGES[command](build_ising_context(scenario), out_dir, fmt)
     else:
-        skipped = "dynamics, stochastic" + (", estimator" if fit else "")
-        print(f"skipped stages {skipped}: {survivors} survivors exceed the "
-              f"exact-evolution cap of {SIZE_CAP}", file=sys.stderr)
-    outputs.append(_write_manifest(scenario, out_dir, outputs))
+        outputs = _run_ising(command, build_ising_context(scenario), out_dir, fmt)
+    if command == "all":
+        outputs.append(_write_manifest(scenario, out_dir, outputs))
     return outputs
 
 
@@ -844,18 +797,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario, seed_override=args.seed)
-    except ScenarioError as err:
-        print(f"scenario error: {err}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out if args.out is not None
-                   else scenario.raw.get("output_dir", "out"))
-    try:
+        out_dir = Path(args.out if args.out is not None
+                       else scenario.raw.get("output_dir", "out"))
         written = run_command(args.command, scenario, out_dir, args.format)
     except ScenarioError as err:
         print(f"scenario error: {err}", file=sys.stderr)
         return 2
     except PipelineError as err:
-        print(str(err), file=sys.stderr)
+        print(err, file=sys.stderr)
         return 1
     for name in written:
         print(out_dir / name)

@@ -77,7 +77,6 @@ class InteractionGraph:
 
     survivors: np.ndarray
     couplings: np.ndarray
-    adjacency_threshold: float | None = None
 
     def __post_init__(self):
         survivors = np.asarray(self.survivors, dtype=int)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import CouplingMatrix
-from .dynamics import DecoherenceModel, scan_evolution
+from .dynamics import DecoherenceModel, outcome_index, scan_evolution
 from .lattice import ShelveMask, apply_mask
 
 
@@ -90,8 +90,7 @@ class GroupSeries:
         return freq
 
     def outcome_frequency(self, bits: str) -> np.ndarray:
-        index = sum(1 << i for i, b in enumerate(bits) if b == "1")
-        return self.frequencies()[:, index]
+        return self.frequencies()[:, outcome_index(bits)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,9 +119,6 @@ class ProtocolResult:
     times: np.ndarray
     records: ShotRecords
     groups: dict
-
-    def group(self, config: str) -> GroupSeries:
-        return self.groups[config]
 
 
 def shelf_survival(t: float, process: ShelvingProcess) -> float:

@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionrewire import cli
 from ionrewire.dynamics import SIZE_CAP
@@ -322,3 +329,229 @@ class TestBundledScenarios:
         path = write_scenario(tmp_path, payload)
         assert run_cli("simulate", "--scenario", path) == 0
         assert (tmp_path / "from_config" / "series.csv").exists()
+
+
+DECAY_SCENARIO = {
+    "name": "decay",
+    "kind": "shelving_decay",
+    "seed": 11,
+    "n_ions": 2,
+    "times": {"start_s": 0.0, "stop_s": 0.25, "num": 16},
+    "shelving": {"tau_shelve_s": 55e-3},
+    "measurement": {"spam_error": 0.0, "shots": 40},
+    "fit": "exponential",
+}
+
+SCAN_SCENARIO = {
+    "name": "scan",
+    "kind": "deshelving_scan",
+    "seed": 12,
+    "scan": {"rabi_freqs_hz": [76e3, 152e3], "points_per_curve": 6},
+    "measurement": {"spam_error": 0.0, "shots": 30},
+    "fit": "power_law",
+}
+
+KAGOME_SCENARIO = {
+    "name": "kagome",
+    "kind": "ising",
+    "seed": 13,
+    "n_ions": 4,
+    "mask": {"pattern": {"name": "kagome", "rows": 2, "cols": 2}},
+    "times": {"start_s": 0.0, "stop_s": 1e-3, "num": 5},
+    "measurement": {"spam_error": 0.0, "shots": 20},
+    "fit": "none",
+}
+
+BASES = {"ising": MINI_SCENARIO, "shelving_decay": DECAY_SCENARIO,
+         "deshelving_scan": SCAN_SCENARIO}
+
+DROP = object()
+
+
+def mutated(base, changes):
+    """A copy of base with each dotted path set to a value, or deleted."""
+    raw = copy.deepcopy(base)
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        node = raw
+        for name in parents:
+            node = node[name]
+        if value is DROP:
+            del node[key]
+        else:
+            node[key] = value
+    return raw
+
+
+def run_captured(argv):
+    """main's exit code and stderr, without pytest fixtures."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+# (base, changes, the field the message names); each breaks one rule
+RULE_CASES = [
+    *[(MINI_SCENARIO, {f: DROP}, f"$.{f}")
+      for f in ("n_ions", "times", "mask", "measurement", "trap", "drive",
+                "drive.rabi_freq_hz")],
+    *[(DECAY_SCENARIO, {f: DROP}, f"$.{f}")
+      for f in ("n_ions", "times", "measurement")],
+    *[(SCAN_SCENARIO, {f: DROP}, f"$.{f}") for f in ("scan", "measurement")],
+    (MINI_SCENARIO, {"drive.detuning_hz": 1.0e6}, "$.drive"),
+    (MINI_SCENARIO, {"drive.calibration": DROP}, "$.drive"),
+    (MINI_SCENARIO, {"drive.calibration.pair": [0, 0]},
+     "$.drive.calibration.pair"),
+    (MINI_SCENARIO, {"drive.calibration.pair": [0, 2]},
+     "$.drive.calibration.pair"),
+    *[(MINI_SCENARIO, {f"times.{f}": DROP}, f"$.times.{f}")
+      for f in ("start_s", "stop_s", "num")],
+    (MINI_SCENARIO, {"mask": {"explicit": "QQQ"}}, "$.mask.explicit"),
+    (KAGOME_SCENARIO, {"n_ions": 5}, "$.mask.pattern"),
+    (MINI_SCENARIO, {"drive.direction": [0.0, 0.0, 0.0]}, "$.drive.direction"),
+]
+
+
+class TestScenarioRules:
+    @pytest.mark.parametrize(
+        "base,changes,field", RULE_CASES,
+        ids=[f"{base['kind']}-{'+'.join(changes)}-{field}"
+             for base, changes, field in RULE_CASES])
+    def test_broken_rule_exits_2_naming_its_field(self, tmp_path, base,
+                                                  changes, field):
+        path = write_scenario(tmp_path, mutated(base, changes))
+        out = tmp_path / "out"
+        code, err = run_captured(["all", "--scenario", path, "--out", out])
+        assert code == 2
+        assert f"{field}:" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,field", [
+        ("ising", "times.stop_s"),
+        ("ising", "measurement.spam_error"),
+        ("ising", "drive.calibration.target_j_hz"),
+        ("ising", "decoherence.tau_d_s"),
+        ("shelving_decay", "shelving.tau_shelve_s"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_number_rejected(self, tmp_path, kind, field, value):
+        path = write_scenario(tmp_path, mutated(BASES[kind], {field: value}))
+        out = tmp_path / "out"
+        code, err = run_captured(["all", "--scenario", path, "--out", out])
+        assert code == 2
+        assert f"$.{field}: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_non_finite_direction_names_the_item(self, tmp_path):
+        raw = mutated(MINI_SCENARIO, {"drive.direction": [1.0, math.nan, 0.0]})
+        code, err = run_captured(["all", "--scenario",
+                                  write_scenario(tmp_path, raw)])
+        assert code == 2
+        assert "$.drive.direction.1: must be finite" in err
+
+    @pytest.mark.parametrize("kind,fit", [
+        ("ising", "exponential"),
+        ("ising", "power_law"),
+        ("shelving_decay", "power_law"),
+        ("shelving_decay", "pair_couplings"),
+        ("deshelving_scan", "exponential"),
+        ("deshelving_scan", "pair_couplings"),
+    ])
+    def test_fit_of_another_kind_rejected(self, tmp_path, kind, fit):
+        path = write_scenario(tmp_path, dict(BASES[kind], fit=fit))
+        code, err = run_captured(["all", "--scenario", path,
+                                  "--out", tmp_path / "out"])
+        assert code == 2
+        assert "$.fit:" in err
+
+    @pytest.mark.parametrize("kind,written", [
+        ("shelving_decay", ["survival.csv"]),
+        ("deshelving_scan", ["deshelve_curves.csv"]),
+    ])
+    def test_fit_none_writes_samples_only(self, tmp_path, kind, written):
+        path = write_scenario(tmp_path, dict(BASES[kind], fit="none"))
+        out = tmp_path / "out"
+        assert run_cli("all", "--scenario", path, "--out", out) == 0
+        assert data_files(out) == written
+
+    def test_fit_none_keeps_the_sampled_curves(self, tmp_path):
+        fitted, bare = tmp_path / "fitted", tmp_path / "bare"
+        run_cli("all", "--scenario", write_scenario(tmp_path, SCAN_SCENARIO),
+                "--out", fitted)
+        run_cli("all", "--scenario", write_scenario(
+            tmp_path, dict(SCAN_SCENARIO, fit="none"), "bare.yaml"),
+            "--out", bare)
+        assert ((fitted / "deshelve_curves.csv").read_bytes()
+                == (bare / "deshelve_curves.csv").read_bytes())
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_that_is_a_file(self, tmp_path, below):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        code, err = run_captured(["all", "--scenario", "fig_op",
+                                  "--out", taken / below])
+        assert code == 2
+        assert f"--out {taken / below}" in err
+        assert "Traceback" not in err
+        assert taken.read_text() == "keep"
+
+
+# integer fields that set how much a run allocates; the fuzz never touches them
+SIZE_FIELDS = {"shots", "num", "n_ions", "rows", "cols", "points_per_curve"}
+EXTREMES = [1e300, 1e-300, -1.0, 0.0, math.inf, math.nan]
+
+
+def _entries(node, path=()):
+    """(path, value) of every mapping entry and list item below node."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,), value
+        yield from _entries(value, path + (key,))
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    raw = copy.deepcopy(draw(st.sampled_from(
+        [MINI_SCENARIO, KAGOME_SCENARIO, DECAY_SCENARIO])))
+    for _ in range(draw(st.integers(1, 2))):
+        entries = list(_entries(raw))
+        keys = [p for p, _ in entries
+                if isinstance(p[-1], str) and p[-1] not in SIZE_FIELDS]
+        floats = [p for p, value in entries if isinstance(value, float)]
+        action = draw(st.sampled_from(["float", "mask", "drop"]))
+        if action == "mask":
+            n = raw.get("n_ions", 2)
+            raw["mask"] = draw(st.sampled_from([
+                {"explicit": "Q" * n}, {"beam_time_s": 0.01},
+                {"pattern": {"name": "triangular", "rows": 1, "cols": n}}]))
+            continue
+        *parents, key = draw(st.sampled_from(keys if action == "drop"
+                                             else floats))
+        node = raw
+        for name in parents:
+            node = node[name]
+        if action == "drop":
+            del node[key]
+        else:
+            node[key] = draw(st.sampled_from(EXTREMES))
+    return raw
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(raw=fuzzed_scenarios())
+def test_fuzzed_scenarios_fail_cleanly(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_scenario(Path(tmp), raw)
+        code, err = run_captured(["all", "--scenario", path,
+                                  "--out", Path(tmp) / "out"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert "$." in err
+    if code == 1:
+        assert "stage '" in err

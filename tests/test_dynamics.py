@@ -17,6 +17,8 @@ from ionrewire.dynamics import (
     embed_survivor_state,
     evolve_ising,
     ising_energies,
+    outcome_index,
+    outcome_label,
     populations,
     scan_evolution,
     survivor_marginal,
@@ -331,3 +333,18 @@ class TestEmbedding:
         full = embed_survivor_state(SpinState.from_bits("11"), [0, 2], 3)
         # survivors 0 and 2 up, shelved spin 1 down: index 0b101
         assert full.amplitudes[0b101] == 1.0
+
+
+class TestOutcomeLabels:
+    @pytest.mark.parametrize("n", [0, 1, 3, 5])
+    def test_label_and_index_are_inverse(self, n):
+        labels = [outcome_label(i, n) for i in range(2**n)]
+        assert len(set(labels)) == 2**n
+        assert all(len(label) == n for label in labels)
+        assert [outcome_index(label) for label in labels] == list(range(2**n))
+
+    def test_character_i_is_spin_i(self):
+        assert outcome_label(0b001, 3) == "100"
+        assert outcome_label(0b110, 3) == "011"
+        state = SpinState.from_bits("011")
+        assert np.flatnonzero(state.amplitudes).tolist() == [0b110]
