@@ -181,8 +181,8 @@ def _check_finite(node, where: str = "$"):
 
 
 def _cross_validate(raw: dict):
-    """The rules the schema cannot state: finite numbers, and the sizes that
-    must match n_ions."""
+    """The rules the schema cannot state: finite numbers, the sizes that must
+    match n_ions, and a drive direction that can be normalized."""
     _check_finite(raw)
     if raw["kind"] != "ising":
         return
@@ -201,6 +201,12 @@ def _cross_validate(raw: dict):
     if max(pair, default=-1) >= n:
         raise ScenarioError(
             f"$.drive.calibration.pair: invalid pair {pair} for n_ions={n}")
+    # the direction is divided by its norm, which needs a normal squared norm
+    squared = sum(x * x for x in raw["drive"].get("direction", [1.0]))
+    if not sys.float_info.min <= squared <= sys.float_info.max:
+        raise ScenarioError(
+            "$.drive.direction: its squared norm under- or overflows, so it "
+            "cannot be normalized")
 
 
 def load_scenario(ref: str, seed_override: int | None = None) -> Scenario:
@@ -275,41 +281,98 @@ def _json_cell(value):
     return value
 
 
-@dataclass(frozen=True)
-class CodedColumns:
-    """Table rows held column by column: row r of column j is
-    values[j][codes[j][r]], so each distinct cell is formatted once."""
+def _csv_cells(block: np.ndarray, out: np.ndarray):
+    """Write _fmt_cell of every cell of a numeric block into the object array
+    out. Cells whose bits are all zero (0, +0.0, false; never -0.0) share one
+    string, so only the others are formatted."""
+    out.fill(_fmt_cell(block.dtype.type(0).item()))
+    nonzero = block.view(f"u{block.itemsize}") != 0
+    text = _fmt_cell if block.dtype.kind == "b" else repr
+    values = block[nonzero].tolist()
+    out[nonzero] = np.fromiter(map(text, values), dtype=object,
+                               count=len(values))
 
-    values: tuple
-    codes: tuple
+
+def _json_cells(block: np.ndarray, out: np.ndarray):
+    """Write _json_cell of every cell of a numeric block into out."""
+    out[...] = np.fromiter(map(_json_cell, block.ravel().tolist()),
+                           dtype=object, count=block.size).reshape(block.shape)
+
+
+# a chunk of a Table holds at most this many cells, or one row if wider
+CHUNK_CELLS = 2**16
+
+
+@dataclass(frozen=True)
+class Coded:
+    """A table column whose row r is values[codes[r]], so each distinct value
+    is formatted once."""
+
+    values: list
+    codes: np.ndarray
+
+
+class Table:
+    """Table rows held as columns, for write_table. A column is a 1-D array
+    (one table column), a 2-D array (one table column per array column) or a
+    Coded column; every column has the same number of rows."""
+
+    def __init__(self, *columns):
+        self.columns = [column if isinstance(column, Coded) or column.ndim == 2
+                        else column[:, None] for column in columns]
+        self.width = sum(1 if isinstance(c, Coded) else c.shape[1]
+                         for c in self.columns)
 
     def __len__(self) -> int:
-        return len(self.codes[0])
+        column = self.columns[0]
+        return len(column.codes if isinstance(column, Coded) else column)
 
-    def formatted_rows(self, convert):
-        columns = []
-        for values, codes in zip(self.values, self.codes):
-            cells = np.empty(len(values), dtype=object)
-            cells[:] = [convert(v) for v in values]
-            columns.append(cells[codes])
-        return zip(*columns)
+    def chunks(self, numeric, scalar):
+        """The rows as tuples of cells, in chunks of consecutive rows with at
+        most CHUNK_CELLS cells: numeric(block, out) writes the cells of a
+        block of a numeric column into the object array out, scalar(value)
+        converts each value of a Coded column."""
+        coded = {}
+        for i, column in enumerate(self.columns):
+            if isinstance(column, Coded):
+                coded[i] = np.empty(len(column.values), dtype=object)
+                coded[i][:] = [scalar(v) for v in column.values]
+        step = max(1, CHUNK_CELLS // self.width)
+        for start in range(0, len(self), step):
+            rows = slice(start, min(start + step, len(self)))
+            chunk = np.empty((rows.stop - start, self.width), dtype=object)
+            first = 0
+            for i, column in enumerate(self.columns):
+                if i in coded:
+                    chunk[:, first] = coded[i][column.codes[rows]]
+                    first += 1
+                else:
+                    block = column[rows]
+                    numeric(block, chunk[:, first:first + block.shape[1]])
+                    first += block.shape[1]
+            # one flat list, grouped by a zip that reuses its row tuple: a
+            # list per row would leave the garbage collector many to scan
+            yield zip(*[iter(chunk.ravel().tolist())] * self.width)
 
 
 def write_table(out_dir: Path, stem: str, header: list, rows,
                 fmt: str) -> str:
-    """Write one tabular artifact from a list of rows or a CodedColumns;
-    returns the file name."""
-    convert = _fmt_cell if fmt == "csv" else _json_cell
-    if isinstance(rows, CodedColumns):
-        cells = rows.formatted_rows(convert)
-    else:
-        cells = (map(convert, row) for row in rows)
+    """Write one tabular artifact from a list of rows or a Table; returns the
+    file name. Cells keep one text per value: see _fmt_cell and _json_cell."""
+    name = f"{stem}.{fmt}"
     if fmt == "csv":
-        name = f"{stem}.csv"
-        lines = [",".join(header), *map(",".join, cells)]
-        (out_dir / name).write_text("\n".join(lines) + "\n")
+        with (out_dir / name).open("w") as out:
+            out.write(",".join(header) + "\n")
+            if isinstance(rows, Table):
+                for chunk in rows.chunks(_csv_cells, _fmt_cell):
+                    out.write("\n".join(map(",".join, chunk)) + "\n")
+            else:
+                out.write("".join(",".join(map(_fmt_cell, row)) + "\n"
+                                  for row in rows))
     else:
-        name = f"{stem}.json"
+        cells = ((row for chunk in rows.chunks(_json_cells, _json_cell)
+                  for row in chunk) if isinstance(rows, Table)
+                 else (map(_json_cell, row) for row in rows))
         payload = [dict(zip(header, row)) for row in cells]
         (out_dir / name).write_text(json.dumps(payload, indent=2) + "\n")
     return name
@@ -423,10 +486,9 @@ def _series_rows(series: ObservableSeries):
     labels = series.outcome_labels()
     header = (["time_s"] + [f"p_{lab}" for lab in labels]
               + ["mean_sigma_z", "p_all_up", "p_all_down"])
-    rows = [[t, *p, m, p[-1], p[0]] for t, p, m in zip(
-        series.times.tolist(), map(np.ndarray.tolist, series.probabilities),
-        series.mean_magnetization().tolist())]
-    return header, rows
+    p = series.probabilities
+    return header, Table(series.times, p, series.mean_magnetization(),
+                         p[:, -1], p[:, 0])
 
 
 def _positions_artifact(ctx, out_dir, fmt):
@@ -544,15 +606,14 @@ def _protocol_artifact(ctx, out_dir, fmt):
     width = int(survivors.max(initial=0)) + 1
     outcome_keys, outcome_codes = np.unique(
         records.outcome * width + survivors[records.config], return_inverse=True)
-    columns = CodedColumns(
-        values=(records.shot.tolist(), result.times.tolist(), records.configs,
-                [outcome_label(*divmod(key, width))
-                 for key in outcome_keys.tolist()],
-                [False, True]),
-        codes=(np.arange(len(records)), records.time_index, records.config,
-               outcome_codes, records.intact.astype(np.intp)))
+    table = Table(
+        records.shot, Coded(result.times.tolist(), records.time_index),
+        Coded(records.configs, records.config),
+        Coded([outcome_label(*divmod(key, width))
+               for key in outcome_keys.tolist()], outcome_codes),
+        Coded([False, True], records.intact.astype(np.intp)))
     header = ["shot", "time_s", "config", "outcomes", "intact"]
-    names = [write_table(out_dir, "records", header, columns, fmt)]
+    names = [write_table(out_dir, "records", header, table, fmt)]
 
     for config in sorted(result.groups):
         group = result.groups[config]
@@ -561,12 +622,10 @@ def _protocol_artifact(ctx, out_dir, fmt):
         gheader = (["time_s", "n_total", "n_intact"]
                    + [f"c_{lab}" for lab in labels]
                    + [f"f_{lab}" for lab in labels])
-        grows = [[t, total, intact, *counts.tolist(), *freq.tolist()]
-                 for t, total, intact, counts, freq
-                 in zip(group.times.tolist(), group.n_total.tolist(),
-                        group.n_intact.tolist(), group.counts,
-                        group.frequencies())]
-        names.append(write_table(out_dir, f"group_{config}", gheader, grows, fmt))
+        table = Table(group.times, group.n_total, group.n_intact,
+                      group.counts, group.frequencies())
+        names.append(write_table(out_dir, f"group_{config}", gheader, table,
+                                 fmt))
     return names, result
 
 

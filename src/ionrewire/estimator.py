@@ -134,17 +134,23 @@ def fit_exponential(times, values, model: str = "decay") -> FitResult:
     usable = (z > 1e-9) & (times >= 0)
     span = max(times.max() - times.min(), np.finfo(float).tiny)
     tau0 = span
-    if usable.sum() >= 2:
-        slope = np.polyfit(times[usable], np.log(z[usable]), 1)[0]
-        if slope < 0:
-            tau0 = -1.0 / slope
-
-    try:
-        popt, pcov = scipy.optimize.curve_fit(
-            curve, times, values, p0=[tau0],
-            bounds=([1e-12 * span], [np.inf]), maxfev=20000)
-    except RuntimeError as err:
-        raise FitError(f"exponential fit did not converge: {err}") from err
+    # a grid too wide for float arithmetic overflows here; that is a FitError
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            if usable.sum() >= 2:
+                slope = np.polyfit(times[usable], np.log(z[usable]), 1)[0]
+                if slope < 0:
+                    tau0 = -1.0 / slope
+            popt, pcov = scipy.optimize.curve_fit(
+                curve, times, values, p0=[tau0],
+                bounds=([1e-12 * span], [np.inf]), maxfev=20000)
+        except FloatingPointError as err:
+            raise FitError(
+                f"exponential fit left the float range: {err}") from err
+        except RuntimeError as err:
+            raise FitError(f"exponential fit did not converge: {err}") from err
+    if not (np.all(np.isfinite(popt)) and np.all(np.isfinite(pcov))):
+        raise FitError("exponential fit has no finite covariance")
     resid = float(np.linalg.norm(curve(times, *popt) - values))
     return FitResult(
         parameters={"tau": popt[0]},

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionrewire import cli
-from ionrewire.dynamics import SIZE_CAP
+from ionrewire.dynamics import SIZE_CAP, ObservableSeries
+from ionrewire.stochastic import GroupSeries
 
 
 MINI_SCENARIO = {
@@ -411,6 +413,10 @@ RULE_CASES = [
     (MINI_SCENARIO, {"mask": {"explicit": "QQQ"}}, "$.mask.explicit"),
     (KAGOME_SCENARIO, {"n_ions": 5}, "$.mask.pattern"),
     (MINI_SCENARIO, {"drive.direction": [0.0, 0.0, 0.0]}, "$.drive.direction"),
+    # nonzero, but the squared norm underflows, is subnormal or overflows
+    *[(MINI_SCENARIO, {"drive.direction": d}, "$.drive.direction")
+      for d in ([1e-300, 0.0, 0.0], [1e-200, 1e-200, 0.0], [1e-160, 0.0, 0.0],
+                [1e200, 0.0, 0.0], [10**160, 0, 0])],
 ]
 
 
@@ -498,6 +504,125 @@ class TestScenarioRules:
         assert f"--out {taken / below}" in err
         assert "Traceback" not in err
         assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("field", ["times.stop_s", "times.start_s"])
+    def test_unfittable_time_grid_fails_in_estimator(self, tmp_path, field):
+        path = write_scenario(tmp_path,
+                              mutated(DECAY_SCENARIO, {field: 1e300}))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run_captured(["all", "--scenario", path, "--out", out])
+        assert [str(w.message) for w in caught] == []
+        assert code == 1
+        assert "error in stage 'estimator'" in err
+        assert len(err.splitlines()) == 1
+        assert not (out / "fits.json").exists()
+
+
+def per_cell_rows(columns):
+    """Rows of Python scalars, one cell at a time, from Table columns."""
+    parts = []
+    for column in columns:
+        if isinstance(column, cli.Coded):
+            parts.append([[column.values[k]]
+                          for k in np.asarray(column.codes).tolist()])
+        else:
+            array = np.asarray(column)
+            parts.append(array.tolist() if array.ndim == 2
+                         else [[v] for v in array.tolist()])
+    return [sum(cells, []) for cells in zip(*parts)]
+
+
+def reference_text(header, rows, fmt):
+    """The per-cell writer the columnar one must match byte for byte."""
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines += [",".join(map(cli._fmt_cell, row)) for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = [dict(zip(header, map(cli._json_cell, row))) for row in rows]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  1e-05, 0.0001, 1e16, 9999999999999998.0, 0.1,
+                  1 / 3, -2.5, 1.7976931348623157e308, 2.2250738585072014e-308]
+INT64 = np.iinfo(np.int64)
+
+
+def _group_with_empty_bin():
+    counts = np.array([[0, 0, 0, 0], [3, 0, 0, 1], [0, 0, 0, 0]])
+    return GroupSeries(config="QSQ", survivors=np.array([0, 2]),
+                       times=np.array([0.0, 1e-4, 2e-4]),
+                       counts=counts, n_total=np.array([2, 4, 0]),
+                       n_intact=np.array([0, 4, 0]))
+
+
+def _writer_cases():
+    """(name, header, columns) of tables that stress each kind of cell."""
+    rng = np.random.default_rng(5)
+    floats = np.array(SPECIAL_FLOATS)
+    block = np.stack([np.roll(floats, j) for j in range(5)], axis=1)
+    ints = np.array([INT64.min, INT64.max, 0, -1, 1, 2**53 + 1, 0])
+    group = _group_with_empty_bin()
+    series_header, series = cli._series_rows(
+        ObservableSeries(0, np.array([0.0, 0.5]), np.ones((2, 1))))
+    tall = cli.CHUNK_CELLS + 5
+    wide = np.zeros((3, cli.CHUNK_CELLS + 2))
+    wide[0, 0], wide[1, -1], wide[2, 7] = -0.0, 0.3, 1e-300
+    return [
+        ("floats", ["x", *[f"b{j}" for j in range(5)]], [floats, block]),
+        ("ints_and_bools", ["i", "b", "coded_b", "label"], [
+            ints, np.array([True, False] * 3 + [True]),
+            cli.Coded([False, True], np.array([0, 1, 1, 0, 0, 1, 0])),
+            cli.Coded(["00", "01", "S"], np.array([2, 0, 1, 1, 0, 2, 2]))]),
+        ("no_rows", ["t", "a", "b", "c"],
+         [np.empty(0), np.empty((0, 2)), cli.Coded(["x"], np.empty(0, int))]),
+        ("one_column", ["t"], [np.array([0.0, -0.0, 1.5])]),
+        ("zero_survivors", series_header, series.columns),
+        ("nan_frequency_row", ["time_s", "n_total", "n_intact"]
+         + [f"c{j}" for j in range(4)] + [f"f{j}" for j in range(4)],
+         [group.times, group.n_total, group.n_intact, group.counts,
+          group.frequencies()]),
+        ("row_wider_than_a_chunk",
+         ["t", *[f"p{j}" for j in range(wide.shape[1])]],
+         [np.array([0.0, 1.0, 2.0]), wide]),
+        ("many_chunks", ["shot", "t", "p"], [
+            np.arange(tall), cli.Coded([0.0, 2.5e-5, -0.0],
+                                       rng.integers(0, 3, tall)),
+            np.where(rng.random(tall) < 0.5, 0.0, rng.random(tall))]),
+    ]
+
+
+WRITER_CASES = _writer_cases()
+
+
+class TestWriteTable:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("chunk_cells", [None, 5])
+    @pytest.mark.parametrize("name,header,columns", WRITER_CASES,
+                             ids=[case[0] for case in WRITER_CASES])
+    def test_matches_per_cell_writer(self, tmp_path, monkeypatch, fmt,
+                                     chunk_cells, name, header, columns):
+        if chunk_cells is not None:
+            monkeypatch.setattr(cli, "CHUNK_CELLS", chunk_cells)
+        table = cli.Table(*columns)
+        rows = per_cell_rows(columns)
+        assert len(table) == len(rows)
+        assert all(len(row) == len(header) for row in rows)
+        written = cli.write_table(tmp_path, name, header, table, fmt)
+        assert written == f"{name}.{fmt}"
+        assert ((tmp_path / written).read_bytes()
+                == reference_text(header, rows, fmt).encode())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_list_rows_match_per_cell_writer(self, tmp_path, fmt):
+        rows = [[0, -0.0, "Q", True, np.float64(1e-05), np.int64(-3)],
+                [1, math.nan, "S", False, np.float64(math.inf), np.int64(0)]]
+        header = ["ion", "x", "state", "flag", "y", "k"]
+        written = cli.write_table(tmp_path, "rows", header, rows, fmt)
+        assert ((tmp_path / written).read_bytes()
+                == reference_text(header, rows, fmt).encode())
 
 
 # integer fields that set how much a run allocates; the fuzz never touches them
