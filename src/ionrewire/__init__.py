@@ -39,7 +39,6 @@ from .dynamics import (
     DecoherenceModel,
     ObservableSeries,
     evolve_ising,
-    populations,
     apply_decoherence,
     scan_evolution,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "DecoherenceModel",
     "ObservableSeries",
     "evolve_ising",
-    "populations",
     "apply_decoherence",
     "scan_evolution",
     "ShelvingProcess",

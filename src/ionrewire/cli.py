@@ -24,6 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from importlib import metadata, resources
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import jsonschema
@@ -256,47 +257,19 @@ def load_scenario(ref: str, seed_override: int | None = None) -> Scenario:
 # table writing (deterministic formatting)
 
 
-def _fmt_cell(value) -> str:
+def _fmt_cell(value, fmt: str = "csv") -> str:
+    """The text of one Python scalar: a float's repr, an int in decimal,
+    true or false, a string as is. In JSON a string is quoted and a
+    non-finite float is null."""
     kind = type(value)
-    if kind is float:  # most cells: Python floats from tolist()
-        return repr(value)
-    if kind is int or kind is str:
-        return str(value)
-    if isinstance(value, (bool, np.bool_)):
+    if kind is bool:
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _json_cell(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value) if math.isfinite(value) else None
-    return value
-
-
-def _csv_cells(block: np.ndarray, out: np.ndarray):
-    """Write _fmt_cell of every cell of a numeric block into the object array
-    out. Cells whose bits are all zero (0, +0.0, false; never -0.0) share one
-    string, so only the others are formatted."""
-    out.fill(_fmt_cell(block.dtype.type(0).item()))
-    nonzero = block.view(f"u{block.itemsize}") != 0
-    text = _fmt_cell if block.dtype.kind == "b" else repr
-    values = block[nonzero].tolist()
-    out[nonzero] = np.fromiter(map(text, values), dtype=object,
-                               count=len(values))
-
-
-def _json_cells(block: np.ndarray, out: np.ndarray):
-    """Write _json_cell of every cell of a numeric block into out."""
-    out[...] = np.fromiter(map(_json_cell, block.ravel().tolist()),
-                           dtype=object, count=block.size).reshape(block.shape)
+    if fmt == "json":
+        if kind is str:
+            return encode_basestring_ascii(value)
+        if kind is float and not math.isfinite(value):
+            return "null"
+    return repr(value) if kind is float else str(value)
 
 
 # a chunk of a Table holds at most this many cells, or one row if wider
@@ -327,16 +300,13 @@ class Table:
         column = self.columns[0]
         return len(column.codes if isinstance(column, Coded) else column)
 
-    def chunks(self, numeric, scalar):
-        """The rows as tuples of cells, in chunks of consecutive rows with at
-        most CHUNK_CELLS cells: numeric(block, out) writes the cells of a
-        block of a numeric column into the object array out, scalar(value)
-        converts each value of a Coded column."""
-        coded = {}
-        for i, column in enumerate(self.columns):
-            if isinstance(column, Coded):
-                coded[i] = np.empty(len(column.values), dtype=object)
-                coded[i][:] = [scalar(v) for v in column.values]
+    def chunks(self, fmt: str):
+        """The rows as tuples of cell texts (_fmt_cell in format fmt), in
+        chunks of consecutive rows with at most CHUNK_CELLS cells."""
+        coded = {i: np.array([_fmt_cell(v, fmt) for v in column.values],
+                             dtype=object)
+                 for i, column in enumerate(self.columns)
+                 if isinstance(column, Coded)}
         step = max(1, CHUNK_CELLS // self.width)
         for start in range(0, len(self), step):
             rows = slice(start, min(start + step, len(self)))
@@ -346,35 +316,45 @@ class Table:
                 if i in coded:
                     chunk[:, first] = coded[i][column.codes[rows]]
                     first += 1
-                else:
-                    block = column[rows]
-                    numeric(block, chunk[:, first:first + block.shape[1]])
-                    first += block.shape[1]
+                    continue
+                block = column[rows]
+                out = chunk[:, first:first + block.shape[1]]
+                first += block.shape[1]
+                # cells whose bits are all zero (0, +0.0, false; never -0.0)
+                # share one text, so only the others are formatted
+                out.fill(_fmt_cell(block.dtype.type(0).item()))
+                nonzero = block.view(f"u{block.itemsize}") != 0
+                values = block[nonzero].tolist()
+                text = _fmt_cell if block.dtype.kind == "b" else repr
+                out[nonzero] = np.fromiter(map(text, values), dtype=object,
+                                           count=len(values))
+                if fmt == "json" and block.dtype.kind == "f":
+                    out[~np.isfinite(block)] = "null"
             # one flat list, grouped by a zip that reuses its row tuple: a
             # list per row would leave the garbage collector many to scan
             yield zip(*[iter(chunk.ravel().tolist())] * self.width)
 
 
-def write_table(out_dir: Path, stem: str, header: list, rows,
+def write_table(out_dir: Path, stem: str, header: list, rows: Table,
                 fmt: str) -> str:
-    """Write one tabular artifact from a list of rows or a Table; returns the
-    file name. Cells keep one text per value: see _fmt_cell and _json_cell."""
+    """Write one tabular artifact; returns the file name. CSV has a header
+    line and one line per row; JSON is the indent=2 layout of a list of flat
+    row objects, as json.dumps(indent=2) would write it."""
     name = f"{stem}.{fmt}"
-    if fmt == "csv":
-        with (out_dir / name).open("w") as out:
+    with (out_dir / name).open("w", encoding="utf-8") as out:
+        if fmt == "csv":
             out.write(",".join(header) + "\n")
-            if isinstance(rows, Table):
-                for chunk in rows.chunks(_csv_cells, _fmt_cell):
-                    out.write("\n".join(map(",".join, chunk)) + "\n")
-            else:
-                out.write("".join(",".join(map(_fmt_cell, row)) + "\n"
-                                  for row in rows))
-    else:
-        cells = ((row for chunk in rows.chunks(_json_cells, _json_cell)
-                  for row in chunk) if isinstance(rows, Table)
-                 else (map(_json_cell, row) for row in rows))
-        payload = [dict(zip(header, row)) for row in cells]
-        (out_dir / name).write_text(json.dumps(payload, indent=2) + "\n")
+            for chunk in rows.chunks(fmt):
+                out.write("\n".join(map(",".join, chunk)) + "\n")
+            return name
+        keys = (encode_basestring_ascii(key).replace("%", "%%")
+                for key in header)
+        row = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
+        opening = "[\n"
+        for chunk in rows.chunks(fmt):
+            out.write(opening + ",\n".join(map(row.__mod__, chunk)))
+            opening = ",\n"
+        out.write("[]\n" if opening == "[\n" else "\n]\n")
     return name
 
 
@@ -386,7 +366,9 @@ def write_json(out_dir: Path, stem: str, payload: dict) -> str:
             return {k: sanitize(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [sanitize(v) for v in obj]
-        return _json_cell(obj)
+        if isinstance(obj, (float, np.floating)):
+            return float(obj) if math.isfinite(obj) else None
+        return obj.item() if isinstance(obj, np.generic) else obj
 
     (out_dir / name).write_text(
         json.dumps(sanitize(payload), indent=2, sort_keys=True) + "\n")
@@ -496,8 +478,8 @@ def _positions_artifact(ctx, out_dir, fmt):
         header, points = ["ion", "x_m", "y_m", "z_m"], ctx.crystal.positions
     else:
         header, points = ["site", "x_lattice", "y_lattice"], ctx.array.coordinates
-    rows = [[i, *map(float, point)] for i, point in enumerate(points)]
-    return [write_table(out_dir, "positions", header, rows, fmt)]
+    table = Table(np.arange(len(points)), points)
+    return [write_table(out_dir, "positions", header, table, fmt)]
 
 
 def _modes_artifact(ctx, out_dir, fmt):
@@ -507,16 +489,16 @@ def _modes_artifact(ctx, out_dir, fmt):
     n = ctx.modes.n_ions
     header = ["mode", "freq_hz"] + [
         f"b_ion{i}_{axis}" for i in range(n) for axis in "xyz"]
-    rows = [[k, float(ctx.modes.frequencies[k] / TWO_PI),
-             *map(float, ctx.modes.eigenvectors[:, k])] for k in range(3 * n)]
-    return [write_table(out_dir, "modes", header, rows, fmt)]
+    table = Table(np.arange(3 * n), ctx.modes.frequencies / TWO_PI,
+                  ctx.modes.eigenvectors.T)
+    return [write_table(out_dir, "modes", header, table, fmt)]
 
 
-def _pair_table(out_dir, stem, labels, j, fmt) -> str:
+def _pair_table(out_dir, stem, labels: np.ndarray, j, fmt) -> str:
     """One row (label a, label b, J_ab / 2 pi) per pair a < b."""
-    rows = [[labels[a], labels[b], float(j[a, b] / TWO_PI)]
-            for a in range(len(labels)) for b in range(a + 1, len(labels))]
-    return write_table(out_dir, stem, ["i", "j", "j_hz"], rows, fmt)
+    a, b = np.triu_indices(len(labels), k=1)
+    return write_table(out_dir, stem, ["i", "j", "j_hz"],
+                       Table(labels[a], labels[b], j[a, b] / TWO_PI), fmt)
 
 
 def _couplings_artifact(ctx, out_dir, fmt):
@@ -524,7 +506,7 @@ def _couplings_artifact(ctx, out_dir, fmt):
     n = ctx.coupling.n_ions
     drive = ctx.drive
     # the JSON payload below holds every pair in j_hz, so JSON needs no table
-    names = ([_pair_table(out_dir, "couplings", range(n), j, fmt)]
+    names = ([_pair_table(out_dir, "couplings", np.arange(n), j, fmt)]
              if fmt == "csv" else [])
     payload = {
         "n_ions": n,
@@ -547,12 +529,12 @@ def _mask_artifact(ctx, out_dir, fmt):
         sampled = True
     else:
         mask, sampled = ctx.mask, False
-    header = ["ion", "state"]
-    rows = [[i, "S" if mask.shelved[i] else "Q"] for i in range(len(mask))]
-    names = [write_table(out_dir, "mask", header, rows, fmt)]
+    table = Table(np.arange(len(mask)),
+                  Coded(["Q", "S"], np.array(mask.shelved, dtype=np.intp)))
+    names = [write_table(out_dir, "mask", ["ion", "state"], table, fmt)]
 
     graph = apply_mask(ctx.coupling, mask)
-    names.append(_pair_table(out_dir, "graph", graph.survivors.tolist(),
+    names.append(_pair_table(out_dir, "graph", graph.survivors,
                              graph.couplings, fmt))
 
     if ctx.array is not None:
@@ -675,15 +657,16 @@ def _run_shelving_decay(scenario: Scenario, out_dir: Path, fmt: str):
 
     header = ["time_s", "p_s_model", "n_ions_sampled", "n_in_s", "f_in_s"]
     total = shots * n
-    rows = [[float(t), math.exp(-t / process.tau_shelve), total, in_s,
-             in_s / total] for t, in_s in zip(times, in_ground.tolist())]
-    names = [write_table(out_dir, "survival", header, rows, fmt)]
+    # math.exp, not np.exp: numpy's exp may differ from libm in the last bit
+    model = np.array([math.exp(x) for x in (-times / process.tau_shelve).tolist()])
+    fractions = in_ground / total
+    table = Table(times, model, np.full(times.size, total), in_ground, fractions)
+    names = [write_table(out_dir, "survival", header, table, fmt)]
     if scenario.fit_kind() == "none":
         return names
 
     with _stage("estimator"):
-        result = fit_exponential(times, np.array([row[-1] for row in rows]),
-                                 model="decay")
+        result = fit_exponential(times, fractions, model="decay")
     names.append(write_json(out_dir, "fits", {"exponential": {
         "model": "decay",
         "tau_s": result.parameters["tau"],
@@ -705,28 +688,23 @@ def _run_deshelving_scan(scenario: Scenario, out_dir: Path, fmt: str):
 
     curve_header = ["rabi_hz", "time_s", "p_g_model", "n_shots",
                     "n_returned", "f_returned"]
-    curve_rows, curves = [], []
-    for rhz, times, p_g, returned in zip(
-            rabi_hz, sample.times, sample.p_returned.tolist(),
-            sample.returned.tolist()):
-        fractions = [r / shots for r in returned]
-        curve_rows += [[float(rhz), t, p, shots, r, f] for t, p, r, f
-                       in zip(times.tolist(), p_g, returned, fractions)]
-        curves.append((times, np.array(fractions)))
-    names = [write_table(out_dir, "deshelve_curves", curve_header,
-                         curve_rows, fmt)]
+    rabi = np.array(rabi_hz, dtype=float)
+    fractions = sample.returned / shots
+    table = Table(np.repeat(rabi, sample.times.shape[-1]), sample.times.ravel(),
+                  sample.p_returned.ravel(), np.full(sample.times.size, shots),
+                  sample.returned.ravel(), fractions.ravel())
+    names = [write_table(out_dir, "deshelve_curves", curve_header, table, fmt)]
     if scenario.fit_kind() == "none":
         return names
 
     with _stage("estimator"):
-        tau_fits = [fit_exponential(times, fractions, model="inverse")
-                    for times, fractions in curves]
-        power = fit_power_law(np.array(omegas), np.array(
-            [f.parameters["tau"] for f in tau_fits]))
-    tau_rows = [[float(rhz), f.parameters["tau"], f.std_errors["tau"]]
-                for rhz, f in zip(rabi_hz, tau_fits)]
+        tau_fits = [fit_exponential(times, curve, model="inverse")
+                    for times, curve in zip(sample.times, fractions)]
+        taus = np.array([f.parameters["tau"] for f in tau_fits])
+        power = fit_power_law(np.array(omegas), taus)
+    table = Table(rabi, taus, np.array([f.std_errors["tau"] for f in tau_fits]))
     names.append(write_table(out_dir, "taus", ["rabi_hz", "tau_g_s",
-                                               "std_error_s"], tau_rows, fmt))
+                                               "std_error_s"], table, fmt))
     names.append(write_json(out_dir, "fits", {
         "power_law": {
             "exponent": power.parameters["exponent"],

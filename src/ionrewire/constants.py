@@ -1,8 +1,16 @@
-"""Physical constants entering the trap potential and spin-spin couplings."""
+"""Physical constants entering the trap potential and spin-spin couplings.
+
+The values are CODATA 2022 literals rather than scipy.constants, whose
+permittivity and atomic mass unit differ between scipy releases; every
+output of the simulator depends on them bit for bit.
+"""
 
 from dataclasses import dataclass
 
-import scipy.constants as const
+ELEMENTARY_CHARGE = 1.602176634e-19       # C, exact
+VACUUM_PERMITTIVITY = 8.8541878188e-12    # F/m
+REDUCED_PLANCK = 1.0545718176461565e-34   # J s, h / 2 pi with h exact
+ATOMIC_MASS = 1.66053906892e-27           # kg
 
 
 @dataclass(frozen=True)
@@ -12,10 +20,10 @@ class PhysicalConstants:
     Defaults describe a singly charged ion of mass 171 u (Yb-171).
     """
 
-    elementary_charge: float = const.e
-    vacuum_permittivity: float = const.epsilon_0
-    reduced_planck: float = const.hbar
-    ion_mass: float = 171.0 * const.atomic_mass
+    elementary_charge: float = ELEMENTARY_CHARGE
+    vacuum_permittivity: float = VACUUM_PERMITTIVITY
+    reduced_planck: float = REDUCED_PLANCK
+    ion_mass: float = 171.0 * ATOMIC_MASS
 
     def __post_init__(self):
         for name in ("elementary_charge", "vacuum_permittivity",
@@ -26,4 +34,4 @@ class PhysicalConstants:
     @classmethod
     def for_mass_u(cls, mass_u: float) -> "PhysicalConstants":
         """Constants for a singly charged ion of the given mass in u."""
-        return cls(ion_mass=mass_u * const.atomic_mass)
+        return cls(ion_mass=mass_u * ATOMIC_MASS)

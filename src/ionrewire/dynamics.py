@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import InteractionGraph, ShelveMask
+from .lattice import InteractionGraph
 
 SIZE_CAP = 14
 BLOCK_ELEMENTS = 2**13
@@ -204,12 +204,6 @@ def evolve_ising(graph: InteractionGraph, t: float, initial: SpinState) -> SpinS
     return SpinState(n_spins=graph.n_spins, amplitudes=amps)
 
 
-def populations(state: SpinState) -> np.ndarray:
-    """|amplitude|^2 per z-basis outcome; sums to 1."""
-    p = np.abs(state.amplitudes) ** 2
-    return p / p.sum()
-
-
 def dephased_limit(graph: InteractionGraph, initial: SpinState) -> np.ndarray:
     """Long-time average of the outcome probabilities.
 
@@ -279,43 +273,3 @@ def scan_evolution(graph: InteractionGraph, times, initial: SpinState | None = N
     if model is not None:
         series = apply_decoherence(series, model, graph, initial)
     return series
-
-
-def zero_shelved_couplings(j: np.ndarray, mask: ShelveMask) -> np.ndarray:
-    """Full-size coupling matrix with every coupling to a shelved ion zeroed."""
-    out = np.asarray(j, dtype=float).copy()
-    idx = mask.shelved_indices
-    out[idx, :] = 0.0
-    out[:, idx] = 0.0
-    return out
-
-
-def embed_survivor_state(state: SpinState, survivors, n_total: int) -> SpinState:
-    """Tensor a survivor state with shelved spins pinned to |down>."""
-    survivors = np.asarray(survivors, dtype=int)
-    if state.n_spins != survivors.size:
-        raise ValueError("state size does not match survivor count")
-    amps = np.zeros(2**n_total, dtype=complex)
-    k = survivors.size
-    for m in range(2**k):
-        full = 0
-        for b in range(k):
-            if (m >> b) & 1:
-                full |= 1 << survivors[b]
-        amps[full] = state.amplitudes[m]
-    return SpinState(n_spins=n_total, amplitudes=amps)
-
-
-def survivor_marginal(probabilities: np.ndarray, n_total: int,
-                      survivors) -> np.ndarray:
-    """Marginal outcome distribution over a subset of spins.
-
-    Bit i' of the reduced index is survivor i' in ascending original order.
-    """
-    survivors = np.sort(np.asarray(survivors, dtype=int))
-    others = [i for i in range(n_total) if i not in set(survivors.tolist())]
-    # reshape to one axis per spin; row-major puts spin n-1 on axis 0
-    grid = np.asarray(probabilities).reshape([2] * n_total if n_total else [1])
-    axes = tuple(n_total - 1 - i for i in others)
-    reduced = grid.sum(axis=axes) if axes else grid
-    return reduced.reshape(-1)

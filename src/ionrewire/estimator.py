@@ -23,15 +23,6 @@ class FitResult:
     parameters: dict
     std_errors: dict
     residual_norm: float
-    converged: bool
-
-    def to_json(self) -> dict:
-        return {
-            "parameters": {k: float(v) for k, v in self.parameters.items()},
-            "std_errors": {k: float(v) for k, v in self.std_errors.items()},
-            "residual_norm": float(self.residual_norm),
-            "converged": bool(self.converged),
-        }
 
 
 def pair_coupling_model(t, coupling, tau_d, p_inf):
@@ -110,7 +101,6 @@ def fit_pair_coupling(times, values, shots=None) -> FitResult:
         parameters={"coupling": popt[0], "tau_d": popt[1], "p_inf": popt[2]},
         std_errors={"coupling": errors[0], "tau_d": errors[1], "p_inf": errors[2]},
         residual_norm=cost,
-        converged=True,
     )
 
 
@@ -156,7 +146,6 @@ def fit_exponential(times, values, model: str = "decay") -> FitResult:
         parameters={"tau": popt[0]},
         std_errors={"tau": float(np.sqrt(max(pcov[0, 0], 0.0)))},
         residual_norm=resid,
-        converged=True,
     )
 
 
@@ -190,5 +179,4 @@ def fit_power_law(omegas, taus) -> FitResult:
         std_errors={"amplitude": amplitude * intercept_err,
                     "exponent": slope_err},
         residual_norm=math.sqrt(rss),
-        converged=True,
     )

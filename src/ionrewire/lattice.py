@@ -61,11 +61,6 @@ class ShelveMask:
     def shelved_indices(self) -> np.ndarray:
         return np.array([i for i, s in enumerate(self.shelved) if s], dtype=int)
 
-    def union(self, other: "ShelveMask") -> "ShelveMask":
-        if len(other) != len(self):
-            raise ValueError("mask lengths differ")
-        return ShelveMask(tuple(a or b for a, b in zip(self.shelved, other.shelved)))
-
 
 @dataclass(frozen=True)
 class InteractionGraph:

@@ -7,6 +7,9 @@ criterion (pytest itself reports FAILED lines on violation).
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -32,12 +35,8 @@ from ionrewire.dynamics import (
     DecoherenceModel,
     SpinState,
     dephased_limit,
-    embed_survivor_state,
     evolve_ising,
-    populations,
     scan_evolution,
-    survivor_marginal,
-    zero_shelved_couplings,
 )
 from ionrewire.estimator import fit_exponential, fit_pair_coupling, fit_power_law
 from ionrewire.lattice import (
@@ -51,6 +50,12 @@ from ionrewire.lattice import (
     verify_geometry,
 )
 from ionrewire.stochastic import ShelvingProcess, sample_shelving
+from oracles import (
+    embed_survivor_state,
+    populations,
+    survivor_marginal,
+    zero_shelved_couplings,
+)
 
 TWO_PI = 2 * np.pi
 CONSTANTS = PhysicalConstants()
@@ -338,10 +343,12 @@ def _digests(out_dir: Path) -> dict:
             for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"}
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+CHECKSUMS = SRC / "ionrewire" / "scenarios" / "checksums.json"
+
+
 def test_criterion_9_determinism(tmp_path):
-    checksum_path = (Path(__file__).resolve().parent.parent / "src"
-                     / "ionrewire" / "scenarios" / "checksums.json")
-    committed = json.loads(checksum_path.read_text())
+    committed = json.loads(CHECKSUMS.read_text())
 
     for name in BUNDLED_SCENARIOS:
         scenario = load_scenario(name)
@@ -354,3 +361,28 @@ def test_criterion_9_determinism(tmp_path):
         assert first == committed[name], f"{name}: drifted from committed outputs"
     print(f"ACCEPTANCE 9 PASS: {', '.join(BUNDLED_SCENARIOS)} reruns "
           "byte-identical and match committed checksums")
+
+
+RUN_BUNDLED = """
+import sys
+from pathlib import Path
+from ionrewire.cli import BUNDLED_SCENARIOS, main
+for name in BUNDLED_SCENARIOS:
+    assert main(["all", "--scenario", name,
+                 "--out", str(Path(sys.argv[1]) / name)]) == 0
+"""
+
+
+def test_checksums_hold_with_two_blas_threads(tmp_path):
+    """Outputs do not depend on the BLAS thread count: a fresh interpreter
+    with two threads writes the committed bytes."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+               MKL_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(SRC), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", RUN_BUNDLED, str(tmp_path)],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    committed = json.loads(CHECKSUMS.read_text())
+    for name in BUNDLED_SCENARIOS:
+        assert _digests(tmp_path / name) == committed[name], name

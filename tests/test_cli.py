@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -254,6 +255,13 @@ class TestPatternScenarios:
         report = json.loads((out / "geometry.json").read_text())
         assert report["passed"] is True
         assert report["expected_degree"] == 3
+        # one graph row per survivor pair, in the order of a nested loop
+        mask = [line.split(",") for line in
+                (out / "mask.csv").read_text().splitlines()[1:]]
+        survivors = [int(ion) for ion, state in mask if state == "Q"]
+        pairs = [tuple(map(int, line.split(",")[:2])) for line in
+                 (out / "graph.csv").read_text().splitlines()[1:]]
+        assert pairs == list(itertools.combinations(survivors, 2))
 
     def test_small_kagome_cell_runs_dynamics(self, tmp_path):
         payload = self.make_pattern_scenario("kagome", 2, 2)
@@ -534,13 +542,22 @@ def per_cell_rows(columns):
     return [sum(cells, []) for cells in zip(*parts)]
 
 
+def reference_cell(value) -> str:
+    """The CSV text of one Python scalar, by the README's cell rules."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def reference_text(header, rows, fmt):
-    """The per-cell writer the columnar one must match byte for byte."""
+    """The per-cell writer the columnar one must match byte for byte: the
+    README's cell rules for CSV, the standard library's encoder for JSON."""
     if fmt == "csv":
         lines = [",".join(header)]
-        lines += [",".join(map(cli._fmt_cell, row)) for row in rows]
+        lines += [",".join(map(reference_cell, row)) for row in rows]
         return "\n".join(lines) + "\n"
-    payload = [dict(zip(header, map(cli._json_cell, row))) for row in rows]
+    payload = [{key: None if isinstance(v, float) and not math.isfinite(v)
+                else v for key, v in zip(header, row)} for row in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -579,6 +596,12 @@ def _writer_cases():
         ("no_rows", ["t", "a", "b", "c"],
          [np.empty(0), np.empty((0, 2)), cli.Coded(["x"], np.empty(0, int))]),
         ("one_column", ["t"], [np.array([0.0, -0.0, 1.5])]),
+        ("mixed_kinds", ["ion", "x", "state", "t", "flag", "y_é", "k%s"], [
+            np.array([0, 1, 2]), np.array([-0.0, math.nan, 2.5]),
+            cli.Coded(["Q", "S", 'a"b\\é'], np.array([0, 1, 2])),
+            cli.Coded([0.5, math.inf, math.nan], np.array([1, 0, 2])),
+            np.array([True, False, True]),
+            np.array([1e-05, math.inf, -math.inf]), np.array([-3, 0, 7])]),
         ("zero_survivors", series_header, series.columns),
         ("nan_frequency_row", ["time_s", "n_total", "n_intact"]
          + [f"c{j}" for j in range(4)] + [f"f{j}" for j in range(4)],
@@ -615,14 +638,47 @@ class TestWriteTable:
         assert ((tmp_path / written).read_bytes()
                 == reference_text(header, rows, fmt).encode())
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_list_rows_match_per_cell_writer(self, tmp_path, fmt):
-        rows = [[0, -0.0, "Q", True, np.float64(1e-05), np.int64(-3)],
-                [1, math.nan, "S", False, np.float64(math.inf), np.int64(0)]]
-        header = ["ion", "x", "state", "flag", "y", "k"]
-        written = cli.write_table(tmp_path, "rows", header, rows, fmt)
-        assert ((tmp_path / written).read_bytes()
-                == reference_text(header, rows, fmt).encode())
+
+# table columns that hold text; every other cell is a number or a boolean
+TEXT_COLUMNS = {"state", "config", "outcomes"}
+
+
+def read_csv_table(path):
+    """A CSV table's rows read back as Python values, with nan and inf as
+    None, the way a JSON table states them."""
+    header, *lines = path.read_text().splitlines()
+
+    def value(key, text):
+        if key in TEXT_COLUMNS:
+            return text
+        if text in ("true", "false"):
+            return text == "true"
+        try:
+            return int(text)
+        except ValueError:
+            number = float(text)
+            return number if math.isfinite(number) else None
+
+    return [{key: value(key, text)
+             for key, text in zip(header.split(","), line.split(","))}
+            for line in lines]
+
+
+@pytest.mark.parametrize("name", cli.BUNDLED_SCENARIOS)
+def test_json_tables_hold_the_csv_tables(tmp_path, name):
+    for fmt in ("csv", "json"):
+        assert run_cli("all", "--scenario", name, "--format", fmt,
+                       "--out", tmp_path / fmt) == 0
+    csv_dir, json_dir = tmp_path / "csv", tmp_path / "json"
+    # couplings.json is the same payload in both formats, not a table
+    payloads = {p.stem for p in csv_dir.glob("*.json")} - {"manifest"}
+    tables = {p.stem for p in csv_dir.glob("*.csv")} - payloads
+    assert data_files(json_dir) == sorted(f"{stem}.json"
+                                          for stem in payloads | tables)
+    for stem in tables:
+        rows = read_csv_table(csv_dir / f"{stem}.csv")
+        assert ((json_dir / f"{stem}.json").read_bytes()
+                == (json.dumps(rows, indent=2) + "\n").encode()), stem
 
 
 # integer fields that set how much a run allocates; the fuzz never touches them

@@ -14,17 +14,19 @@ from ionrewire.dynamics import (
     SpinState,
     apply_decoherence,
     dephased_limit,
-    embed_survivor_state,
     evolve_ising,
     ising_energies,
     outcome_index,
     outcome_label,
-    populations,
     scan_evolution,
+)
+from ionrewire.lattice import InteractionGraph, ShelveMask, apply_mask
+from oracles import (
+    embed_survivor_state,
+    populations,
     survivor_marginal,
     zero_shelved_couplings,
 )
-from ionrewire.lattice import InteractionGraph, ShelveMask, apply_mask
 
 TWO_PI = 2 * np.pi
 
