@@ -19,14 +19,13 @@ from .crystal import (
 )
 from .coupling import (
     RamanDrive,
-    CouplingMatrix,
+    InteractionGraph,
     recoil_frequency,
     coupling_matrix,
     calibrate_detuning,
 )
 from .lattice import (
     ShelveMask,
-    InteractionGraph,
     TriangularArray,
     triangular_array,
     apply_mask,
@@ -71,12 +70,11 @@ __all__ = [
     "compute_normal_modes",
     "project_modes",
     "RamanDrive",
-    "CouplingMatrix",
+    "InteractionGraph",
     "recoil_frequency",
     "coupling_matrix",
     "calibrate_detuning",
     "ShelveMask",
-    "InteractionGraph",
     "TriangularArray",
     "triangular_array",
     "apply_mask",

@@ -35,7 +35,7 @@ import yaml
 from . import __version__
 from .constants import PhysicalConstants
 from .coupling import (
-    CouplingMatrix,
+    InteractionGraph,
     RamanDrive,
     calibrate_detuning,
     coupling_matrix,
@@ -387,9 +387,10 @@ class IsingContext:
     crystal: object | None
     modes: object | None
     array: object | None
-    coupling: CouplingMatrix
+    coupling: InteractionGraph   # every ion
+    graph: InteractionGraph      # apply_mask(coupling, mask)
     drive: RamanDrive | None
-    mask: ShelveMask | None      # None for the probabilistic source
+    mask: ShelveMask             # all qubits for the probabilistic source
     beam_time: float             # 0 unless the source is beam_time_s
 
 
@@ -421,9 +422,10 @@ def build_ising_context(scenario: Scenario) -> IsingContext:
             mask = {"triangular": lambda a: ShelveMask.all_qubits(len(a.sites)),
                     "honeycomb": honeycomb_mask,
                     "kagome": kagome_mask}[value["name"]](array)
+            graph = apply_mask(coupling, mask)
         return IsingContext(scenario=scenario, crystal=None, modes=None,
-                            array=array, coupling=coupling, drive=None,
-                            mask=mask, beam_time=0.0)
+                            array=array, coupling=coupling, graph=graph,
+                            drive=None, mask=mask, beam_time=0.0)
 
     with _stage("crystal"):
         trap = scenario.trap()
@@ -458,9 +460,10 @@ def build_ising_context(scenario: Scenario) -> IsingContext:
     if key == "explicit":
         mask, beam_time = ShelveMask.from_string(value), 0.0
     else:
-        mask, beam_time = None, float(value)
+        mask, beam_time = ShelveMask.all_qubits(n), float(value)
     return IsingContext(scenario=scenario, crystal=crystal, modes=modes,
-                        array=None, coupling=coupling, drive=drive,
+                        array=None, coupling=coupling,
+                        graph=apply_mask(coupling, mask), drive=drive,
                         mask=mask, beam_time=beam_time)
 
 
@@ -494,19 +497,21 @@ def _modes_artifact(ctx, out_dir, fmt):
     return [write_table(out_dir, "modes", header, table, fmt)]
 
 
-def _pair_table(out_dir, stem, labels: np.ndarray, j, fmt) -> str:
-    """One row (label a, label b, J_ab / 2 pi) per pair a < b."""
-    a, b = np.triu_indices(len(labels), k=1)
+def _pair_table(out_dir, stem, graph: InteractionGraph, fmt) -> str:
+    """One row (label a, label b, J_ab / 2 pi) per pair a < b of the graph."""
+    a, b = np.triu_indices(graph.n_spins, k=1)
+    labels = graph.survivors
     return write_table(out_dir, stem, ["i", "j", "j_hz"],
-                       Table(labels[a], labels[b], j[a, b] / TWO_PI), fmt)
+                       Table(labels[a], labels[b],
+                             graph.couplings[a, b] / TWO_PI), fmt)
 
 
 def _couplings_artifact(ctx, out_dir, fmt):
-    j = ctx.coupling.j
-    n = ctx.coupling.n_ions
+    j = ctx.coupling.couplings
+    n = ctx.coupling.n_spins
     drive = ctx.drive
     # the JSON payload below holds every pair in j_hz, so JSON needs no table
-    names = ([_pair_table(out_dir, "couplings", np.arange(n), j, fmt)]
+    names = ([_pair_table(out_dir, "couplings", ctx.coupling, fmt)]
              if fmt == "csv" else [])
     payload = {
         "n_ions": n,
@@ -521,24 +526,20 @@ def _couplings_artifact(ctx, out_dir, fmt):
 
 def _mask_artifact(ctx, out_dir, fmt):
     scenario = ctx.scenario
-    if ctx.mask is None:
+    key, value = scenario.mask_source()
+    mask, graph = ctx.mask, ctx.graph
+    if key == "beam_time_s":
         # probabilistic source: report one seeded sample for inspection
         rng = next(ShotStreams(scenario.seed, [MASK_STREAM]).generators([0]))
-        mask = sample_shelving(ctx.coupling.n_ions, ctx.beam_time,
+        mask = sample_shelving(ctx.coupling.n_spins, ctx.beam_time,
                                scenario.shelving(), rng)
-        sampled = True
-    else:
-        mask, sampled = ctx.mask, False
+        graph = apply_mask(ctx.coupling, mask)
     table = Table(np.arange(len(mask)),
                   Coded(["Q", "S"], np.array(mask.shelved, dtype=np.intp)))
     names = [write_table(out_dir, "mask", ["ion", "state"], table, fmt)]
-
-    graph = apply_mask(ctx.coupling, mask)
-    names.append(_pair_table(out_dir, "graph", graph.survivors,
-                             graph.couplings, fmt))
+    names.append(_pair_table(out_dir, "graph", graph, fmt))
 
     if ctx.array is not None:
-        key, value = scenario.mask_source()
         report = verify_geometry(graph, ctx.array, value["name"])
         names.append(write_json(out_dir, "geometry", {
             "pattern": report.pattern,
@@ -550,17 +551,15 @@ def _mask_artifact(ctx, out_dir, fmt):
             "degree_histogram": {str(k): v for k, v in
                                  sorted(report.degree_histogram.items())},
             "mask": mask.to_string(),
-            "sampled": sampled,
+            # only pattern masks reach here, and they are never sampled
+            "sampled": False,
         }))
     return names
 
 
 @_stage("dynamics")
 def _simulate_artifact(ctx, out_dir, fmt):
-    mask = ctx.mask if ctx.mask is not None else ShelveMask.all_qubits(
-        ctx.coupling.n_ions)
-    graph = apply_mask(ctx.coupling, mask)
-    series = scan_evolution(graph, ctx.scenario.times(),
+    series = scan_evolution(ctx.graph, ctx.scenario.times(),
                             model=ctx.scenario.decoherence())
     header, rows = _series_rows(series)
     return [write_table(out_dir, "series", header, rows, fmt)]
@@ -569,14 +568,10 @@ def _simulate_artifact(ctx, out_dir, fmt):
 @_stage("stochastic")
 def _protocol_artifact(ctx, out_dir, fmt):
     scenario = ctx.scenario
-    coupling = ctx.coupling
-    if ctx.mask is not None:
-        reduced = apply_mask(ctx.coupling, ctx.mask)
-        coupling = CouplingMatrix(reduced.n_spins, reduced.couplings)
     deshelving = scenario.deshelving()
     drive_rabi = ctx.drive.rabi_frequency if ctx.drive is not None else None
     result = run_protocol(
-        coupling, beam_time=ctx.beam_time, times=scenario.times(),
+        ctx.graph, beam_time=ctx.beam_time, times=scenario.times(),
         shelving=scenario.shelving(), measurement=scenario.measurement(),
         seed=scenario.seed, deshelving=deshelving,
         drive_rabi=drive_rabi if deshelving is not None else None,
@@ -616,8 +611,6 @@ def _fit_artifact(ctx, out_dir, protocol_result):
     scenario = ctx.scenario
     fits = {"pair_couplings": []}
     times = scenario.times()
-    survivors_map = (ctx.mask.survivors if ctx.mask is not None
-                     else np.arange(ctx.coupling.n_ions))
     for config in sorted(protocol_result.groups):
         group = protocol_result.groups[config]
         if group.survivors.size != 2:
@@ -631,7 +624,7 @@ def _fit_artifact(ctx, out_dir, protocol_result):
                                    shots=shots[usable])
         fits["pair_couplings"].append({
             "config": config,
-            "pair": [int(survivors_map[s]) for s in group.survivors],
+            "pair": group.survivors.tolist(),
             "coupling_rad_per_s": result.parameters["coupling"],
             "coupling_hz": result.parameters["coupling"] / TWO_PI,
             "std_error_hz": result.std_errors["coupling"] / TWO_PI,
@@ -765,8 +758,7 @@ def _run_ising(command: str, ctx: IsingContext, out_dir: Path,
         outputs += _couplings_artifact(ctx, out_dir, fmt)
         outputs += _mask_artifact(ctx, out_dir, fmt)
         fit = ctx.scenario.fit_kind() == "pair_couplings"
-        survivors = (ctx.mask.survivors.size if ctx.mask is not None
-                     else ctx.coupling.n_ions)
+        survivors = ctx.graph.n_spins
         if survivors > SIZE_CAP:
             skipped = "dynamics, stochastic" + (", estimator" if fit else "")
             print(f"skipped stages {skipped}: {survivors} survivors exceed the "

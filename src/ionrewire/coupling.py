@@ -8,6 +8,10 @@ detuning mu from the carrier, the Ising coupling between ions i and j is
 with R = hbar dk^2 / (2 m) the recoil frequency and b_ik the component of
 mode k on ion i along the dk direction. The sum runs over all 3N modes;
 modes orthogonal to dk contribute nothing. Everything is in rad/s.
+
+This module owns InteractionGraph, the one coupling type: coupling_matrix
+returns one over the whole crystal, and lattice.apply_mask maps one to the
+graph of the ions a shelving mask leaves.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +23,6 @@ from .constants import PhysicalConstants
 from .crystal import NormalModes, project_modes
 
 DEFAULT_GUARD_BAND = 2.0 * np.pi * 100.0
-PARTICIPATION_CUTOFF = 1e-9
 
 
 class ResonanceError(ValueError):
@@ -83,16 +86,26 @@ class RamanDrive:
 
 
 @dataclass(frozen=True)
-class CouplingMatrix:
-    """Symmetric zero-diagonal matrix of pairwise couplings, rad/s."""
+class InteractionGraph:
+    """Coupling graph over labelled ions: the one coupling type.
 
-    n_ions: int
-    j: np.ndarray
+    survivors holds the ions' crystal labels in row order; couplings is the
+    symmetric zero-diagonal matrix over them in rad/s. coupling_matrix gives
+    the graph of a whole crystal (labels 0..n-1), and shelving
+    (lattice.apply_mask) maps a graph to the graph of its survivors, keeping
+    their labels and copying their couplings bitwise.
+    """
+
+    survivors: np.ndarray
+    couplings: np.ndarray
 
     def __post_init__(self):
-        j = np.asarray(self.j, dtype=float)
-        if j.shape != (self.n_ions, self.n_ions):
-            raise ValueError("coupling matrix shape does not match n_ions")
+        survivors = np.asarray(self.survivors, dtype=int)
+        j = np.asarray(self.couplings, dtype=float)
+        if len(set(survivors.tolist())) != survivors.size:
+            raise ValueError("survivor labels must be unique")
+        if j.shape != (survivors.size, survivors.size):
+            raise ValueError("coupling block shape mismatch")
         if not np.all(np.isfinite(j)):
             raise ValueError("coupling matrix entries must be finite")
         if j.size:
@@ -101,21 +114,26 @@ class CouplingMatrix:
                 raise ValueError("coupling matrix must be symmetric")
             if np.max(np.abs(np.diag(j))) > 1e-12 * scale:
                 raise ValueError("coupling matrix diagonal must be zero")
-        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "survivors", survivors)
+        object.__setattr__(self, "couplings", j)
+
+    @property
+    def n_spins(self) -> int:
+        return int(self.survivors.size)
 
     @classmethod
-    def uniform(cls, n_ions: int, strength: float) -> "CouplingMatrix":
-        j = np.full((n_ions, n_ions), float(strength))
+    def uniform(cls, n: int, strength: float) -> "InteractionGraph":
+        j = np.full((n, n), float(strength))
         np.fill_diagonal(j, 0.0)
-        return cls(n_ions=n_ions, j=j)
+        return cls(survivors=np.arange(n), couplings=j)
 
     @classmethod
-    def from_pairs(cls, n_ions: int, pairs: dict) -> "CouplingMatrix":
+    def from_pairs(cls, n: int, pairs: dict) -> "InteractionGraph":
         """Build from {(i, j): value} with i < j; missing pairs are zero."""
-        j = np.zeros((n_ions, n_ions))
+        j = np.zeros((n, n))
         for (a, b), value in pairs.items():
             j[a, b] = j[b, a] = float(value)
-        return cls(n_ions=n_ions, j=j)
+        return cls(survivors=np.arange(n), couplings=j)
 
 
 def recoil_frequency(drive: RamanDrive, constants: PhysicalConstants) -> float:
@@ -126,16 +144,15 @@ def recoil_frequency(drive: RamanDrive, constants: PhysicalConstants) -> float:
 
 def coupling_matrix(modes: NormalModes, drive: RamanDrive,
                     constants: PhysicalConstants,
-                    guard_band: float = DEFAULT_GUARD_BAND) -> CouplingMatrix:
-    """Evaluate the full pairwise coupling matrix for a given drive.
+                    guard_band: float = DEFAULT_GUARD_BAND) -> InteractionGraph:
+    """Evaluate the coupling graph of every ion (labels 0..n-1) for a drive.
 
     Raises ResonanceError if the detuning is within guard_band of any mode
     that participates along the drive direction.
     """
     if drive.delta_k_magnitude <= 0:
         raise ValueError("delta_k_magnitude must be positive to drive couplings")
-    proj = project_modes(modes, drive.delta_k_direction,
-                         participation_cutoff=PARTICIPATION_CUTOFF)
+    proj = project_modes(modes, drive.delta_k_direction)
     mu = abs(drive.detuning)
     gaps = np.abs(mu - proj.frequencies)
     offending = np.where(proj.participating & (gaps < guard_band))[0]
@@ -155,7 +172,7 @@ def coupling_matrix(modes: NormalModes, drive: RamanDrive,
     j = proj.amplitudes.T @ (weights[:, None] * proj.amplitudes)
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
-    return CouplingMatrix(n_ions=modes.n_ions, j=j)
+    return InteractionGraph(survivors=np.arange(modes.n_ions), couplings=j)
 
 
 def _com_mode_index(proj) -> int:
@@ -165,15 +182,14 @@ def _com_mode_index(proj) -> int:
 
 def calibrate_detuning(modes: NormalModes, drive: RamanDrive,
                        constants: PhysicalConstants, target: float,
-                       pair: tuple, side: str = "above",
-                       guard_band: float = DEFAULT_GUARD_BAND) -> float:
+                       pair: tuple, side: str = "above") -> float:
     """Find the detuning that realizes a target pair coupling.
 
     Searches the window between the center-of-mass mode (along the drive
     direction) and the adjacent participating mode on the requested side,
-    restricted to the branch adjacent to the COM resonance where the pair
-    coupling is monotone in the detuning; solves by bisection. The drive's
-    own detuning field is ignored.
+    each edge DEFAULT_GUARD_BAND from its mode, restricted to the branch
+    adjacent to the COM resonance where the pair coupling is monotone in the
+    detuning; solves by bisection. The drive's own detuning field is ignored.
 
     Raises CalibrationError (with the achievable range) when the target
     cannot be reached on that branch.
@@ -184,20 +200,20 @@ def calibrate_detuning(modes: NormalModes, drive: RamanDrive,
     if i == j:
         raise ValueError("pair must name two distinct ions")
 
-    proj = project_modes(modes, drive.delta_k_direction,
-                         participation_cutoff=PARTICIPATION_CUTOFF)
+    proj = project_modes(modes, drive.delta_k_direction)
     freqs = proj.frequencies[proj.participating]
     omega_com = proj.frequencies[_com_mode_index(proj)]
 
     if side == "above":
         higher = freqs[freqs > omega_com * (1 + 1e-12)]
-        lo = omega_com + guard_band
-        hi = (higher.min() - guard_band) if higher.size else 20.0 * freqs.max()
+        lo = omega_com + DEFAULT_GUARD_BAND
+        hi = ((higher.min() - DEFAULT_GUARD_BAND) if higher.size
+              else 20.0 * freqs.max())
         com_end = lo
     else:
         lower = freqs[freqs < omega_com * (1 - 1e-12)]
-        lo = (lower.max() + guard_band) if lower.size else guard_band
-        hi = omega_com - guard_band
+        lo = (lower.max() if lower.size else 0.0) + DEFAULT_GUARD_BAND
+        hi = omega_com - DEFAULT_GUARD_BAND
         com_end = hi
     if not lo < hi:
         raise CalibrationError(
@@ -209,7 +225,8 @@ def calibrate_detuning(modes: NormalModes, drive: RamanDrive,
                            delta_k_magnitude=drive.delta_k_magnitude,
                            detuning=mu,
                            delta_k_direction=drive.delta_k_direction)
-        return coupling_matrix(modes, probe, constants, guard_band=0.0).j[i, j]
+        return coupling_matrix(modes, probe, constants,
+                               guard_band=0.0).couplings[i, j]
 
     f_near = pair_coupling(com_end)
     sign = np.sign(f_near)

@@ -20,6 +20,11 @@ import scipy.optimize
 
 from .constants import PhysicalConstants
 
+# modes whose frequencies differ by at most this fraction form one cluster
+DEGENERACY_RTOL = 1e-9
+# a mode participates along a direction if some ion's amplitude reaches this
+PARTICIPATION_CUTOFF = 1e-9
+
 
 class ConvergenceError(RuntimeError):
     """No restart of the equilibrium search met the gradient tolerance."""
@@ -274,25 +279,13 @@ def _canonical_degenerate_basis(vecs: np.ndarray) -> np.ndarray:
             basis.append(w / norm)
             if len(basis) == dim:
                 break
-    # Fall back to the eigensolver basis if the projector sweep came up short
-    # (cannot happen for an exact projector; guards against pathological input).
-    for k in range(dim):
-        if len(basis) == dim:
-            break
-        w = vecs[:, k].copy()
-        for b in basis:
-            w -= (b @ w) * b
-        norm = np.linalg.norm(w)
-        if norm > 1e-6:
-            basis.append(w / norm)
     if len(basis) != dim:
         raise RuntimeError("degenerate subspace could not be re-spanned")
     return np.column_stack(basis)
 
 
 def compute_normal_modes(constants: PhysicalConstants, trap: TrapConfig,
-                         crystal: IonCrystal,
-                         degeneracy_rtol: float = 1e-9) -> NormalModes:
+                         crystal: IonCrystal) -> NormalModes:
     """Diagonalize the mass-scaled Hessian at the crystal equilibrium.
 
     Frequencies come back ascending in rad/s; eigenvectors are orthonormal
@@ -316,7 +309,7 @@ def compute_normal_modes(constants: PhysicalConstants, trap: TrapConfig,
     start = 0
     while start < freqs.size:
         stop = start + 1
-        while stop < freqs.size and freqs[stop] - freqs[stop - 1] <= degeneracy_rtol * freqs[stop]:
+        while stop < freqs.size and freqs[stop] - freqs[stop - 1] <= DEGENERACY_RTOL * freqs[stop]:
             stop += 1
         if stop - start > 1:
             vecs[:, start:stop] = _canonical_degenerate_basis(vecs[:, start:stop])
@@ -334,9 +327,9 @@ def compute_normal_modes(constants: PhysicalConstants, trap: TrapConfig,
     )
 
 
-def project_modes(modes: NormalModes, direction: np.ndarray,
-                  participation_cutoff: float = 1e-9) -> ModeProjection:
-    """Per-ion amplitudes b_{i,k} of every mode along a unit direction."""
+def project_modes(modes: NormalModes, direction: np.ndarray) -> ModeProjection:
+    """Per-ion amplitudes b_{i,k} of every mode along a unit direction; a
+    mode participates when some |b_{i,k}| reaches PARTICIPATION_CUTOFF."""
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (3,) or abs(np.linalg.norm(direction) - 1.0) > 1e-9:
         raise ValueError("direction must be a unit 3-vector")
@@ -344,7 +337,7 @@ def project_modes(modes: NormalModes, direction: np.ndarray,
     # eigenvectors reshaped to (ion, axis, mode); contract the axis index.
     by_ion = modes.eigenvectors.reshape(n, 3, 3 * n)
     amplitudes = np.einsum("iak,a->ki", by_ion, direction)
-    participating = np.max(np.abs(amplitudes), axis=1) >= participation_cutoff
+    participating = np.max(np.abs(amplitudes), axis=1) >= PARTICIPATION_CUTOFF
     return ModeProjection(
         frequencies=modes.frequencies.copy(),
         amplitudes=amplitudes,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import InteractionGraph
+from .coupling import InteractionGraph
 
 SIZE_CAP = 14
 BLOCK_ELEMENTS = 2**13

@@ -53,13 +53,17 @@ def _clean_series(times, values, shots=None):
 def fit_pair_coupling(times, values, shots=None) -> FitResult:
     """Recover (J, tau_d, p_inf) from a P(up,up)-style oscillation.
 
-    Needs at least 8 points spanning roughly half an oscillation. shots (a
-    scalar or per-point array) switches on inverse-binomial-variance weights.
-    Raises FitError for constant series or if no start converges.
+    Needs at least 8 strictly increasing points spanning roughly half an
+    oscillation. shots (a scalar or per-point array) switches on
+    inverse-binomial-variance weights. Raises FitError for constant series or
+    if no start converges.
     """
     times, values, shots = _clean_series(times, values, shots)
     if times.size < 8:
         raise ValueError("need at least 8 finite time points")
+    # the FFT seed takes its frequency grid from the median time step
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("time points must be strictly increasing")
     if np.ptp(values) < 1e-12:
         raise FitError("series is constant; coupling is unidentifiable")
 

@@ -1,8 +1,10 @@
 """Shelving masks, interaction-graph rewiring, and target lattice patterns.
 
 A ShelveMask marks each ion as an active qubit ('Q') or shelved out of the
-qubit subspace ('S'). Applying a mask to a coupling matrix deletes the
-shelved rows/columns and leaves the surviving couplings untouched.
+qubit subspace ('S'). Applying a mask to an InteractionGraph (the coupling
+type, owned by the coupling module) deletes the shelved rows/columns and
+gives the graph of the survivors: their crystal labels and their couplings
+are kept as they were.
 
 Target patterns (honeycomb, kagome) live on an idealized triangular array in
 lattice units, decoupled from any physical crystal: removing one sublattice
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingMatrix
+from .coupling import InteractionGraph
 
 QUBIT = "Q"
 SHELVED = "S"
@@ -63,32 +65,6 @@ class ShelveMask:
 
 
 @dataclass(frozen=True)
-class InteractionGraph:
-    """Reduced coupling graph over the surviving ions.
-
-    survivors holds the original ion labels; couplings is the reduced matrix
-    in rad/s with entries copied bitwise from the source matrix.
-    """
-
-    survivors: np.ndarray
-    couplings: np.ndarray
-
-    def __post_init__(self):
-        survivors = np.asarray(self.survivors, dtype=int)
-        couplings = np.asarray(self.couplings, dtype=float)
-        if len(set(survivors.tolist())) != survivors.size:
-            raise ValueError("survivor labels must be unique")
-        if couplings.shape != (survivors.size, survivors.size):
-            raise ValueError("coupling block shape mismatch")
-        object.__setattr__(self, "survivors", survivors)
-        object.__setattr__(self, "couplings", couplings)
-
-    @property
-    def n_spins(self) -> int:
-        return int(self.survivors.size)
-
-
-@dataclass(frozen=True)
 class TriangularArray:
     """Patch of a triangular lattice in lattice units.
 
@@ -129,14 +105,16 @@ def interior_sites(array: TriangularArray) -> np.ndarray:
     return np.where(degree == 6)[0]
 
 
-def apply_mask(coupling: CouplingMatrix, mask: ShelveMask) -> InteractionGraph:
-    """Delete shelved rows/columns; surviving couplings are unchanged."""
-    if len(mask) != coupling.n_ions:
+def apply_mask(graph: InteractionGraph, mask: ShelveMask) -> InteractionGraph:
+    """Delete the shelved rows/columns (mask entry i is row i); the survivors
+    keep their labels and couplings, so masking twice is masking once by the
+    union of the two masks."""
+    if len(mask) != graph.n_spins:
         raise ValueError(
-            f"mask length {len(mask)} does not match {coupling.n_ions} ions")
+            f"mask length {len(mask)} does not match {graph.n_spins} ions")
     keep = mask.survivors
-    return InteractionGraph(survivors=keep,
-                            couplings=coupling.j[np.ix_(keep, keep)])
+    return InteractionGraph(survivors=graph.survivors[keep],
+                            couplings=graph.couplings[np.ix_(keep, keep)])
 
 
 def honeycomb_mask(array: TriangularArray) -> ShelveMask:
@@ -150,7 +128,7 @@ def kagome_mask(array: TriangularArray) -> ShelveMask:
 
 
 def power_law_coupling(array: TriangularArray, strength: float,
-                       exponent: float = 3.0) -> CouplingMatrix:
+                       exponent: float = 3.0) -> InteractionGraph:
     """Synthetic distance-decaying couplings on the array, rad/s at spacing 1."""
     coords = array.coordinates
     n = coords.shape[0]
@@ -159,7 +137,7 @@ def power_law_coupling(array: TriangularArray, strength: float,
     np.fill_diagonal(dist, np.inf)
     j = strength / dist**exponent
     np.fill_diagonal(j, 0.0)
-    return CouplingMatrix(n_ions=n, j=0.5 * (j + j.T))
+    return InteractionGraph(survivors=np.arange(n), couplings=0.5 * (j + j.T))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingMatrix
+from .coupling import InteractionGraph
 from .dynamics import DecoherenceModel, outcome_index, scan_evolution
 from .lattice import ShelveMask, apply_mask
 
@@ -71,6 +71,7 @@ class MeasurementModel:
 class GroupSeries:
     """Post-selected empirical statistics for one shelve configuration.
 
+    survivors holds the surviving ions' labels in the protocol's graph.
     counts[t, outcome] accumulates intact shots only; n_total counts every
     shot that started in this configuration (intact or not).
     """
@@ -307,7 +308,9 @@ def _distinct_rows(flags: np.ndarray):
     """Distinct rows of a boolean matrix in lexicographic order (False
     first), and each row's index among them."""
     packed = np.packbits(flags, axis=1)
-    order = np.lexsort(packed.T[::-1])
+    # with no columns every row is the one empty row; lexsort needs a key
+    order = (np.lexsort(packed.T[::-1]) if packed.shape[1]
+             else np.arange(len(flags)))
     ordered = packed[order]
     first = np.ones(order.size, dtype=bool)
     np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
@@ -320,7 +323,7 @@ def _distinct_rows(flags: np.ndarray):
 # samplers
 
 
-def run_protocol(coupling: CouplingMatrix, beam_time: float, times,
+def run_protocol(graph: InteractionGraph, beam_time: float, times,
                  shelving: ShelvingProcess, measurement: MeasurementModel,
                  seed: int, deshelving: DeshelvingModel | None = None,
                  drive_rabi: float | None = None,
@@ -347,7 +350,7 @@ def run_protocol(coupling: CouplingMatrix, beam_time: float, times,
     full shot budget.
     """
     times = np.asarray(times, dtype=float)
-    n = coupling.n_ions
+    n = graph.n_spins
     shots = measurement.shots
     spam = measurement.spam_error
     if deshelving is not None and not (drive_rabi and drive_rabi > 0):
@@ -385,9 +388,10 @@ def run_protocol(coupling: CouplingMatrix, beam_time: float, times,
     configs = []
     for c, mask_row in enumerate(shelved):
         mask = ShelveMask(tuple(mask_row))
-        graph = apply_mask(coupling, mask)
+        reduced = apply_mask(graph, mask)
         cumulative = np.cumsum(
-            scan_evolution(graph, times, model=decoherence).probabilities, axis=1)
+            scan_evolution(reduced, times, model=decoherence).probabilities,
+            axis=1)
         k = n_survivors[c]
 
         rows = order[config_bounds[c]:config_bounds[c + 1]]
@@ -405,7 +409,7 @@ def run_protocol(coupling: CouplingMatrix, beam_time: float, times,
         label = mask.to_string()
         configs.append(label)
         groups[label] = GroupSeries(
-            config=label, survivors=graph.survivors, times=times,
+            config=label, survivors=reduced.survivors, times=times,
             counts=np.bincount(time_index[kept] * 2**k + outcome[kept],
                                minlength=times.size * 2**k
                                ).reshape(times.size, 2**k),

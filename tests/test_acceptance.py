@@ -26,7 +26,7 @@ from ionrewire import (
 )
 from ionrewire.cli import BUNDLED_SCENARIOS, load_scenario, run_command
 from ionrewire.coupling import (
-    CouplingMatrix,
+    InteractionGraph,
     RamanDrive,
     calibrate_detuning,
     coupling_matrix,
@@ -40,7 +40,6 @@ from ionrewire.dynamics import (
 )
 from ionrewire.estimator import fit_exponential, fit_pair_coupling, fit_power_law
 from ionrewire.lattice import (
-    InteractionGraph,
     ShelveMask,
     apply_mask,
     honeycomb_mask,
@@ -78,7 +77,7 @@ def test_criterion_1_two_ion_dynamics():
     coupling = coupling_matrix(
         modes, RamanDrive.perpendicular_beams(TWO_PI * 76e3, detuning=mu),
         CONSTANTS)
-    j12 = coupling.j[0, 1]
+    j12 = coupling.couplings[0, 1]
     assert j12 == pytest.approx(target, rel=1e-6)
 
     graph = apply_mask(coupling, ShelveMask.all_qubits(2))
@@ -131,7 +130,7 @@ def test_criterion_2_shelving_equivalence():
         state = SpinState(n_spins=k, amplitudes=amps)
         t = rng.uniform(0.0, 3e-3)
 
-        reduced = apply_mask(CouplingMatrix(n, j), mask)
+        reduced = apply_mask(graph_of(j), mask)
         p_reduced = populations(evolve_ising(reduced, t, state))
 
         zeroed = zero_shelved_couplings(j, mask)
@@ -151,7 +150,7 @@ def test_criterion_3_three_ion_reconstruction():
     start = time.perf_counter()
     planted = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
                (1, 2): TWO_PI * 480.0}
-    coupling = CouplingMatrix.from_pairs(3, planted)
+    coupling = InteractionGraph.from_pairs(3, planted)
     times = np.linspace(0.0, 3e-3, 41)
     model = DecoherenceModel(tau_d=5.5e-3)
     shots = 120
@@ -178,7 +177,7 @@ def test_criterion_3_three_ion_reconstruction():
 
     # re-inserted fitted couplings reproduce the three-spin distribution
     full = apply_mask(coupling, ShelveMask.all_qubits(3))
-    refit = apply_mask(CouplingMatrix.from_pairs(3, first_fits),
+    refit = apply_mask(InteractionGraph.from_pairs(3, first_fits),
                        ShelveMask.all_qubits(3))
     p_planted = scan_evolution(full, times).probabilities
     p_fitted = scan_evolution(refit, times).probabilities

@@ -272,6 +272,23 @@ class TestPatternScenarios:
         assert report["mask"].count("S") == 1
         assert (out / "series.csv").exists()
 
+    @pytest.mark.parametrize("shelved", ["explicit", "honeycomb", "kagome"])
+    def test_every_ion_shelved_runs(self, tmp_path, shelved):
+        payload = (dict(MINI_SCENARIO, mask={"explicit": "SS"})
+                   if shelved == "explicit"
+                   else self.make_pattern_scenario(shelved, 1, 1))
+        path = write_scenario(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run_cli("all", "--scenario", path, "--out", out) == 0
+        shots = payload["measurement"]["shots"]
+        rows = (out / "group_.csv").read_text().splitlines()
+        assert rows[0] == "time_s,n_total,n_intact,c_,f_"
+        assert all(row.split(",")[1:4] == [str(shots)] * 3 for row in rows[1:])
+        assert (out / "records.csv").exists()
+        if shelved == "explicit":
+            fits = json.loads((out / "fits.json").read_text())
+            assert fits == {"pair_couplings": []}
+
     def test_large_pattern_skips_dynamics(self, tmp_path, capsys):
         payload = self.make_pattern_scenario("honeycomb", 12, 12)
         path = write_scenario(tmp_path, payload)
@@ -512,6 +529,26 @@ class TestScenarioRules:
         assert f"--out {taken / below}" in err
         assert "Traceback" not in err
         assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("times", [
+        {"list_s": [1e-4 * k for k in range(15, -1, -1)]},
+        {"start_s": 1.5e-3, "stop_s": 1e-4, "num": 16},
+        {"list_s": [1e-3] * 16},
+        {"start_s": 1e-3, "stop_s": 1e-3, "num": 16},
+        {"list_s": [1e-4 * k for k in [3, 0, 1, 2, *range(4, 16)]]},
+    ], ids=["reversed", "start-above-stop", "repeated", "start-is-stop",
+            "unsorted"])
+    def test_pair_fit_needs_increasing_times(self, tmp_path, times):
+        path = write_scenario(tmp_path, dict(MINI_SCENARIO, times=times))
+        code, err = run_captured(["all", "--scenario", path,
+                                  "--out", tmp_path / "out"])
+        assert code == 1
+        assert err == ("error in stage 'estimator': time points must be "
+                       "strictly increasing\n")
+        unfitted = write_scenario(tmp_path, dict(MINI_SCENARIO, times=times,
+                                                 fit="none"), "none.yaml")
+        assert run_captured(["all", "--scenario", unfitted,
+                             "--out", tmp_path / "none"]) == (0, "")
 
     @pytest.mark.parametrize("field", ["times.stop_s", "times.start_s"])
     def test_unfittable_time_grid_fails_in_estimator(self, tmp_path, field):

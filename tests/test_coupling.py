@@ -9,7 +9,7 @@ from ionrewire import (
 )
 from ionrewire.coupling import (
     CalibrationError,
-    CouplingMatrix,
+    InteractionGraph,
     RamanDrive,
     ResonanceError,
     calibrate_detuning,
@@ -71,7 +71,7 @@ class TestCouplingMatrix:
         modes = synthetic_two_ion_modes(trap)
         drive = RamanDrive.perpendicular_beams(0.0, detuning=1.2 * trap.omega_x)
         result = coupling_matrix(modes, drive, constants)
-        assert np.all(result.j == 0.0)
+        assert np.all(result.couplings == 0.0)
 
     def test_matches_two_mode_closed_form(self, constants, trap):
         modes = synthetic_two_ion_modes(trap)
@@ -80,7 +80,7 @@ class TestCouplingMatrix:
         wx = trap.omega_x
         for mu in (1.05 * wx, 1.5 * wx, 2.5 * wx, 0.5 * wx):
             drive = RamanDrive.perpendicular_beams(TWO_PI * 76e3, detuning=mu)
-            j = coupling_matrix(modes, drive, constants).j[0, 1]
+            j = coupling_matrix(modes, drive, constants).couplings[0, 1]
             closed = (drive.rabi_frequency**2 * recoil * 0.5
                       * (1 / (mu**2 - wx**2) - 1 / (mu**2 - 3 * wx**2)))
             assert j == pytest.approx(closed, rel=1e-12)
@@ -105,7 +105,7 @@ class TestCouplingMatrix:
 
         mu = omega_c + TWO_PI * 200.0
         drive = RamanDrive.perpendicular_beams(TWO_PI * 50e3, detuning=mu)
-        j = coupling_matrix(modes, drive, constants).j
+        j = coupling_matrix(modes, drive, constants).couplings
         expected = (drive.rabi_frequency**2 * recoil_frequency(drive, constants)
                     / (n * (mu**2 - omega_c**2)))
         off = j[~np.eye(n, dtype=bool)]
@@ -119,7 +119,7 @@ class TestCouplingMatrix:
                                 target=TWO_PI * 450.0, pair=(0, 1), side="above")
         j = coupling_matrix(
             modes, RamanDrive.perpendicular_beams(TWO_PI * 76e3, detuning=mu),
-            constants).j
+            constants).couplings
         pairs = np.array([j[0, 1], j[0, 2], j[1, 2]])
         assert np.all(pairs > 0)
         assert (pairs.max() - pairs.min()) / pairs.mean() < 0.15
@@ -129,10 +129,10 @@ class TestCouplingMatrix:
         mu = 1.2 * trap.omega_x
         j1 = coupling_matrix(
             modes, RamanDrive.perpendicular_beams(TWO_PI * 40e3, detuning=mu),
-            constants).j
+            constants).couplings
         j2 = coupling_matrix(
             modes, RamanDrive.perpendicular_beams(TWO_PI * 80e3, detuning=mu),
-            constants).j
+            constants).couplings
         assert np.allclose(j2, 4 * j1, rtol=1e-13)
 
     def test_far_detuning_decay_bounded_by_inverse_mu_squared(self, constants, trap):
@@ -144,7 +144,7 @@ class TestCouplingMatrix:
         mus = np.array([10.0, 20.0, 40.0, 80.0]) * trap.omega_x
         js = np.array([abs(coupling_matrix(
             modes, RamanDrive.perpendicular_beams(TWO_PI * 76e3, detuning=m),
-            constants).j[0, 1]) for m in mus])
+            constants).couplings[0, 1]) for m in mus])
         envelope = (drive.rabi_frequency**2 * recoil
                     / (mus**2 - np.max(modes.frequencies) ** 2))
         assert np.all(js <= envelope)
@@ -156,14 +156,14 @@ class TestCouplingMatrix:
         modes = compute_normal_modes(constants, trap, crystal)
         drive = RamanDrive.perpendicular_beams(TWO_PI * 76e3,
                                                detuning=1.1 * trap.omega_x)
-        j = coupling_matrix(modes, drive, constants).j
+        j = coupling_matrix(modes, drive, constants).couplings
 
         perm = np.array([2, 0, 1])
         rows = np.concatenate([3 * perm[i] + np.arange(3) for i in range(3)])
         permuted_modes = NormalModes(
             n_ions=3, frequencies=modes.frequencies,
             eigenvectors=modes.eigenvectors[rows, :])
-        j_perm = coupling_matrix(permuted_modes, drive, constants).j
+        j_perm = coupling_matrix(permuted_modes, drive, constants).couplings
         assert np.allclose(j_perm, j[np.ix_(perm, perm)], atol=1e-18 + 1e-12 * np.max(np.abs(j)))
 
     def test_eigenvector_sign_gauge_invariance(self, constants, trap):
@@ -172,8 +172,8 @@ class TestCouplingMatrix:
                               eigenvectors=modes.eigenvectors * np.array([1, -1, 1, -1, 1, 1]))
         drive = RamanDrive.perpendicular_beams(TWO_PI * 76e3,
                                                detuning=1.2 * trap.omega_x)
-        a = coupling_matrix(modes, drive, constants).j
-        b = coupling_matrix(flipped, drive, constants).j
+        a = coupling_matrix(modes, drive, constants).couplings
+        b = coupling_matrix(flipped, drive, constants).couplings
         assert np.allclose(a, b, rtol=1e-14)
 
     def test_detuning_inside_guard_band_raises(self, constants, trap):
@@ -202,16 +202,17 @@ class TestConstruction:
     def test_asymmetric_matrix_rejected(self):
         j = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
-            CouplingMatrix(n_ions=2, j=j)
+            InteractionGraph(survivors=[0, 1], couplings=j)
 
     def test_nonzero_diagonal_rejected(self):
         j = np.array([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
-            CouplingMatrix(n_ions=2, j=j)
+            InteractionGraph(survivors=[0, 1], couplings=j)
 
     def test_from_pairs(self):
-        m = CouplingMatrix.from_pairs(3, {(0, 1): 2.0, (1, 2): 3.0})
-        assert m.j[1, 0] == 2.0 and m.j[2, 1] == 3.0 and m.j[0, 2] == 0.0
+        m = InteractionGraph.from_pairs(3, {(0, 1): 2.0, (1, 2): 3.0})
+        assert (m.couplings[1, 0] == 2.0 and m.couplings[2, 1] == 3.0
+                and m.couplings[0, 2] == 0.0)
 
     def test_negative_rabi_rejected(self):
         with pytest.raises(ValueError):
@@ -228,7 +229,7 @@ class TestCalibration:
         mu_star = 1.05 * trap.omega_x
         j_star = coupling_matrix(
             modes, RamanDrive.perpendicular_beams(TWO_PI * 76e3, detuning=mu_star),
-            constants).j[0, 1]
+            constants).couplings[0, 1]
         mu = calibrate_detuning(modes, drive, constants, target=j_star,
                                 pair=(0, 1), side="above")
         assert abs(mu - mu_star) <= 1e-6 * mu_star
@@ -242,7 +243,7 @@ class TestCalibration:
                                 pair=(0, 1), side="above")
         realized = coupling_matrix(
             modes, RamanDrive.perpendicular_beams(TWO_PI * 76e3, detuning=mu),
-            constants).j[0, 1]
+            constants).couplings[0, 1]
         assert realized == pytest.approx(target, rel=1e-6)
         assert trap.omega_x < mu < np.sqrt(3) * trap.omega_x
 
@@ -255,7 +256,7 @@ class TestCalibration:
         assert mu < trap.omega_x
         realized = coupling_matrix(
             modes, RamanDrive.perpendicular_beams(TWO_PI * 76e3, detuning=mu),
-            constants).j[0, 1]
+            constants).couplings[0, 1]
         assert realized == pytest.approx(target, rel=1e-6)
 
     def test_zero_target_with_finite_rabi_fails(self, constants, trap):

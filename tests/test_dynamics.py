@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ionrewire.coupling import CouplingMatrix
+from ionrewire.coupling import InteractionGraph
 from ionrewire.dynamics import (
     BLOCK_ELEMENTS,
     ENERGY_RTOL,
@@ -20,7 +20,7 @@ from ionrewire.dynamics import (
     outcome_label,
     scan_evolution,
 )
-from ionrewire.lattice import InteractionGraph, ShelveMask, apply_mask
+from ionrewire.lattice import ShelveMask, apply_mask
 from oracles import (
     embed_survivor_state,
     populations,
@@ -107,7 +107,7 @@ class TestEvolve:
 
     def test_two_ion_analytic_oscillation(self):
         j12 = TWO_PI * 750.0
-        graph = graph_of(CouplingMatrix.uniform(2, j12).j)
+        graph = InteractionGraph.uniform(2, j12)
         for t in np.linspace(0.0, 2.5e-3, 23):
             p = populations(evolve_ising(graph, t, SpinState.all_down(2)))
             assert p[0b11] == pytest.approx(np.sin(j12 * t) ** 2, abs=1e-12)
@@ -116,7 +116,7 @@ class TestEvolve:
             assert p[0b10] == pytest.approx(0.0, abs=1e-14)
 
     def test_three_ion_uniform_matches_expm_oracle(self):
-        j = CouplingMatrix.uniform(3, TWO_PI * 450.0).j
+        j = InteractionGraph.uniform(3, TWO_PI * 450.0).couplings
         graph = graph_of(j)
         rng = np.random.default_rng(99)
         state = SpinState.all_down(3)
@@ -199,7 +199,7 @@ class TestShelvingEquivalence:
             surv_state = SpinState(n_spins=k, amplitudes=amps)
             t = rng.uniform(0, 2e-3)
 
-            reduced = apply_mask(CouplingMatrix(n, j), mask)
+            reduced = apply_mask(graph_of(j), mask)
             p_reduced = populations(evolve_ising(reduced, t, surv_state))
 
             full_j = zero_shelved_couplings(j, mask)
@@ -221,7 +221,7 @@ class TestPopulations:
 
     def test_full_transfer_at_quarter_period(self):
         j12 = TWO_PI * 750.0
-        graph = graph_of(CouplingMatrix.uniform(2, j12).j)
+        graph = InteractionGraph.uniform(2, j12)
         t = np.pi / (2 * j12)
         p = populations(evolve_ising(graph, t, SpinState.all_down(2)))
         assert p[0b11] == pytest.approx(1.0, abs=1e-12)
@@ -230,14 +230,14 @@ class TestPopulations:
 class TestDecoherence:
     def test_infinite_tau_is_identity(self):
         times = np.linspace(0, 1e-3, 7)
-        j = CouplingMatrix.uniform(2, TWO_PI * 750.0).j
+        j = InteractionGraph.uniform(2, TWO_PI * 750.0).couplings
         series = scan_evolution(graph_of(j), times)
         damped = apply_decoherence(series, DecoherenceModel(tau_d=np.inf),
                                    graph_of(j), SpinState.all_down(2))
         assert np.array_equal(damped.probabilities, series.probabilities)
 
     def test_dephased_limit_two_ions(self):
-        j = CouplingMatrix.uniform(2, TWO_PI * 750.0).j
+        j = InteractionGraph.uniform(2, TWO_PI * 750.0).couplings
         limit = dephased_limit(graph_of(j), SpinState.all_down(2))
         assert np.allclose(limit, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
@@ -252,7 +252,7 @@ class TestDecoherence:
         assert np.max(np.abs(average - limit)) < 2e-3
 
     def test_long_time_probabilities_reach_limit(self):
-        j = CouplingMatrix.uniform(2, TWO_PI * 750.0).j
+        j = InteractionGraph.uniform(2, TWO_PI * 750.0).couplings
         graph = graph_of(j)
         model = DecoherenceModel(tau_d=5.5e-3)
         times = np.array([0.0, 1.0])  # 1 s >> tau_d
@@ -262,7 +262,7 @@ class TestDecoherence:
 
     def test_contrast_drops_by_e_at_tau(self):
         j12 = TWO_PI * 750.0
-        graph = graph_of(CouplingMatrix.uniform(2, j12).j)
+        graph = InteractionGraph.uniform(2, j12)
         tau = 5.5e-3
         times = np.array([tau])
         bare = scan_evolution(graph, times)
@@ -308,7 +308,7 @@ class TestScan:
         assert state.amplitudes.tolist() == [1.0]
 
     def test_outcome_labels_and_lookup(self):
-        j = CouplingMatrix.uniform(2, TWO_PI * 750.0).j
+        j = InteractionGraph.uniform(2, TWO_PI * 750.0).couplings
         series = scan_evolution(graph_of(j), np.array([0.0]))
         assert series.outcome_labels() == ["00", "10", "01", "11"]
         assert series.outcome("00")[0] == 1.0

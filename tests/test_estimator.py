@@ -51,6 +51,15 @@ class TestPairCoupling:
         with pytest.raises(ValueError):
             fit_pair_coupling(self.times[:5], np.sin(self.times[:5]))
 
+    @pytest.mark.parametrize("order", ["reversed", "repeated", "unsorted"])
+    def test_time_points_must_increase(self, order):
+        values = synthetic_oscillation(TWO_PI * 750.0, 5.5e-3, 0.5, self.times)
+        times = {"reversed": self.times[::-1],
+                 "repeated": np.full_like(self.times, 1e-3),
+                 "unsorted": np.roll(self.times, 1)}[order]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fit_pair_coupling(times, values)
+
     def test_nan_points_are_ignored(self):
         j = TWO_PI * 600.0
         values = synthetic_oscillation(j, np.inf, 0.5, self.times)

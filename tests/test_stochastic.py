@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from ionrewire.coupling import CouplingMatrix
+from ionrewire.coupling import InteractionGraph
 from ionrewire.dynamics import scan_evolution
 from ionrewire.lattice import apply_mask
 from ionrewire.stochastic import (
@@ -153,7 +153,7 @@ def reference_protocol(coupling, beam_time, times, measurement, seed,
                        deshelving=None, drive_rabi=None):
     """Per-shot protocol, one generator per shot, as the block sampler must
     reproduce it: (config, outcome, intact) for every shot in order."""
-    n, shots = coupling.n_ions, measurement.shots
+    n, shots = coupling.n_spins, measurement.shots
     tables = {}
     rows = []
     for ti, t in enumerate(times):
@@ -185,7 +185,7 @@ class TestBlockSamplers:
     def test_protocol_matches_per_shot_reference(self, spam, deshelve):
         pairs = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
                  (1, 2): TWO_PI * 480.0}
-        coupling = CouplingMatrix.from_pairs(3, pairs)
+        coupling = InteractionGraph.from_pairs(3, pairs)
         times = np.linspace(0.0, 1e-3, 5)
         measurement = MeasurementModel(shots=60, spam_error=spam)
         deshelving = DeshelvingModel(reference_tau=2e-3) if deshelve else None
@@ -234,12 +234,12 @@ class TestBlockSamplers:
 
 
 def uniform_triangle_coupling(j=TWO_PI * 450.0):
-    return CouplingMatrix.uniform(3, j)
+    return InteractionGraph.uniform(3, j)
 
 
 class TestProtocol:
     def test_no_shelving_single_group_matches_dynamics(self):
-        coupling = CouplingMatrix.uniform(2, TWO_PI * 750.0)
+        coupling = InteractionGraph.uniform(2, TWO_PI * 750.0)
         times = np.array([0.4e-3])
         shots = 100_000
         result = run_protocol(coupling, beam_time=0.0, times=times,
@@ -292,7 +292,7 @@ class TestProtocol:
     def test_intact_fraction_with_deshelving(self):
         # single always-shelved ion, 3 ms evolution: return probability
         # 1 - exp(-0.003/0.5) = 0.0060, intact fraction expected 0.994
-        coupling = CouplingMatrix(n_ions=1, j=np.zeros((1, 1)))
+        coupling = InteractionGraph(survivors=[0], couplings=np.zeros((1, 1)))
         times = np.array([3e-3])
         shots = 5000
         result = run_protocol(coupling, beam_time=1e3, times=times,
@@ -306,6 +306,31 @@ class TestProtocol:
         sigma = math.sqrt(expected * (1 - expected) / shots)
         assert abs(fraction - expected) < 4 * sigma
 
+    def test_zero_spin_graph_puts_every_shot_in_one_group(self):
+        graph = InteractionGraph(survivors=[], couplings=np.zeros((0, 0)))
+        times = np.linspace(0, 1e-3, 4)
+        result = run_protocol(graph, beam_time=28e-3, times=times,
+                              shelving=ShelvingProcess(),
+                              measurement=MeasurementModel(shots=50, spam_error=0.04),
+                              seed=5)
+        assert list(result.groups) == [""]
+        group = result.groups[""]
+        assert np.all(group.n_total == 50)
+        assert np.array_equal(group.counts[:, 0], group.n_intact)
+        assert np.all(result.records.outcome == 0)
+
+    def test_group_survivors_keep_the_graph_labels(self):
+        pairs = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
+                 (1, 2): TWO_PI * 480.0}
+        graph = apply_mask(InteractionGraph.from_pairs(3, pairs),
+                           group_mask("SQQ"))
+        result = run_protocol(graph, beam_time=28e-3, times=np.array([1e-3]),
+                              shelving=ShelvingProcess(),
+                              measurement=MeasurementModel(shots=200, spam_error=0.0),
+                              seed=8)
+        assert list(result.groups["QQ"].survivors) == [1, 2]
+        assert list(result.groups["SQ"].survivors) == [2]
+
     def test_deshelving_disabled_keeps_every_shot_intact(self):
         coupling = uniform_triangle_coupling()
         result = run_protocol(coupling, beam_time=40e-3,
@@ -318,7 +343,7 @@ class TestProtocol:
     def test_single_shelved_group_shows_pair_oscillation(self):
         pairs = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
                  (1, 2): TWO_PI * 480.0}
-        coupling = CouplingMatrix.from_pairs(3, pairs)
+        coupling = InteractionGraph.from_pairs(3, pairs)
         j12 = pairs[(0, 1)]
         times = np.array([0.2e-3, 0.5e-3, 0.9e-3])
         shots = 4000
