@@ -47,6 +47,7 @@ from .dynamics import (
     DecoherenceModel,
     ObservableSeries,
     outcome_label,
+    outcome_labels,
     scan_evolution,
 )
 from .estimator import fit_exponential, fit_pair_coupling, fit_power_law
@@ -558,25 +559,33 @@ def _mask_artifact(ctx, out_dir, fmt):
 
 
 @_stage("dynamics")
-def _simulate_artifact(ctx, out_dir, fmt):
+def _evolve_and_write(ctx, out_dir, fmt):
+    """The series table; returns its file names and the series."""
     series = scan_evolution(ctx.graph, ctx.scenario.times(),
                             model=ctx.scenario.decoherence())
     header, rows = _series_rows(series)
-    return [write_table(out_dir, "series", header, rows, fmt)]
+    return [write_table(out_dir, "series", header, rows, fmt)], series
+
+
+def _simulate_artifact(ctx, out_dir, fmt):
+    return _evolve_and_write(ctx, out_dir, fmt)[0]
 
 
 @_stage("stochastic")
-def _protocol_artifact(ctx, out_dir, fmt):
+def _protocol(ctx, evolved=None):
     scenario = ctx.scenario
     deshelving = scenario.deshelving()
     drive_rabi = ctx.drive.rabi_frequency if ctx.drive is not None else None
-    result = run_protocol(
+    return run_protocol(
         ctx.graph, beam_time=ctx.beam_time, times=scenario.times(),
         shelving=scenario.shelving(), measurement=scenario.measurement(),
         seed=scenario.seed, deshelving=deshelving,
         drive_rabi=drive_rabi if deshelving is not None else None,
-        decoherence=scenario.decoherence())
+        decoherence=scenario.decoherence(), evolved=evolved)
 
+
+@_stage("stochastic")
+def _protocol_artifact(result, out_dir, fmt):
     records = result.records
     survivors = np.array([result.groups[c].survivors.size for c in records.configs])
     # an outcome's label depends on its value and its survivor count
@@ -594,8 +603,7 @@ def _protocol_artifact(ctx, out_dir, fmt):
 
     for config in sorted(result.groups):
         group = result.groups[config]
-        k = group.survivors.size
-        labels = [outcome_label(m, k) for m in range(2**k)]
+        labels = outcome_labels(group.survivors.size)
         gheader = (["time_s", "n_total", "n_intact"]
                    + [f"c_{lab}" for lab in labels]
                    + [f"f_{lab}" for lab in labels])
@@ -603,7 +611,7 @@ def _protocol_artifact(ctx, out_dir, fmt):
                       group.counts, group.frequencies())
         names.append(write_table(out_dir, f"group_{config}", gheader, table,
                                  fmt))
-    return names, result
+    return names
 
 
 @_stage("estimator")
@@ -751,6 +759,7 @@ def _run_ising(command: str, ctx: IsingContext, out_dir: Path,
     """The protocol, fit and all subcommands of an ising scenario."""
     outputs = []
     fit = command == "fit"
+    series = None
     if command == "all":
         outputs += _positions_artifact(ctx, out_dir, fmt)
         if ctx.modes is not None:
@@ -764,9 +773,13 @@ def _run_ising(command: str, ctx: IsingContext, out_dir: Path,
             print(f"skipped stages {skipped}: {survivors} survivors exceed the "
                   f"exact-evolution cap of {SIZE_CAP}", file=sys.stderr)
             return outputs
-        outputs += _simulate_artifact(ctx, out_dir, fmt)
-    names, result = _protocol_artifact(ctx, out_dir, fmt)
-    outputs += names
+        names, series = _evolve_and_write(ctx, out_dir, fmt)
+        outputs += names
+    # the protocol samples its unshelved configuration from the series, which
+    # is dropped before the wide group tables are formatted
+    result = _protocol(ctx, evolved=series)
+    del series
+    outputs += _protocol_artifact(result, out_dir, fmt)
     if fit:
         outputs += _fit_artifact(ctx, out_dir, result)
     return outputs

@@ -118,6 +118,9 @@ def fit_exponential(times, values, model: str = "decay") -> FitResult:
         raise ValueError("series is empty")
     if times.size < 2:
         raise ValueError("need at least 2 points to fit a decay constant")
+    if times.min() == times.max():
+        raise FitError("need at least 2 distinct time points to fit a decay "
+                       "constant")
 
     def curve(t, tau):
         decay = np.exp(-t / tau)
@@ -126,12 +129,13 @@ def fit_exponential(times, values, model: str = "decay") -> FitResult:
     # log-linear initial guess from the decaying branch
     z = values if model == "decay" else 1.0 - values
     usable = (z > 1e-9) & (times >= 0)
-    span = max(times.max() - times.min(), np.finfo(float).tiny)
+    span = times.max() - times.min()
     tau0 = span
     # a grid too wide for float arithmetic overflows here; that is a FitError
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         try:
-            if usable.sum() >= 2:
+            # a line through points at one time has no slope
+            if np.unique(times[usable]).size >= 2:
                 slope = np.polyfit(times[usable], np.log(z[usable]), 1)[0]
                 if slope < 0:
                     tau0 = -1.0 / slope

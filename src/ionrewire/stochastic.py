@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import InteractionGraph
-from .dynamics import DecoherenceModel, outcome_index, scan_evolution
+from .dynamics import (
+    DecoherenceModel,
+    ObservableSeries,
+    outcome_index,
+    scan_evolution,
+)
 from .lattice import ShelveMask, apply_mask
 
 
@@ -327,7 +332,8 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
                  shelving: ShelvingProcess, measurement: MeasurementModel,
                  seed: int, deshelving: DeshelvingModel | None = None,
                  drive_rabi: float | None = None,
-                 decoherence: DecoherenceModel | None = None) -> ProtocolResult:
+                 decoherence: DecoherenceModel | None = None,
+                 evolved: ObservableSeries | None = None) -> ProtocolResult:
     """Full pulse-sequence simulation over a time grid.
 
     Per shot: sample which ions the pumping pulse shelved (the first
@@ -348,6 +354,10 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
     counts that feed the empirical frequencies include intact shots only,
     mirroring the experimental post-selection. Group totals partition the
     full shot budget.
+
+    evolved, if given, is scan_evolution(graph, times, model=decoherence):
+    the configuration with no shelved ion samples from it instead of
+    evolving the graph again. It is read, never changed.
     """
     times = np.asarray(times, dtype=float)
     n = graph.n_spins
@@ -355,6 +365,10 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
     spam = measurement.spam_error
     if deshelving is not None and not (drive_rabi and drive_rabi > 0):
         raise ValueError("deshelving requires the drive Rabi frequency")
+    if evolved is not None and (evolved.n_spins != n
+                                or not np.array_equal(evolved.times, times)):
+        raise ValueError(
+            "evolved series must have the graph's spin count and the times")
 
     total = times.size * shots
     streams = ShotStreams(seed, np.arange(total))
@@ -389,17 +403,18 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
     for c, mask_row in enumerate(shelved):
         mask = ShelveMask(tuple(mask_row))
         reduced = apply_mask(graph, mask)
-        cumulative = np.cumsum(
-            scan_evolution(reduced, times, model=decoherence).probabilities,
-            axis=1)
         k = n_survivors[c]
+        series = (evolved if evolved is not None and k == n
+                  else scan_evolution(reduced, times, model=decoherence))
 
         rows = order[config_bounds[c]:config_bounds[c + 1]]
         time_bounds = np.searchsorted(time_index[rows], np.arange(times.size + 1))
         for ti in np.flatnonzero(np.diff(time_bounds)).tolist():
             at = rows[time_bounds[ti]:time_bounds[ti + 1]]
-            outcome[at] = np.searchsorted(cumulative[ti], draws[at, 0],
-                                          side="right")
+            # one row at a time: cumsum adds in sequence, so each row has the
+            # bits of a cumsum over the whole table, without its memory
+            outcome[at] = np.searchsorted(np.cumsum(series.probabilities[ti]),
+                                          draws[at, 0], side="right")
         found = np.minimum(outcome[rows], 2**k - 1)
         if flip_draws and k > 0:
             found ^= (draws[rows, 1:1 + k] < spam) @ (1 << np.arange(k))

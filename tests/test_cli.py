@@ -14,7 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionrewire import cli
+from ionrewire import cli, dynamics, stochastic
 from ionrewire.dynamics import SIZE_CAP, ObservableSeries
 from ionrewire.stochastic import GroupSeries
 
@@ -271,6 +271,28 @@ class TestPatternScenarios:
         report = json.loads((out / "geometry.json").read_text())
         assert report["mask"].count("S") == 1
         assert (out / "series.csv").exists()
+
+    @pytest.mark.parametrize("command", ["all", "protocol"])
+    def test_pattern_graph_evolves_once(self, tmp_path, monkeypatch, command):
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(cli, "scan_evolution")
+        counted(stochastic, "scan_evolution")
+        counted(dynamics, "dephased_limit")
+        payload = dict(self.make_pattern_scenario("kagome", 2, 4),
+                       decoherence={"tau_d_s": 2e-3})
+        path = write_scenario(tmp_path, payload)
+        assert run_cli(command, "--scenario", path,
+                       "--out", tmp_path / "out") == 0
+        assert sorted(calls) == ["dephased_limit", "scan_evolution"]
 
     @pytest.mark.parametrize("shelved", ["explicit", "honeycomb", "kagome"])
     def test_every_ion_shelved_runs(self, tmp_path, shelved):
@@ -550,10 +572,14 @@ class TestScenarioRules:
         assert run_captured(["all", "--scenario", unfitted,
                              "--out", tmp_path / "none"]) == (0, "")
 
-    @pytest.mark.parametrize("field", ["times.stop_s", "times.start_s"])
-    def test_unfittable_time_grid_fails_in_estimator(self, tmp_path, field):
-        path = write_scenario(tmp_path,
-                              mutated(DECAY_SCENARIO, {field: 1e300}))
+    @pytest.mark.parametrize("changes", [
+        {"times.stop_s": 1e300}, {"times.start_s": 1e300},
+        # every point at one time: no decay constant to fit
+        {"times": {"list_s": [1e-3] * 16}},
+        {"times.start_s": 1e-3, "times.stop_s": 1e-3},
+    ], ids=["times.stop_s", "times.start_s", "repeated", "start-is-stop"])
+    def test_unfittable_time_grid_fails_in_estimator(self, tmp_path, changes):
+        path = write_scenario(tmp_path, mutated(DECAY_SCENARIO, changes))
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

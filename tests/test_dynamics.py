@@ -18,6 +18,7 @@ from ionrewire.dynamics import (
     ising_energies,
     outcome_index,
     outcome_label,
+    outcome_labels,
     scan_evolution,
 )
 from ionrewire.lattice import ShelveMask, apply_mask
@@ -312,6 +313,10 @@ class TestScan:
         series = scan_evolution(graph_of(j), np.array([0.0]))
         assert series.outcome_labels() == ["00", "10", "01", "11"]
         assert series.outcome("00")[0] == 1.0
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_outcome_labels_equal_one_label_at_a_time(self, n):
+        assert outcome_labels(n) == [outcome_label(i, n) for i in range(2**n)]
 
     def test_mean_magnetization(self):
         probs = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])

@@ -124,6 +124,19 @@ class TestExponential:
         with pytest.raises(ValueError):
             fit_exponential(np.array([]), np.array([]))
 
+    @pytest.mark.parametrize("model", ["decay", "inverse"])
+    def test_one_time_point_repeated_is_a_fit_error(self, model):
+        with pytest.raises(FitError, match="2 distinct time points"):
+            fit_exponential(np.full(16, 1e-3), np.linspace(0.9, 0.95, 16),
+                            model=model)
+
+    def test_guess_skips_usable_points_at_one_time(self):
+        # only the two points at 1 ms are usable for the log-linear guess;
+        # a line through them is not drawn, so numpy warns of nothing
+        result = fit_exponential(np.array([1e-3, 1e-3, 5.0]),
+                                 np.array([0.98, 0.97, 0.0]))
+        assert result.parameters["tau"] == pytest.approx(0.0395, rel=1e-3)
+
     def test_unknown_model_rejected(self):
         with pytest.raises(ValueError):
             fit_exponential(np.array([0.0, 1.0]), np.array([1.0, 0.5]),

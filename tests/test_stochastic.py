@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from ionrewire import stochastic
 from ionrewire.coupling import InteractionGraph
-from ionrewire.dynamics import scan_evolution
-from ionrewire.lattice import apply_mask
+from ionrewire.dynamics import DecoherenceModel, scan_evolution
+from ionrewire.lattice import apply_mask, power_law_coupling, triangular_array
 from ionrewire.stochastic import (
     DeshelvingModel,
     GroupSeries,
@@ -381,3 +383,83 @@ class TestProtocol:
 def group_mask(config: str):
     from ionrewire.lattice import ShelveMask
     return ShelveMask.from_string(config)
+
+
+class TestEvolvedSeries:
+    PAIRS = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
+             (1, 2): TWO_PI * 480.0}
+    TIMES = np.linspace(0.0, 1e-3, 5)
+
+    def protocol(self, graph, **kwargs):
+        return run_protocol(graph, beam_time=28e-3, times=self.TIMES,
+                            shelving=ShelvingProcess(),
+                            measurement=MeasurementModel(shots=60,
+                                                         spam_error=0.05),
+                            seed=4242, **kwargs)
+
+    @pytest.mark.parametrize("decoherence", [None, DecoherenceModel(2e-3)])
+    @pytest.mark.parametrize("deshelve", [False, True])
+    def test_reused_series_gives_the_same_shots(self, monkeypatch,
+                                                decoherence, deshelve):
+        graph = InteractionGraph.from_pairs(3, self.PAIRS)
+        kwargs = dict(decoherence=decoherence)
+        if deshelve:
+            kwargs.update(deshelving=DeshelvingModel(reference_tau=2e-3),
+                          drive_rabi=TWO_PI * 76e3)
+        expected = self.protocol(graph, **kwargs)
+        evolved = scan_evolution(graph, self.TIMES, model=decoherence)
+        before = evolved.probabilities.copy()
+
+        scanned = []
+
+        def counting_scan(reduced, times, **scan_kwargs):
+            scanned.append(reduced.n_spins)
+            return scan_evolution(reduced, times, **scan_kwargs)
+
+        monkeypatch.setattr(stochastic, "scan_evolution", counting_scan)
+        result = self.protocol(graph, evolved=evolved, **kwargs)
+
+        assert "QQQ" in result.groups
+        assert 3 not in scanned and len(scanned) == len(result.groups) - 1
+        assert np.array_equal(evolved.probabilities, before)
+        assert result.records.configs == expected.records.configs
+        for column in ("shot", "time_index", "config", "outcome", "intact"):
+            assert np.array_equal(getattr(result.records, column),
+                                  getattr(expected.records, column))
+        assert list(result.groups) == list(expected.groups)
+        for config, group in result.groups.items():
+            for field in ("survivors", "times", "counts", "n_total",
+                          "n_intact"):
+                assert np.array_equal(getattr(group, field),
+                                      getattr(expected.groups[config], field))
+
+    @pytest.mark.parametrize("mismatch", ["times", "spins"])
+    def test_mismatched_series_rejected(self, mismatch):
+        graph = InteractionGraph.from_pairs(3, self.PAIRS)
+        if mismatch == "times":
+            evolved = scan_evolution(graph, self.TIMES[:-1])
+        else:
+            evolved = scan_evolution(apply_mask(graph, group_mask("QQS")),
+                                     self.TIMES)
+        with pytest.raises(ValueError, match="evolved series"):
+            self.protocol(graph, evolved=evolved)
+
+    def test_reused_series_adds_no_table_of_its_size(self):
+        # 12 survivors, every shot unshelved: the shot counts are the one
+        # table as large as the series that run_protocol allocates
+        graph = power_law_coupling(triangular_array(3, 4),
+                                   strength=TWO_PI * 800.0, exponent=1.0)
+        times = np.linspace(0.0, 2e-3, 61)
+        decoherence = DecoherenceModel(1.5e-3)
+        evolved = scan_evolution(graph, times, model=decoherence)
+        tracemalloc.start()
+        try:
+            run_protocol(graph, beam_time=0.0, times=times,
+                         shelving=ShelvingProcess(),
+                         measurement=MeasurementModel(shots=30,
+                                                      spam_error=0.02),
+                         seed=5, decoherence=decoherence, evolved=evolved)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * evolved.probabilities.nbytes
