@@ -64,7 +64,6 @@ from .stochastic import (
     DeshelvingModel,
     MeasurementModel,
     ShelvingProcess,
-    ShotStreams,
     run_protocol,
     sample_deshelving_scan,
     sample_shelving,
@@ -531,7 +530,7 @@ def _mask_artifact(ctx, out_dir, fmt):
     mask, graph = ctx.mask, ctx.graph
     if key == "beam_time_s":
         # probabilistic source: report one seeded sample for inspection
-        rng = next(ShotStreams(scenario.seed, [MASK_STREAM]).generators([0]))
+        rng = np.random.default_rng([scenario.seed, MASK_STREAM])
         mask = sample_shelving(ctx.coupling.n_spins, ctx.beam_time,
                                scenario.shelving(), rng)
         graph = apply_mask(ctx.coupling, mask)

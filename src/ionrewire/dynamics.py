@@ -38,11 +38,16 @@ def outcome_label(index: int, n: int) -> str:
     return format(index, f"0{n}b")[::-1] if n else ""
 
 
+def _bits(n: int) -> np.ndarray:
+    """(2^n, n) integer array whose row i holds bit j of i in column j."""
+    return (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+
+
 def outcome_labels(n: int) -> list:
     """[outcome_label(i, n) for i in range(2**n)], built as one array."""
     if n == 0:
         return [""]
-    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    bits = _bits(n)
     # one UCS4 code point per spin, read as one n-character string per row
     return (bits.astype(np.uint32) + ord("0")).view(f"U{n}").ravel().tolist()
 
@@ -133,8 +138,7 @@ class ObservableSeries:
         n = self.n_spins
         if n == 0:
             return np.zeros(self.times.size)
-        idx = np.arange(2**n)
-        signs = 2.0 * ((idx[:, None] >> np.arange(n)[None, :]) & 1) - 1.0
+        signs = 2.0 * _bits(n) - 1.0
         return self.probabilities @ signs.mean(axis=1)
 
 
@@ -170,9 +174,7 @@ def _walsh_hadamard(block: np.ndarray) -> np.ndarray:
 
 def _spin_signs(n: int) -> np.ndarray:
     """(2^n, n) array of x-basis signs; bit 0 maps to s = +1."""
-    idx = np.arange(2**n)
-    bits = (idx[:, None] >> np.arange(n)[None, :]) & 1
-    return 1.0 - 2.0 * bits
+    return 1.0 - 2.0 * _bits(n)
 
 
 def ising_energies(couplings: np.ndarray) -> np.ndarray:

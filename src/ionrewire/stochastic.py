@@ -5,9 +5,9 @@ protocol with post-selection by initial configuration.
 Every shot draws from its own RNG stream, the one
 `np.random.default_rng([seed, shot])` gives for its global shot index, so
 runs are reproducible bit for bit and shots can be evaluated in any order.
-`ShotStreams` computes these streams for many shots at once, and the
-samplers below draw each shot's numbers from it in the order of that shot's
-steps.
+`ShotStreams` computes these streams for many shots at once, and every
+sampler below draws a fixed layout of uniforms per shot from it, so a block
+of shots is sampled with array operations and no per-shot generator.
 """
 
 import math
@@ -291,23 +291,6 @@ class ShotStreams:
         `Generator.random(count)` draws them."""
         return (self.next_uint64(count) >> _SHIFT[11]) * (1.0 / 9007199254740992.0)
 
-    def generators(self, indices):
-        """For each stream index in turn, a generator that continues that
-        stream from its current position.
-
-        One generator is reused: each is valid until the next is yielded, and
-        what it draws does not advance the streams here.
-        """
-        generator = np.random.Generator(np.random.PCG64())
-        state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
-        indices = np.asarray(indices, dtype=np.intp)
-        for hi, lo, inc_hi, inc_lo in zip(
-                self._hi[indices].tolist(), self._lo[indices].tolist(),
-                self._inc_hi[indices].tolist(), self._inc_lo[indices].tolist()):
-            state["state"] = {"state": (hi << 64) | lo, "inc": (inc_hi << 64) | inc_lo}
-            generator.bit_generator.state = state
-            yield generator
-
 
 def _distinct_rows(flags: np.ndarray):
     """Distinct rows of a boolean matrix in lexicographic order (False
@@ -338,17 +321,20 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
 
     Per shot: sample which ions the pumping pulse shelved (the first
     detection verifies this configuration), evolve the surviving spins under
-    the masked coupling graph, optionally sample a laser-induced return time
-    for each shelved ion (a return before the evolution ends marks the shot
-    not-intact; the returned ion's spin dynamics are not simulated), then
-    measure the survivors with SPAM flips.
+    the masked coupling graph, optionally check whether each shelved ion has
+    returned by the shot's time (a return marks the shot not-intact; the
+    returned ion's spin dynamics are not simulated), then measure the
+    survivors with SPAM flips.
 
-    Shot s at time index ti is global shot ti * shots + s. It draws, in
-    order: n shelving uniforms, the shelved ions' return times (with
-    deshelving), one outcome uniform, and one SPAM-flip uniform per survivor
-    (with a nonzero SPAM error). Shots run in blocks: the distinct
-    configurations are evolved once each, and a shot with fewer survivors
-    ignores its unused draws.
+    Shot s at time index ti is global shot ti * shots + s. Every shot draws
+    one fixed layout from its stream: n shelving uniforms, one outcome
+    uniform, n SPAM-flip uniforms (with a nonzero SPAM error), then n return
+    uniforms (with deshelving). Shelved ion i has returned by time t when
+    its return uniform is below deshelve_probability(t, drive_rabi,
+    deshelving), as in sample_deshelving_scan. The return uniforms come
+    last, so deshelving changes which shots are intact and nothing else.
+    Shots run in blocks: the distinct configurations are evolved once each,
+    and a shot with fewer survivors ignores its unused flip uniforms.
 
     Shots are grouped by their verified initial configuration; the group
     counts that feed the empirical frequencies include intact shots only,
@@ -375,25 +361,17 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
     time_index = np.repeat(np.arange(times.size), shots)
     p_shelve = 1.0 - shelf_survival(beam_time, shelving)
     shelved, config = _distinct_rows(streams.random(n) < p_shelve)
-    n_shelved = shelved.sum(axis=1)
-    n_survivors = (n - n_shelved).tolist()
+    n_survivors = (n - shelved.sum(axis=1)).tolist()
     flip_draws = n if spam > 0.0 else 0
+    return_draws = n if deshelving is not None else 0
+    draws = streams.random(1 + flip_draws + return_draws)
 
-    # shots that draw return times continue their own stream one at a time
     intact = np.ones(total, dtype=bool)
-    continued = {}
     if deshelving is not None:
-        tau = deshelving.tau_g(drive_rabi)
-        returning = np.flatnonzero(n_shelved[config] > 0)
-        for i, c, t, rng in zip(returning.tolist(), config[returning].tolist(),
-                                times[time_index[returning]].tolist(),
-                                streams.generators(returning)):
-            returns = rng.exponential(tau, size=n_shelved[c]).tolist()
-            intact[i] = min(returns) > t
-            continued[i] = rng.random(1 + (n_survivors[c] if flip_draws else 0))
-    draws = streams.random(1 + flip_draws)
-    for i, row in continued.items():
-        draws[i, :row.size] = row
+        p_return = np.array([deshelve_probability(t, drive_rabi, deshelving)
+                             for t in times.tolist()])
+        returned = draws[:, 1 + flip_draws:] < p_return[time_index, None]
+        intact = ~np.any(returned & shelved[config], axis=1)
 
     outcome = np.empty(total, dtype=np.int64)
     order = np.argsort(config, kind="stable")

@@ -342,6 +342,12 @@ def _digests(out_dir: Path) -> dict:
             for p in sorted(out_dir.iterdir()) if p.name != "manifest.json"}
 
 
+def _drifted(got: dict, committed: dict) -> str:
+    """The file names whose digest differs, or that only one side has."""
+    return ", ".join(sorted(name for name in got.keys() | committed.keys()
+                            if got.get(name) != committed.get(name)))
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 CHECKSUMS = SRC / "ionrewire" / "scenarios" / "checksums.json"
 
@@ -357,7 +363,9 @@ def test_criterion_9_determinism(tmp_path):
         run_command("all", scenario, out_b, fmt="csv")
         first, second = _digests(out_a), _digests(out_b)
         assert first == second, f"{name}: reruns differ"
-        assert first == committed[name], f"{name}: drifted from committed outputs"
+        assert first == committed[name], (
+            f"{name}: drifted from committed outputs: "
+            f"{_drifted(first, committed[name])}")
     print(f"ACCEPTANCE 9 PASS: {', '.join(BUNDLED_SCENARIOS)} reruns "
           "byte-identical and match committed checksums")
 
@@ -384,4 +392,7 @@ def test_checksums_hold_with_two_blas_threads(tmp_path):
     assert child.returncode == 0, child.stderr
     committed = json.loads(CHECKSUMS.read_text())
     for name in BUNDLED_SCENARIOS:
-        assert _digests(tmp_path / name) == committed[name], name
+        got = _digests(tmp_path / name)
+        assert got == committed[name], (
+            f"{name}: drifted from committed outputs: "
+            f"{_drifted(got, committed[name])}")

@@ -459,6 +459,10 @@ RULE_CASES = [
       for f in ("start_s", "stop_s", "num")],
     (MINI_SCENARIO, {"mask": {"explicit": "QQQ"}}, "$.mask.explicit"),
     (KAGOME_SCENARIO, {"n_ions": 5}, "$.mask.pattern"),
+    # only a beam_time_s mask shelves ions that could return
+    (MINI_SCENARIO, {"deshelving": {"enabled": True}}, "$.deshelving.enabled"),
+    (KAGOME_SCENARIO, {"deshelving": {"enabled": True}},
+     "$.deshelving.enabled"),
     (MINI_SCENARIO, {"drive.direction": [0.0, 0.0, 0.0]}, "$.drive.direction"),
     # nonzero, but the squared norm underflows, is subnormal or overflows
     *[(MINI_SCENARIO, {"drive.direction": d}, "$.drive.direction")

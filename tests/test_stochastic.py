@@ -127,22 +127,6 @@ class TestShotStreams:
             assert np.array_equal(words[i], rng.bit_generator.random_raw(3))
             assert np.array_equal(doubles[i], rng.random(5))
 
-    def test_exponential_continuation(self):
-        streams = ShotStreams(20240802, np.arange(40))
-        shelving = streams.random(2)
-        for i, continued in zip(range(40), streams.generators(np.arange(40))):
-            rng = np.random.default_rng([20240802, i])
-            assert np.array_equal(shelving[i], rng.random(2))
-            assert np.array_equal(continued.exponential(0.5, size=3),
-                                  rng.exponential(0.5, size=3))
-            assert np.array_equal(continued.random(3), rng.random(3))
-
-    def test_continuation_leaves_the_block_in_place(self):
-        streams = ShotStreams(5, [7, 8])
-        next(streams.generators([0])).random(10)
-        assert np.array_equal(streams.random(1)[0],
-                              np.random.default_rng([5, 7]).random(1))
-
     def test_empty_block(self):
         assert ShotStreams(3, []).random(2).shape == (0, 2)
 
@@ -154,7 +138,9 @@ class TestShotStreams:
 def reference_protocol(coupling, beam_time, times, measurement, seed,
                        deshelving=None, drive_rabi=None):
     """Per-shot protocol, one generator per shot, as the block sampler must
-    reproduce it: (config, outcome, intact) for every shot in order."""
+    reproduce it: (config, outcome, intact) for every shot in order. Each
+    shot draws n shelving uniforms, one outcome uniform, n flip uniforms
+    (with a SPAM error above 0), then n return uniforms (with deshelving)."""
     n, shots = coupling.n_spins, measurement.shots
     tables = {}
     rows = []
@@ -167,16 +153,16 @@ def reference_protocol(coupling, beam_time, times, measurement, seed,
                 series = scan_evolution(apply_mask(coupling, mask), times)
                 tables[config] = np.cumsum(series.probabilities, axis=1)
             k = mask.survivors.size
-            intact = True
-            if deshelving is not None and mask.shelved_indices.size:
-                returns = rng.exponential(deshelving.tau_g(drive_rabi),
-                                          size=mask.shelved_indices.size)
-                intact = bool(np.all(returns > t))
             outcome = min(int(np.searchsorted(tables[config][ti], rng.random(),
                                               side="right")), 2**k - 1)
-            if measurement.spam_error > 0.0 and k > 0:
-                flips = rng.random(k) < measurement.spam_error
+            if measurement.spam_error > 0.0:
+                flips = rng.random(n)[:k] < measurement.spam_error
                 outcome ^= int(flips @ (1 << np.arange(k)))
+            intact = True
+            if deshelving is not None:
+                p_return = 1.0 - math.exp(-t / deshelving.tau_g(drive_rabi))
+                returned = rng.random(n) < p_return
+                intact = not returned[mask.shelved_indices].any()
             rows.append((config, outcome, intact))
     return rows
 
@@ -291,10 +277,13 @@ class TestProtocol:
         for config in a.groups:
             assert np.array_equal(a.groups[config].counts, b.groups[config].counts)
 
-    def test_intact_fraction_with_deshelving(self):
-        # single always-shelved ion, 3 ms evolution: return probability
-        # 1 - exp(-0.003/0.5) = 0.0060, intact fraction expected 0.994
-        coupling = InteractionGraph(survivors=[0], couplings=np.zeros((1, 1)))
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_intact_fraction_with_deshelving(self, k):
+        # k always-shelved ions, 3 ms evolution: each returns with probability
+        # 1 - exp(-0.003/0.5) = 0.0060, so a shot stays intact with
+        # probability exp(-k * 0.003/0.5)
+        coupling = InteractionGraph(survivors=list(range(k)),
+                                    couplings=np.zeros((k, k)))
         times = np.array([3e-3])
         shots = 5000
         result = run_protocol(coupling, beam_time=1e3, times=times,
@@ -302,24 +291,46 @@ class TestProtocol:
                               measurement=MeasurementModel(shots=shots, spam_error=0.0),
                               seed=17, deshelving=DeshelvingModel(),
                               drive_rabi=TWO_PI * 76e3)
-        group = result.groups["S"]
+        group = result.groups["S" * k]
         fraction = group.n_intact[0] / group.n_total[0]
-        expected = math.exp(-3e-3 / 0.5)
+        expected = math.exp(-k * 3e-3 / 0.5)
         sigma = math.sqrt(expected * (1 - expected) / shots)
         assert abs(fraction - expected) < 4 * sigma
+
+    def test_deshelving_changes_only_which_shots_are_intact(self):
+        pairs = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
+                 (1, 2): TWO_PI * 480.0}
+        coupling = InteractionGraph.from_pairs(3, pairs)
+        kwargs = dict(beam_time=40e-3, times=np.linspace(0.0, 1e-3, 5),
+                      shelving=ShelvingProcess(),
+                      measurement=MeasurementModel(shots=60, spam_error=0.3),
+                      seed=4242)
+        off = run_protocol(coupling, **kwargs)
+        on = run_protocol(coupling, deshelving=DeshelvingModel(reference_tau=2e-3),
+                          drive_rabi=TWO_PI * 76e3, **kwargs)
+        assert on.records.configs == off.records.configs
+        for column in ("shot", "time_index", "config", "outcome"):
+            assert np.array_equal(getattr(on.records, column),
+                                  getattr(off.records, column))
+        assert off.records.intact.all() and not on.records.intact.all()
 
     def test_zero_spin_graph_puts_every_shot_in_one_group(self):
         graph = InteractionGraph(survivors=[], couplings=np.zeros((0, 0)))
         times = np.linspace(0, 1e-3, 4)
-        result = run_protocol(graph, beam_time=28e-3, times=times,
-                              shelving=ShelvingProcess(),
-                              measurement=MeasurementModel(shots=50, spam_error=0.04),
-                              seed=5)
-        assert list(result.groups) == [""]
-        group = result.groups[""]
-        assert np.all(group.n_total == 50)
-        assert np.array_equal(group.counts[:, 0], group.n_intact)
-        assert np.all(result.records.outcome == 0)
+        deshelving = dict(deshelving=DeshelvingModel(),
+                          drive_rabi=TWO_PI * 76e3)
+        for kwargs in ({}, deshelving):
+            result = run_protocol(graph, beam_time=28e-3, times=times,
+                                  shelving=ShelvingProcess(),
+                                  measurement=MeasurementModel(shots=50,
+                                                               spam_error=0.04),
+                                  seed=5, **kwargs)
+            assert list(result.groups) == [""]
+            group = result.groups[""]
+            assert np.all(group.n_total == 50)
+            assert np.array_equal(group.counts[:, 0], group.n_intact)
+            assert np.all(result.records.outcome == 0)
+            assert result.records.intact.all()
 
     def test_group_survivors_keep_the_graph_labels(self):
         pairs = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
