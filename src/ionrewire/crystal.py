@@ -11,6 +11,16 @@ makes the Coulomb term exactly sum 1/r_ij and keeps the minimizer well
 conditioned. SI values are restored at the interface.
 
 Coordinate layout is ion-major: flat index 3*i + a for ion i, axis a.
+
+The energy and the gradient at a point come from one pass over the ion
+pairs (`_Point`), shared by BFGS's `potential` and `gradient` calls. The pass
+keeps two reduction orders of the plain (i, j) form, so every crystal the
+solver returns keeps its bits, and with them every mode, coupling and
+checksum downstream: a squared distance adds (dx^2 + dy^2) + dz^2, as a
+reduce over a length-3 axis does, and an ion's Coulomb force adds its
+partners j = 0, 1, ... in sequence, as a reduce over a non-contiguous axis
+does. Pair quantities are bitwise symmetric, so the one (j, i) layout whose
+leading-axis reduce is that sequence serves the energy, force and Hessian.
 """
 
 from dataclasses import dataclass
@@ -116,41 +126,71 @@ def _alphas(trap: TrapConfig) -> np.ndarray:
 
 
 def _pair_geometry(pos: np.ndarray):
-    """Pairwise displacement tensor and inverse distances with zeroed diagonal."""
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.sum(diff**2, axis=2))
-    np.fill_diagonal(dist, np.inf)
+    """Displacements diff[j, i] = pos[i] - pos[j] and inverse distances
+    with a zeroed diagonal."""
+    n = pos.shape[0]
+    diff = pos[None, :, :] - pos[:, None, :]
+    sq = diff * diff
+    dist = np.sqrt((sq[:, :, 0] + sq[:, :, 1]) + sq[:, :, 2])
+    dist.reshape(-1)[::n + 1] = np.inf
     return diff, 1.0 / dist
 
 
-def potential(u: np.ndarray, alphas: np.ndarray) -> float:
-    """Dimensionless potential energy at flat ion-major coordinates u."""
-    pos = u.reshape(-1, 3)
-    _, inv = _pair_geometry(pos)
-    harmonic = 0.5 * np.sum(alphas * pos**2)
-    coulomb = 0.5 * np.sum(inv)
-    return harmonic + coulomb
+class _Point:
+    """Pair geometry, energy and gradient of the last configuration asked
+    for, at fixed alphas.
+
+    BFGS asks `potential` and then `gradient` at each point, and the Newton
+    polish asks `hessian` too. One `_Point` per restart, passed to each call,
+    makes that one pass over the ion pairs per point.
+    """
+
+    __slots__ = ("_key", "diff", "inv", "energy", "gradient")
+
+    def __init__(self):
+        self._key = None
+
+    def at(self, u: np.ndarray, alphas: np.ndarray) -> "_Point":
+        key = u.tobytes()
+        if key != self._key:
+            pos = u.reshape(-1, 3)
+            self.diff, self.inv = _pair_geometry(pos)
+            self.energy = (0.5 * np.add.reduce(alphas * (pos * pos), axis=None)
+                           + 0.5 * np.add.reduce(self.inv, axis=None))
+            terms = self.diff * (self.inv**3)[:, :, None]
+            self.gradient = (alphas * pos - np.add.reduce(terms, axis=0)).reshape(-1)
+            self._key = key
+        return self
 
 
-def gradient(u: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+def potential(u: np.ndarray, alphas: np.ndarray, point: _Point | None = None) -> float:
+    """Dimensionless potential energy at flat ion-major coordinates u.
+
+    point, if given, is shared with `gradient` and `hessian` calls at the
+    same alphas, and a call at its last u reuses that pass.
+    """
+    return (point or _Point()).at(u, alphas).energy
+
+
+def gradient(u: np.ndarray, alphas: np.ndarray,
+             point: _Point | None = None) -> np.ndarray:
     """Analytic gradient of `potential`, same flat layout as u."""
-    pos = u.reshape(-1, 3)
-    diff, inv = _pair_geometry(pos)
-    grad = alphas * pos - np.sum(diff * inv[:, :, None] ** 3, axis=1)
-    return grad.reshape(-1)
+    return (point or _Point()).at(u, alphas).gradient.copy()
 
 
-def hessian(u: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+def hessian(u: np.ndarray, alphas: np.ndarray,
+            point: _Point | None = None) -> np.ndarray:
     """Analytic Hessian of `potential` as a (3N, 3N) symmetric matrix."""
-    pos = u.reshape(-1, 3)
-    n = pos.shape[0]
-    diff, inv = _pair_geometry(pos)
+    n = u.size // 3
+    geometry = (point or _Point()).at(u, alphas)
+    diff, inv = geometry.diff, geometry.inv
     inv3 = inv**3
     inv5 = inv**5
 
     eye3 = np.eye(3)
-    # Off-diagonal ion blocks: d^2(1/r)/du_i du_j = delta_ab/r^3 - 3 d_a d_b/r^5.
-    # The i == j entries are exactly zero because inv has a zeroed diagonal.
+    # Off-diagonal ion blocks: d^2(1/r)/du_i du_j = delta_ab/r^3 - 3 d_a d_b/r^5,
+    # the same bits at (i, j) and (j, i). The i == j entries are exactly zero
+    # because inv has a zeroed diagonal.
     cross = (inv3[:, :, None, None] * eye3[None, None, :, :]
              - 3.0 * diff[:, :, :, None] * diff[:, :, None, :] * inv5[:, :, None, None])
     blocks = cross.copy()
@@ -161,15 +201,16 @@ def hessian(u: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
-def _newton_polish(u, alphas, tol, max_steps=60):
-    """Newton refinement of a near-converged configuration."""
+def _newton_polish(u, alphas, tol, point, max_steps=60):
+    """Newton refinement of a near-converged configuration; point is the
+    restart's `_Point`."""
     u = u.copy()
-    energy = potential(u, alphas)
+    energy = potential(u, alphas, point)
     for _ in range(max_steps):
-        g = gradient(u, alphas)
+        g = gradient(u, alphas, point)
         if np.linalg.norm(g) <= tol:
             break
-        h = hessian(u, alphas)
+        h = hessian(u, alphas, point)
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
@@ -177,14 +218,14 @@ def _newton_polish(u, alphas, tol, max_steps=60):
         # Backtrack if a full Newton step overshoots.
         for _ in range(30):
             trial = u + step
-            trial_energy = potential(trial, alphas)
+            trial_energy = potential(trial, alphas, point)
             if np.isfinite(trial_energy) and trial_energy <= energy + 1e-12 * abs(energy):
                 u, energy = trial, trial_energy
                 break
             step *= 0.5
         else:
             break
-    return u, energy, np.linalg.norm(gradient(u, alphas))
+    return u, energy, np.linalg.norm(gradient(u, alphas, point))
 
 
 def _canonical_order(pos: np.ndarray) -> np.ndarray:
@@ -221,10 +262,12 @@ def solve_equilibrium(constants: PhysicalConstants, trap: TrapConfig, n: int,
     best = None
     best_gnorm = np.inf
     for x0 in inits:
+        point = _Point()
         res = scipy.optimize.minimize(
-            potential, x0, args=(alphas,), jac=gradient, method="BFGS",
+            potential, x0, args=(alphas, point), jac=gradient, method="BFGS",
             options={"gtol": 0.1 * gradient_tol, "maxiter": max_iterations})
-        u, energy, gnorm = _newton_polish(res.x, alphas, 0.1 * gradient_tol)
+        u, energy, gnorm = _newton_polish(res.x, alphas, 0.1 * gradient_tol,
+                                          point)
         best_gnorm = min(best_gnorm, gnorm)
         if gnorm <= gradient_tol and (best is None or energy < best[0]):
             best = (energy, u)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .coupling import InteractionGraph
 from .dynamics import (
+    BLOCK_ELEMENTS,
     DecoherenceModel,
     ObservableSeries,
     outcome_index,
@@ -387,12 +388,16 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
 
         rows = order[config_bounds[c]:config_bounds[c + 1]]
         time_bounds = np.searchsorted(time_index[rows], np.arange(times.size + 1))
-        for ti in np.flatnonzero(np.diff(time_bounds)).tolist():
-            at = rows[time_bounds[ti]:time_bounds[ti + 1]]
-            # one row at a time: cumsum adds in sequence, so each row has the
-            # bits of a cumsum over the whole table, without its memory
-            outcome[at] = np.searchsorted(np.cumsum(series.probabilities[ti]),
-                                          draws[at, 0], side="right")
+        sampled = np.flatnonzero(np.diff(time_bounds))
+        # cumsum adds along each row in sequence, so a block of rows has the
+        # bits of a cumsum over the whole table, without its memory
+        step = max(1, BLOCK_ELEMENTS // 2**k)
+        for first in range(0, sampled.size, step):
+            block = sampled[first:first + step]
+            cumulative = np.cumsum(series.probabilities[block], axis=1)
+            for ti, row in zip(block.tolist(), cumulative):
+                at = rows[time_bounds[ti]:time_bounds[ti + 1]]
+                outcome[at] = np.searchsorted(row, draws[at, 0], side="right")
         found = np.minimum(outcome[rows], 2**k - 1)
         if flip_draws and k > 0:
             found ^= (draws[rows, 1:1 + k] < spam) @ (1 << np.arange(k))

@@ -11,6 +11,50 @@ from ionrewire.dynamics import SpinState
 from ionrewire.lattice import ShelveMask
 
 
+def pair_geometry(pos: np.ndarray):
+    """Pairwise displacement tensor diff[i, j] = pos[i] - pos[j] and inverse
+    distances with a zeroed diagonal."""
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt(np.sum(diff**2, axis=2))
+    np.fill_diagonal(dist, np.inf)
+    return diff, 1.0 / dist
+
+
+def potential(u: np.ndarray, alphas: np.ndarray) -> float:
+    """Dimensionless crystal energy at flat ion-major coordinates u: trap
+    term plus sum over pairs of 1/r, each pair counted from both ends."""
+    pos = u.reshape(-1, 3)
+    _, inv = pair_geometry(pos)
+    harmonic = 0.5 * np.sum(alphas * pos**2)
+    coulomb = 0.5 * np.sum(inv)
+    return harmonic + coulomb
+
+
+def gradient(u: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Gradient of `potential`, each ion's Coulomb term summed over j."""
+    pos = u.reshape(-1, 3)
+    diff, inv = pair_geometry(pos)
+    grad = alphas * pos - np.sum(diff * inv[:, :, None] ** 3, axis=1)
+    return grad.reshape(-1)
+
+
+def hessian(u: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """(3N, 3N) Hessian of `potential` from the (i, j) pair geometry."""
+    pos = u.reshape(-1, 3)
+    n = pos.shape[0]
+    diff, inv = pair_geometry(pos)
+    inv3 = inv**3
+    inv5 = inv**5
+    eye3 = np.eye(3)
+    cross = (inv3[:, :, None, None] * eye3[None, None, :, :]
+             - 3.0 * diff[:, :, :, None] * diff[:, :, None, :] * inv5[:, :, None, None])
+    blocks = cross.copy()
+    idx = np.arange(n)
+    blocks[idx, idx] = -np.sum(cross, axis=1) + np.diag(alphas)[None, :, :]
+    h = blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    return 0.5 * (h + h.T)
+
+
 def populations(state: SpinState) -> np.ndarray:
     """|amplitude|^2 per z-basis outcome; sums to 1."""
     p = np.abs(state.amplitudes) ** 2

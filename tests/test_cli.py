@@ -395,7 +395,7 @@ SCAN_SCENARIO = {
     "name": "scan",
     "kind": "deshelving_scan",
     "seed": 12,
-    "scan": {"rabi_freqs_hz": [76e3, 152e3], "points_per_curve": 6},
+    "scan": {"rabi_freqs_hz": [76e3, 152e3, 304e3], "points_per_curve": 6},
     "measurement": {"spam_error": 0.0, "shots": 30},
     "fit": "power_law",
 }
@@ -463,6 +463,13 @@ RULE_CASES = [
     (MINI_SCENARIO, {"deshelving": {"enabled": True}}, "$.deshelving.enabled"),
     (KAGOME_SCENARIO, {"deshelving": {"enabled": True}},
      "$.deshelving.enabled"),
+    # a block that would change nothing is rejected, not ignored
+    (DECAY_SCENARIO, {"deshelving": {"enabled": True, "reference_tau_s": 1e-4}},
+     "$.deshelving"),
+    (SCAN_SCENARIO, {"deshelving": {"enabled": False}}, "$.deshelving.enabled"),
+    # the power-law fit has two parameters and needs a residual
+    (SCAN_SCENARIO, {"scan.rabi_freqs_hz": [76e3, 152e3]},
+     "$.scan.rabi_freqs_hz"),
     (MINI_SCENARIO, {"drive.direction": [0.0, 0.0, 0.0]}, "$.drive.direction"),
     # nonzero, but the squared norm underflows, is subnormal or overflows
     *[(MINI_SCENARIO, {"drive.direction": d}, "$.drive.direction")
@@ -537,13 +544,22 @@ class TestScenarioRules:
 
     def test_fit_none_keeps_the_sampled_curves(self, tmp_path):
         fitted, bare = tmp_path / "fitted", tmp_path / "bare"
-        run_cli("all", "--scenario", write_scenario(tmp_path, SCAN_SCENARIO),
-                "--out", fitted)
-        run_cli("all", "--scenario", write_scenario(
+        assert run_cli("all", "--scenario",
+                       write_scenario(tmp_path, SCAN_SCENARIO),
+                       "--out", fitted) == 0
+        assert run_cli("all", "--scenario", write_scenario(
             tmp_path, dict(SCAN_SCENARIO, fit="none"), "bare.yaml"),
-            "--out", bare)
+            "--out", bare) == 0
         assert ((fitted / "deshelve_curves.csv").read_bytes()
                 == (bare / "deshelve_curves.csv").read_bytes())
+
+    def test_two_rabi_frequencies_run_without_a_fit(self, tmp_path):
+        raw = mutated(SCAN_SCENARIO, {"scan.rabi_freqs_hz": [76e3, 152e3],
+                                      "fit": "none"})
+        out = tmp_path / "out"
+        assert run_cli("all", "--scenario", write_scenario(tmp_path, raw),
+                       "--out", out) == 0
+        assert data_files(out) == ["deshelve_curves.csv"]
 
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_out_that_is_a_file(self, tmp_path, below):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import oracles
+from ionrewire import crystal as crystal_module
 from ionrewire import (
     PhysicalConstants,
     TrapConfig,
@@ -145,6 +147,101 @@ class TestPotentialDerivatives:
             flipped = pos.copy()
             flipped[:, axis] = -flipped[:, axis]
             assert potential(flipped.reshape(-1), alphas) == pytest.approx(base, rel=1e-12)
+
+
+def kernel_cases(seed, count=600):
+    """(alphas, u) over N = 1-30 with anisotropic traps; every third case is
+    a chain along one axis, whose other coordinates are exactly zero."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = 1 + k % 30
+        alphas = np.concatenate(([1.0], rng.uniform(0.02, 30.0, size=2)))
+        u = rng.normal(scale=rng.uniform(0.1, 5.0), size=3 * n)
+        if k % 3 == 0:
+            pos = u.reshape(n, 3)
+            pos[:, np.arange(3) != k % 9 // 3] = 0.0
+        yield alphas, u
+
+
+# (trap Hz, ions, seed): trap_sweep's three geometries at their sizes
+SOLVE_CASES = {
+    "linear-12": ((4.0e6, 3.7e6, 200e3), 12, 7),
+    "zigzag-20": ((3.8e6, 1.2e6, 500e3), 20, 11),
+    "3d-28": ((1333961.0, 1195690.2, 976365.7), 28, 452950724),
+}
+
+
+class TestPairKernel:
+    """The one-pass energy and gradient keep the bits of the (i, j) form
+    in tests/oracles.py, so every crystal the solver returns is unchanged."""
+
+    def test_energy_and_gradient_equal_the_oracle(self):
+        for alphas, u in kernel_cases(30):
+            energy = potential(u, alphas)
+            assert energy == oracles.potential(u, alphas)
+            g = gradient(u, alphas)
+            assert np.array_equal(g, oracles.gradient(u, alphas))
+            # signed zeros too, which == cannot see
+            assert g.tobytes() == oracles.gradient(u, alphas).tobytes()
+
+    def test_hessian_equals_the_oracle(self):
+        for alphas, u in kernel_cases(31, count=120):
+            h = hessian(u, alphas)
+            assert h.tobytes() == oracles.hessian(u, alphas).tobytes()
+
+    def test_shared_point_follows_each_new_configuration(self):
+        point = crystal_module._Point()
+        cases = list(kernel_cases(32, count=60))
+        for alphas, u in cases + cases[::-1]:
+            assert potential(u, alphas, point) == oracles.potential(u, alphas)
+            assert np.array_equal(gradient(u.copy(), alphas, point),
+                                  oracles.gradient(u, alphas))
+            assert np.array_equal(hessian(u, alphas, point),
+                                  oracles.hessian(u, alphas))
+
+    def test_returned_gradient_is_a_copy(self):
+        point = crystal_module._Point()
+        alphas, u = next(kernel_cases(33))
+        gradient(u, alphas, point)[:] = 0.0
+        assert np.array_equal(gradient(u, alphas, point),
+                              oracles.gradient(u, alphas))
+
+    @pytest.mark.parametrize("case", list(SOLVE_CASES))
+    def test_solve_equals_bfgs_on_the_oracle(self, constants, monkeypatch,
+                                             case):
+        freqs, n, seed = SOLVE_CASES[case]
+        trap = TrapConfig.from_hz(*freqs)
+        fast = solve_equilibrium(constants, trap, n, seed=seed)
+        for name in ("potential", "gradient", "hessian"):
+            reference = getattr(oracles, name)
+            monkeypatch.setattr(crystal_module, name,
+                                lambda u, alphas, point=None, f=reference:
+                                f(u, alphas))
+        slow = solve_equilibrium(constants, trap, n, seed=seed)
+        assert fast.positions.tobytes() == slow.positions.tobytes()
+        assert fast.potential_energy == slow.potential_energy
+        assert fast.gradient_norm == slow.gradient_norm
+
+    def test_one_pair_pass_per_point(self, constants, monkeypatch):
+        """BFGS asks for the energy and the gradient at each point, and the
+        polish adds the Hessian; a restart's `_Point` makes that one pass.
+        It holds one configuration, so a return to an earlier point (BFGS
+        does, near convergence, and the polish starts from the final
+        iterate) counts as a new point here."""
+        passes = []
+        asked = []
+        geometry = crystal_module._pair_geometry
+        monkeypatch.setattr(crystal_module, "_pair_geometry",
+                            lambda pos: passes.append(1) or geometry(pos))
+        for name in ("potential", "gradient", "hessian"):
+            def ask(u, *args, f=getattr(crystal_module, name)):
+                asked.append(u.tobytes())
+                return f(u, *args)
+            monkeypatch.setattr(crystal_module, name, ask)
+        freqs, n, seed = SOLVE_CASES["linear-12"]
+        solve_equilibrium(constants, TrapConfig.from_hz(*freqs), n, seed=seed)
+        points = 1 + sum(a != b for a, b in zip(asked, asked[1:]))
+        assert 0 < len(passes) <= points < len(asked)
 
 
 def fd_hessian_of_potential(u, alphas, h=1e-3):
