@@ -21,14 +21,31 @@ reduce over a length-3 axis does, and an ion's Coulomb force adds its
 partners j = 0, 1, ... in sequence, as a reduce over a non-contiguous axis
 does. Pair quantities are bitwise symmetric, so the one (j, i) layout whose
 leading-axis reduce is that sequence serves the energy, force and Hessian.
+
+The quasi-Newton search (`_bfgs`) does the float operations of scipy 1.17.1's
+`minimize(method="BFGS")` in the same order: `_minimize_bfgs`, the
+`ScalarFunction` memo and `scalar_search_wolfe1`. So it returns the same
+iterates, bit for bit, without scipy's per-call wrappers. The step-length
+search itself still comes from scipy: `DCSRCH` (MINPACK's More-Thuente
+search) and, when that finds no step, `scipy.optimize.line_search`.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from .constants import PhysicalConstants
+
+try:
+    from scipy.optimize._dcsrch import DCSRCH
+    from scipy.optimize._linesearch import LineSearchWarning
+except ImportError as err:
+    raise ImportError(
+        "ionrewire.crystal needs DCSRCH from scipy.optimize._dcsrch and "
+        "LineSearchWarning from scipy.optimize._linesearch, private scipy API "
+        f"verified on scipy 1.17.1; this scipy is {scipy.__version__}") from err
 
 # modes whose frequencies differ by at most this fraction form one cluster
 DEGENERACY_RTOL = 1e-9
@@ -201,13 +218,139 @@ def hessian(u: np.ndarray, alphas: np.ndarray,
     return 0.5 * (h + h.T)
 
 
-def _newton_polish(u, alphas, tol, point, max_steps=60):
-    """Newton refinement of a near-converged configuration; point is the
-    restart's `_Point`."""
-    u = u.copy()
-    energy = potential(u, alphas, point)
-    for _ in range(max_steps):
-        g = gradient(u, alphas, point)
+class _Objective:
+    """scipy's `ScalarFunction` memo: the last x asked for, compared with
+    `np.array_equal`, and its energy and gradient, each computed on demand
+    at that stored x through the module-level `potential` and `gradient`.
+    So BFGS calls those two exactly as often as scipy's did."""
+
+    def __init__(self, x, alphas, point):
+        self.alphas, self.point = alphas, point
+        self.x = x.copy()
+        self.f = potential(self.x, alphas, point)
+        self.g = gradient(self.x, alphas, point)
+
+    def _at(self, x):
+        # np.array_equal, for arrays of one shape
+        if not (x == self.x).all():
+            self.x, self.f, self.g = x.copy(), None, None
+
+    def fun(self, x):
+        self._at(x)
+        if self.f is None:
+            self.f = potential(self.x, self.alphas, self.point)
+        return self.f
+
+    def grad(self, x):
+        self._at(x)
+        if self.g is None:
+            self.g = gradient(self.x, self.alphas, self.point)
+        return self.g
+
+
+def _vecnorm(v):
+    """scipy's 2-norm for BFGS's step test, whose bits decide zero and NaN."""
+    return np.sum(np.abs(v)**2, axis=0)**(1.0 / 2)
+
+
+def _line_search(obj, xk, pk, gfk, old_fval, old_old_fval):
+    """scipy's `_line_search_wolfe12`: `DCSRCH` set up as
+    `scalar_search_wolfe1` does, then `line_search` if it finds no step.
+
+    Returns (step, energy, energy at xk, gradient or None), or None when
+    both searches fail.
+    """
+    c1, c2 = 1e-4, 0.9  # BFGS's Wolfe constants
+    gval = [gfk]
+
+    def phi(s):
+        return obj.fun(xk + s * pk)
+
+    def derphi(s):
+        gval[0] = obj.grad(xk + s * pk)
+        return np.dot(gval[0], pk)
+
+    derphi0 = np.dot(gfk, pk)
+    alpha1 = 1.0
+    if derphi0 != 0:
+        alpha1 = min(1.0, 1.01*2*(old_fval - old_old_fval)/derphi0)
+        if alpha1 < 0:
+            alpha1 = 1.0
+    stp, fval, _, _ = DCSRCH(phi, derphi, c1, c2, 1e-14, 1e-100, 1e100)(
+        alpha1, phi0=old_fval, derphi0=derphi0, maxiter=100)
+    if stp is not None:
+        return stp, fval, old_fval, gval[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LineSearchWarning)
+        stp, _, _, fval, old_fval, g = scipy.optimize.line_search(
+            obj.fun, obj.grad, xk, pk, gfk, old_fval, old_old_fval,
+            c1=c1, c2=c2, amax=1e100)
+    return None if stp is None else (stp, fval, old_fval, g)
+
+
+def _bfgs(x0, alphas, point, gtol, maxiter):
+    """scipy 1.17.1's `minimize(method="BFGS")` with the ∞-norm `gtol`
+    test, bit for bit. Returns (x, energy, gradient, iterations, warnflag):
+    warnflag 0 converged, 1 hit maxiter, 2 a line search failed or the
+    energy is not finite, 3 NaN."""
+    obj = _Objective(x0, alphas, point)
+    xk = x0
+    old_fval = obj.fun(x0)
+    gfk = obj.grad(x0)
+    k, warnflag = 0, 0
+    eye = np.eye(x0.size, dtype=int)
+    hk = eye
+    # the first step guess makes dx ~ 1
+    old_old_fval = old_fval + np.linalg.norm(gfk) / 2
+    gnorm = np.abs(gfk).max()
+    while gnorm > gtol and k < maxiter:
+        pk = -np.dot(hk, gfk)
+        found = _line_search(obj, xk, pk, gfk, old_fval, old_old_fval)
+        if found is None:
+            warnflag = 2
+            break
+        alpha_k, old_fval, old_old_fval, gfkp1 = found
+        sk = alpha_k * pk
+        xk = xk + sk
+        if gfkp1 is None:
+            gfkp1 = obj.grad(xk)
+        yk = gfkp1 - gfk
+        gfk = gfkp1
+        k += 1
+        gnorm = np.abs(gfk).max()
+        if gnorm <= gtol:
+            break
+        # scipy's step test with xrtol = 0: a step that underflows to zero
+        # stops, unless the norm of xk is not finite
+        step = alpha_k * _vecnorm(pk)
+        if step <= 0 and step <= 0 * (0 + _vecnorm(xk)):
+            break
+        if not np.isfinite(old_fval):
+            warnflag = 2
+            break
+        rhok_inv = np.dot(yk, sk)
+        rhok = 1000.0 if rhok_inv == 0. else 1. / rhok_inv
+        a1 = eye - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+        # scipy's A2 = I - yk sk^T rhok is A1 transposed, bit for bit, as
+        # products commute. BLAS needs it contiguous: through a transposed
+        # view, np.dot(hk, a2) changes bits in about half the updates.
+        a2 = a1.T.copy()
+        hk = (np.dot(a1, np.dot(hk, a2))
+              + rhok * sk[:, np.newaxis] * sk[np.newaxis, :])
+    if warnflag == 0 and k >= maxiter:
+        warnflag = 1
+    elif warnflag == 0 and (np.isnan(gnorm) or np.isnan(old_fval)
+                            or np.isnan(xk).any()):
+        warnflag = 3
+    return xk, old_fval, gfk, k, warnflag
+
+
+def _newton_polish(u, energy, g, alphas, tol, point, max_steps=60):
+    """Newton refinement of a near-converged configuration u, whose energy
+    and gradient are given; point is the restart's `_Point`."""
+    for step_index in range(max_steps):
+        if step_index:
+            g = gradient(u, alphas, point)
         if np.linalg.norm(g) <= tol:
             break
         h = hessian(u, alphas, point)
@@ -263,11 +406,10 @@ def solve_equilibrium(constants: PhysicalConstants, trap: TrapConfig, n: int,
     best_gnorm = np.inf
     for x0 in inits:
         point = _Point()
-        res = scipy.optimize.minimize(
-            potential, x0, args=(alphas, point), jac=gradient, method="BFGS",
-            options={"gtol": 0.1 * gradient_tol, "maxiter": max_iterations})
-        u, energy, gnorm = _newton_polish(res.x, alphas, 0.1 * gradient_tol,
-                                          point)
+        x, fun, g, _, _ = _bfgs(x0, alphas, point, 0.1 * gradient_tol,
+                                max_iterations)
+        u, energy, gnorm = _newton_polish(x, fun, g, alphas,
+                                          0.1 * gradient_tol, point)
         best_gnorm = min(best_gnorm, gnorm)
         if gnorm <= gradient_tol and (best is None or energy < best[0]):
             best = (energy, u)

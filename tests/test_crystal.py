@@ -1,3 +1,6 @@
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -225,9 +228,11 @@ class TestPairKernel:
     def test_one_pair_pass_per_point(self, constants, monkeypatch):
         """BFGS asks for the energy and the gradient at each point, and the
         polish adds the Hessian; a restart's `_Point` makes that one pass.
-        It holds one configuration, so a return to an earlier point (BFGS
-        does, near convergence, and the polish starts from the final
-        iterate) counts as a new point here."""
+        The polish starts from the energy and gradient BFGS ends with. The
+        `_Point` holds one configuration, so a return to an earlier point
+        counts as a new point here: BFGS's line search returns to recent
+        points near convergence, and the polish's first Hessian is at the
+        final iterate, which a failed last search has moved away from."""
         passes = []
         asked = []
         geometry = crystal_module._pair_geometry
@@ -242,6 +247,122 @@ class TestPairKernel:
         solve_equilibrium(constants, TrapConfig.from_hz(*freqs), n, seed=seed)
         points = 1 + sum(a != b for a, b in zip(asked, asked[1:]))
         assert 0 < len(passes) <= points < len(asked)
+
+
+# trap Hz of tests/conftest.py's `trap` and of the three SOLVE_CASES
+BFGS_TRAPS = ((0.978e6, 1.748e6, 1.798e6),
+              *(freqs for freqs, _, _ in SOLVE_CASES.values()))
+# solve_equilibrium's gtol, 0.1 of its default gradient_tol
+BFGS_GTOL = 1e-11
+
+
+def bfgs_start(n, trap_index, start, scale=None):
+    """(alphas, x0): a seeded start of n ions, spread as solve_equilibrium's."""
+    alphas = _alphas(TrapConfig.from_hz(*BFGS_TRAPS[trap_index]))
+    scale = scale or 0.75 * max(n, 2) ** (1 / 3)
+    x0 = np.random.default_rng([n, start]).normal(scale=scale, size=3 * n)
+    return alphas, x0
+
+
+def bits(value):
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def assert_bfgs_equals_scipy(alphas, x0, maxiter=2000):
+    """`_bfgs` returns what scipy's BFGS returns, bit for bit; returns the
+    warnflag."""
+    ref = scipy.optimize.minimize(
+        potential, x0, args=(alphas,), jac=gradient, method="BFGS",
+        options={"gtol": BFGS_GTOL, "maxiter": maxiter})
+    x, fun, g, nit, warnflag = crystal_module._bfgs(
+        x0, alphas, crystal_module._Point(), BFGS_GTOL, maxiter)
+    assert x.tobytes() == ref.x.tobytes()
+    assert bits(fun) == bits(ref.fun)
+    assert g.tobytes() == ref.jac.tobytes()
+    assert (nit, warnflag) == (ref.nit, ref.status)
+    # the Newton polish starts from these without asking again
+    assert bits(fun) == bits(potential(x, alphas))
+    assert g.tobytes() == gradient(x, alphas).tobytes()
+    return warnflag
+
+
+class CountedLineSearch:
+    """`scipy.optimize.line_search` that tallies what it returns."""
+
+    def __init__(self, monkeypatch):
+        self.outcomes = []
+        self._search = scipy.optimize.line_search
+        monkeypatch.setattr(scipy.optimize, "line_search", self)
+
+    def __call__(self, *args, **kwargs):
+        found = self._search(*args, **kwargs)
+        self.outcomes.append("fail" if found[0] is None
+                             else "step" if found[5] is not None
+                             else "step, no gradient")
+        return found
+
+
+class NoStep:
+    """A `DCSRCH` that never finds a step."""
+
+    def __init__(self, *args):
+        pass
+
+    def __call__(self, alpha1, phi0=None, derphi0=None, maxiter=100):
+        return None, phi0, phi0, b"WARNING"
+
+
+class TestBfgsLoop:
+    """`crystal._bfgs` is scipy 1.17.1's BFGS, which stays here as the
+    reference: the same x, energy, gradient, iteration count and status."""
+
+    def test_seeded_starts(self):
+        for n in range(1, 31):
+            assert_bfgs_equals_scipy(*bfgs_start(n, n % 4, 0))
+
+    def test_runs_through_the_line_search_fallback(self, monkeypatch):
+        # seeded starts where DCSRCH finds no step and line_search one
+        searches = CountedLineSearch(monkeypatch)
+        for n, trap_index, start in ((3, 0, 2), (4, 1, 0), (8, 2, 0),
+                                     (20, 3, 2)):
+            assert_bfgs_equals_scipy(*bfgs_start(n, trap_index, start))
+        assert "step" in searches.outcomes
+
+    def test_runs_with_every_step_from_the_fallback(self, monkeypatch):
+        # far starts take steps so small that line_search's ten doublings
+        # end without a gradient, which BFGS then asks for
+        searches = CountedLineSearch(monkeypatch)
+        monkeypatch.setattr(crystal_module, "DCSRCH", NoStep)
+        monkeypatch.setattr(scipy.optimize._linesearch, "DCSRCH", NoStep)
+        for n in range(1, 31, 3):
+            assert_bfgs_equals_scipy(*bfgs_start(n, n % 4, 0))
+            assert_bfgs_equals_scipy(*bfgs_start(n, n % 4, 1, scale=1e4))
+        assert {"step", "step, no gradient"} <= set(searches.outcomes)
+
+    def test_runs_stopped_at_maxiter(self):
+        for n in range(2, 31, 4):
+            assert assert_bfgs_equals_scipy(*bfgs_start(n, n % 4, 0),
+                                            maxiter=7) == 1
+
+    def test_runs_whose_last_search_fails(self):
+        # the solver's gtol is below what the energy resolves, so its runs
+        # end when no step lowers the energy: precision loss, warnflag 2
+        for n in (2, 12, 28):
+            assert assert_bfgs_equals_scipy(*bfgs_start(n, 1, 0)) == 2
+
+    def test_nan_start(self):
+        alphas, x0 = bfgs_start(3, 0, 0)
+        x0[4] = np.nan
+        assert assert_bfgs_equals_scipy(alphas, x0) == 3
+
+    def test_missing_dcsrch_names_the_module_and_scipy_release(self,
+                                                               monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize._dcsrch", None)
+        spec = importlib.util.spec_from_file_location(
+            "ionrewire._crystal_without_dcsrch", crystal_module.__file__)
+        with pytest.raises(ImportError,
+                           match=r"scipy\.optimize\._dcsrch.*scipy 1\.17\.1"):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 def fd_hessian_of_potential(u, alphas, h=1e-3):

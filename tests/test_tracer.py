@@ -9,9 +9,11 @@ failure. The test reads bench/ and changes nothing there.
 import importlib.util
 from pathlib import Path
 
+import pytest
 import yaml
 
-from ionrewire import cli
+from ionrewire import TrapConfig, cli, solve_equilibrium
+from test_crystal import SOLVE_CASES
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -29,6 +31,18 @@ KAGOME = {
     "decoherence": {"tau_d_s": 2e-3},
     "measurement": {"spam_error": 0.0, "shots": 20},
     "fit": "none",
+}
+
+
+# (potential, gradient, hessian) calls the tracer counts in one
+# solve_equilibrium of each SOLVE_CASES crystal. The first two numbers are the
+# counts measured with scipy.optimize.minimize(method="BFGS") in the solve,
+# less 8: the Newton polish of each of the 8 restarts starts from the energy
+# and gradient BFGS ends with, and does not ask for them again.
+CRYSTAL_EVALS = {
+    "linear-12": (799 - 8, 784 - 8, 8),
+    "zigzag-20": (1304 - 8, 1313 - 8, 8),
+    "3d-28": (1362 - 8, 1347 - 8, 8),
 }
 
 
@@ -50,3 +64,16 @@ def test_every_traced_layer_reads_nonzero(tmp_path):
                              "--out", str(tmp_path / name)]) == 0
     metrics = tracer.metrics()
     assert [name for name in LAYERS if not metrics[name] > 0] == []
+
+
+@pytest.mark.parametrize("case", list(CRYSTAL_EVALS))
+def test_crystal_counts_are_pinned(constants, case):
+    # a solver that bound `potential` locally would still run, and zero the
+    # benchmark's crystal.*_evals
+    tracer = load_tracing().Tracer()
+    freqs, n, seed = SOLVE_CASES[case]
+    with tracer.installed():
+        solve_equilibrium(constants, TrapConfig.from_hz(*freqs), n, seed=seed)
+    counts = tuple(tracer.counts[f"crystal.{name}_evals"]
+                   for name in ("potential", "gradient", "hessian"))
+    assert counts == CRYSTAL_EVALS[case]
