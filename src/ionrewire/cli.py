@@ -63,6 +63,7 @@ from .lattice import (
 from .stochastic import (
     DeshelvingModel,
     MeasurementModel,
+    ProtocolResult,
     ShelvingProcess,
     run_protocol,
     sample_deshelving_scan,
@@ -381,7 +382,9 @@ def write_json(out_dir: Path, stem: str, payload: dict) -> str:
 
 @dataclass
 class IsingContext:
-    """Everything the ising pipeline derives before sampling."""
+    """Everything the ising pipeline derives before sampling, and the two
+    results that later stages read: the evolution `simulate` writes and the
+    protocol that `fit` fits."""
 
     scenario: Scenario
     crystal: object | None
@@ -392,6 +395,8 @@ class IsingContext:
     drive: RamanDrive | None
     mask: ShelveMask             # all qubits for the probabilistic source
     beam_time: float             # 0 unless the source is beam_time_s
+    series: ObservableSeries | None = None
+    result: ProtocolResult | None = None
 
 
 @contextmanager
@@ -530,9 +535,8 @@ def _mask_artifact(ctx, out_dir, fmt):
     mask, graph = ctx.mask, ctx.graph
     if key == "beam_time_s":
         # probabilistic source: report one seeded sample for inspection
-        rng = np.random.default_rng([scenario.seed, MASK_STREAM])
         mask = sample_shelving(ctx.coupling.n_spins, ctx.beam_time,
-                               scenario.shelving(), rng)
+                               scenario.shelving(), scenario.seed, MASK_STREAM)
         graph = apply_mask(ctx.coupling, mask)
     table = Table(np.arange(len(mask)),
                   Coded(["Q", "S"], np.array(mask.shelved, dtype=np.intp)))
@@ -558,33 +562,28 @@ def _mask_artifact(ctx, out_dir, fmt):
 
 
 @_stage("dynamics")
-def _evolve_and_write(ctx, out_dir, fmt):
-    """The series table; returns its file names and the series."""
-    series = scan_evolution(ctx.graph, ctx.scenario.times(),
-                            model=ctx.scenario.decoherence())
-    header, rows = _series_rows(series)
-    return [write_table(out_dir, "series", header, rows, fmt)], series
-
-
-def _simulate_artifact(ctx, out_dir, fmt):
-    return _evolve_and_write(ctx, out_dir, fmt)[0]
+def _series_artifact(ctx, out_dir, fmt):
+    ctx.series = scan_evolution(ctx.graph, ctx.scenario.times(),
+                                model=ctx.scenario.decoherence())
+    header, rows = _series_rows(ctx.series)
+    return [write_table(out_dir, "series", header, rows, fmt)]
 
 
 @_stage("stochastic")
-def _protocol(ctx, evolved=None):
+def _protocol_artifact(ctx, out_dir, fmt):
     scenario = ctx.scenario
     deshelving = scenario.deshelving()
     drive_rabi = ctx.drive.rabi_frequency if ctx.drive is not None else None
-    return run_protocol(
+    # after simulate, the protocol samples its unshelved configuration from
+    # the series; the series is dropped before the wide group tables are
+    # formatted
+    result = ctx.result = run_protocol(
         ctx.graph, beam_time=ctx.beam_time, times=scenario.times(),
         shelving=scenario.shelving(), measurement=scenario.measurement(),
         seed=scenario.seed, deshelving=deshelving,
         drive_rabi=drive_rabi if deshelving is not None else None,
-        decoherence=scenario.decoherence(), evolved=evolved)
-
-
-@_stage("stochastic")
-def _protocol_artifact(result, out_dir, fmt):
+        decoherence=scenario.decoherence(), evolved=ctx.series)
+    ctx.series = None
     records = result.records
     survivors = np.array([result.groups[c].survivors.size for c in records.configs])
     # an outcome's label depends on its value and its survivor count
@@ -614,12 +613,11 @@ def _protocol_artifact(result, out_dir, fmt):
 
 
 @_stage("estimator")
-def _fit_artifact(ctx, out_dir, protocol_result):
-    scenario = ctx.scenario
+def _fit_artifact(ctx, out_dir, fmt):
     fits = {"pair_couplings": []}
-    times = scenario.times()
-    for config in sorted(protocol_result.groups):
-        group = protocol_result.groups[config]
+    times = ctx.scenario.times()
+    for config in sorted(ctx.result.groups):
+        group = ctx.result.groups[config]
         if group.survivors.size != 2:
             continue
         values = group.outcome_frequency("11")
@@ -753,41 +751,34 @@ def _write_manifest(scenario: Scenario, out_dir: Path, outputs: list) -> str:
     return "manifest.json"
 
 
+# the ising stages in pipeline order, each a (ctx, out_dir, fmt) writer that
+# returns the names of the files it wrote
+ISING_STAGES = {"solve-crystal": _positions_artifact, "modes": _modes_artifact,
+                "couplings": _couplings_artifact, "mask": _mask_artifact,
+                "simulate": _series_artifact, "protocol": _protocol_artifact,
+                "fit": _fit_artifact}
+
+
 def _run_ising(command: str, ctx: IsingContext, out_dir: Path,
                fmt: str) -> list:
-    """The protocol, fit and all subcommands of an ising scenario."""
+    """Walk ISING_STAGES in order. `all` runs every stage that applies and
+    stops before `simulate` past the exact-evolution cap, `fit` runs the
+    protocol it fits, and any other subcommand runs its own stage."""
+    fit = ctx.scenario.fit_kind() == "pair_couplings"
+    walk = ([stage for stage in ISING_STAGES
+             if (stage != "modes" or ctx.modes is not None)
+             and (stage != "fit" or fit)] if command == "all"
+            else ["protocol", "fit"] if command == "fit" else [command])
     outputs = []
-    fit = command == "fit"
-    series = None
-    if command == "all":
-        outputs += _positions_artifact(ctx, out_dir, fmt)
-        if ctx.modes is not None:
-            outputs += _modes_artifact(ctx, out_dir, fmt)
-        outputs += _couplings_artifact(ctx, out_dir, fmt)
-        outputs += _mask_artifact(ctx, out_dir, fmt)
-        fit = ctx.scenario.fit_kind() == "pair_couplings"
-        survivors = ctx.graph.n_spins
-        if survivors > SIZE_CAP:
+    survivors = ctx.graph.n_spins
+    for stage in walk:
+        if command == "all" and stage == "simulate" and survivors > SIZE_CAP:
             skipped = "dynamics, stochastic" + (", estimator" if fit else "")
             print(f"skipped stages {skipped}: {survivors} survivors exceed the "
                   f"exact-evolution cap of {SIZE_CAP}", file=sys.stderr)
-            return outputs
-        names, series = _evolve_and_write(ctx, out_dir, fmt)
-        outputs += names
-    # the protocol samples its unshelved configuration from the series, which
-    # is dropped before the wide group tables are formatted
-    result = _protocol(ctx, evolved=series)
-    del series
-    outputs += _protocol_artifact(result, out_dir, fmt)
-    if fit:
-        outputs += _fit_artifact(ctx, out_dir, result)
+            break
+        outputs += ISING_STAGES[stage](ctx, out_dir, fmt)
     return outputs
-
-
-# ising subcommands that write one stage's artifacts
-ISING_STAGES = {"solve-crystal": _positions_artifact, "modes": _modes_artifact,
-                "couplings": _couplings_artifact, "mask": _mask_artifact,
-                "simulate": _simulate_artifact}
 
 
 def run_command(command: str, scenario: Scenario, out_dir: Path,
@@ -805,8 +796,6 @@ def run_command(command: str, scenario: Scenario, out_dir: Path,
         outputs = _run_shelving_decay(scenario, out_dir, fmt)
     elif kind == "deshelving_scan":
         outputs = _run_deshelving_scan(scenario, out_dir, fmt)
-    elif command in ISING_STAGES:
-        outputs = ISING_STAGES[command](build_ising_context(scenario), out_dir, fmt)
     else:
         outputs = _run_ising(command, build_ising_context(scenario), out_dir, fmt)
     if command == "all":

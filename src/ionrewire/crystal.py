@@ -348,9 +348,7 @@ def _bfgs(x0, alphas, point, gtol, maxiter):
 def _newton_polish(u, energy, g, alphas, tol, point, max_steps=60):
     """Newton refinement of a near-converged configuration u, whose energy
     and gradient are given; point is the restart's `_Point`."""
-    for step_index in range(max_steps):
-        if step_index:
-            g = gradient(u, alphas, point)
+    for _ in range(max_steps):
         if np.linalg.norm(g) <= tol:
             break
         h = hessian(u, alphas, point)
@@ -364,11 +362,12 @@ def _newton_polish(u, energy, g, alphas, tol, point, max_steps=60):
             trial_energy = potential(trial, alphas, point)
             if np.isfinite(trial_energy) and trial_energy <= energy + 1e-12 * abs(energy):
                 u, energy = trial, trial_energy
+                g = gradient(u, alphas, point)
                 break
             step *= 0.5
         else:
             break
-    return u, energy, np.linalg.norm(gradient(u, alphas, point))
+    return u, energy, np.linalg.norm(g)
 
 
 def _canonical_order(pos: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ Every shot draws from its own RNG stream, the one
 runs are reproducible bit for bit and shots can be evaluated in any order.
 `ShotStreams` computes these streams for many shots at once, and every
 sampler below draws a fixed layout of uniforms per shot from it, so a block
-of shots is sampled with array operations and no per-shot generator.
+of shots is sampled with array operations and no per-shot generator. The
+one-off `sample_shelving` draws from a single `ShotStreams` stream too, so
+nothing here builds a numpy `Generator`.
 """
 
 import math
@@ -136,10 +138,12 @@ def shelf_survival(t: float, process: ShelvingProcess) -> float:
 
 
 def sample_shelving(n: int, beam_time: float, process: ShelvingProcess,
-                    rng: np.random.Generator) -> ShelveMask:
-    """Independent per-ion Bernoulli shelving after a pumping pulse."""
+                    seed: int, stream: int) -> ShelveMask:
+    """Independent per-ion Bernoulli shelving after a pumping pulse, from the
+    first n uniforms of stream `stream` of `ShotStreams(seed, ...)`."""
     p = 1.0 - shelf_survival(beam_time, process)
-    return ShelveMask(tuple(bool(u < p) for u in rng.random(n)))
+    uniforms = ShotStreams(seed, [stream]).random(n)[0]
+    return ShelveMask(tuple(bool(u < p) for u in uniforms))
 
 
 def deshelve_probability(t: float, rabi_frequency: float,

@@ -5,6 +5,8 @@ None of these runs in the pipeline: each states a result the long way
 independent oracle.
 """
 
+import math
+
 import numpy as np
 
 from ionrewire.dynamics import SpinState
@@ -59,6 +61,13 @@ def populations(state: SpinState) -> np.ndarray:
     """|amplitude|^2 per z-basis outcome; sums to 1."""
     p = np.abs(state.amplitudes) ** 2
     return p / p.sum()
+
+
+def sample_shelving(n: int, beam_time: float, process, rng) -> ShelveMask:
+    """Per-ion Bernoulli shelving drawn from a numpy Generator: ion i is
+    shelved when the i-th of n uniforms is below 1 - exp(-beam_time / tau)."""
+    p = 1.0 - math.exp(-beam_time / process.tau_shelve)
+    return ShelveMask(tuple((rng.random(n) < p).tolist()))
 
 
 def mask_union(first: ShelveMask, second: ShelveMask) -> ShelveMask:

@@ -48,10 +48,11 @@ from ionrewire.lattice import (
     triangular_array,
     verify_geometry,
 )
-from ionrewire.stochastic import ShelvingProcess, sample_shelving
+from ionrewire.stochastic import ShelvingProcess
 from oracles import (
     embed_survivor_state,
     populations,
+    sample_shelving,
     survivor_marginal,
     zero_shelved_couplings,
 )

@@ -322,6 +322,17 @@ class TestPatternScenarios:
         assert err == ["skipped stages dynamics, stochastic: 96 survivors "
                        f"exceed the exact-evolution cap of {SIZE_CAP}"]
 
+    def test_large_pattern_skip_names_the_due_fit(self, tmp_path, capsys):
+        payload = self.make_pattern_scenario("honeycomb", 12, 12)
+        del payload["fit"]  # the ising default, pair_couplings
+        path = write_scenario(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run_cli("all", "--scenario", path, "--out", out) == 0
+        assert not (out / "fits.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["skipped stages dynamics, stochastic, estimator: 96 "
+                       "survivors exceed the exact-evolution cap of 14"]
+
     def test_large_pattern_simulate_fails_in_dynamics(self, tmp_path, capsys):
         payload = self.make_pattern_scenario("honeycomb", 12, 12)
         path = write_scenario(tmp_path, payload)
@@ -413,6 +424,63 @@ KAGOME_SCENARIO = {
 
 BASES = {"ising": MINI_SCENARIO, "shelving_decay": DECAY_SCENARIO,
          "deshelving_scan": SCAN_SCENARIO}
+
+
+def ising_listings(configs, pattern=False, fit_due=True):
+    """The files each ising subcommand lists, in order, with --format csv;
+    None where it exits 1."""
+    mask = ["mask.csv", "graph.csv"] + (["geometry.json"] if pattern else [])
+    protocol = ["records.csv"] + [f"group_{c}.csv" for c in configs]
+    return {
+        "solve-crystal": ["positions.csv"],
+        "modes": None if pattern else ["modes.csv"],
+        "couplings": ["couplings.csv", "couplings.json"],
+        "mask": mask,
+        "simulate": ["series.csv"],
+        "protocol": protocol,
+        "fit": protocol + ["fits.json"],
+        "all": (["positions.csv"] + ([] if pattern else ["modes.csv"])
+                + ["couplings.csv", "couplings.json"] + mask + ["series.csv"]
+                + protocol + (["fits.json"] if fit_due else [])
+                + ["manifest.json"]),
+    }
+
+
+BEAM_SCENARIO = dict(MINI_SCENARIO, mask={"beam_time_s": 38e-3})
+
+LISTING_CASES = {
+    "explicit": (MINI_SCENARIO, ising_listings(["QQ"])),
+    "beam_time": (BEAM_SCENARIO, ising_listings(["QQ", "QS", "SQ", "SS"])),
+    "kagome": (KAGOME_SCENARIO,
+               ising_listings(["QQQ"], pattern=True, fit_due=False)),
+}
+
+
+class TestOutputSets:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", cli.SUBCOMMANDS)
+    @pytest.mark.parametrize("case", list(LISTING_CASES))
+    def test_subcommand_writes_exactly_its_stages(self, tmp_path, capsys,
+                                                  case, command, fmt):
+        payload, listings = LISTING_CASES[case]
+        path = write_scenario(tmp_path, payload)
+        out = tmp_path / "out"
+        code = run_cli(command, "--scenario", path, "--out", out,
+                       "--format", fmt)
+        listed = capsys.readouterr().out.splitlines()
+        expected = listings[command]
+        if expected is None:
+            assert (code, listed, list(out.iterdir())) == (1, [], [])
+            return
+        if fmt == "json":
+            # the couplings.json payload holds every pair, so JSON writes no
+            # couplings table
+            expected = [name.replace(".csv", ".json") for name in expected
+                        if name != "couplings.csv"]
+        assert code == 0
+        assert listed == [str(out / name) for name in expected]
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+
 
 DROP = object()
 

@@ -1,10 +1,14 @@
+import ast
+import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import oracles
 from ionrewire import stochastic
 from ionrewire.coupling import InteractionGraph
 from ionrewire.dynamics import DecoherenceModel, scan_evolution
@@ -25,6 +29,7 @@ from ionrewire.stochastic import (
 )
 
 TWO_PI = 2 * np.pi
+SOURCE = Path(stochastic.__file__).parent
 
 
 class TestShelfSurvival:
@@ -47,23 +52,34 @@ class TestShelfSurvival:
 
 class TestSampleShelving:
     def test_zero_beam_time_shelves_nothing(self):
-        rng = np.random.default_rng(0)
-        mask = sample_shelving(4, 0.0, ShelvingProcess(), rng)
+        mask = sample_shelving(4, 0.0, ShelvingProcess(), 0, 0)
         assert mask.to_string() == "QQQQ"
 
     def test_long_beam_time_shelves_everything(self):
-        rng = np.random.default_rng(0)
-        mask = sample_shelving(4, 1e6, ShelvingProcess(), rng)
+        mask = sample_shelving(4, 1e6, ShelvingProcess(), 0, 0)
         assert mask.to_string() == "SSSS"
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**32, 2**63, 12345678901234567890])
+    def test_draws_the_generator_rule_from_its_stream(self, seed):
+        # the oracle's rule on numpy's own generator for the same stream
+        process = ShelvingProcess(tau_shelve=55e-3)
+        for n, stream, beam_time in itertools.product(
+                (0, 1, 3, 14, 40), (0, 5, 2**32, 2**48), (20e-3, 55e-3)):
+            rng = np.random.default_rng([seed, stream])
+            expected = oracles.sample_shelving(n, beam_time, process, rng)
+            got = sample_shelving(n, beam_time, process, seed, stream)
+            assert got == expected
+
     def test_configuration_counts_match_binomial(self):
+        # the rule on one generator; the test above pins the library's draws
+        # to it stream by stream
         process = ShelvingProcess(tau_shelve=55e-3)
         beam_time = 55e-3 * math.log(2.0)  # p = 1/2 exactly
         rng = np.random.default_rng(2024)
         samples = 100_000
         shelf_counts = np.zeros(4, dtype=int)
         for _ in range(samples):
-            mask = sample_shelving(3, beam_time, process, rng)
+            mask = oracles.sample_shelving(3, beam_time, process, rng)
             shelf_counts[len(mask.shelved_indices)] += 1
         expected = samples * np.array([1, 3, 3, 1]) / 8.0
         sigma = np.sqrt(samples * (np.array([1, 3, 3, 1]) / 8.0)
@@ -71,8 +87,8 @@ class TestSampleShelving:
         assert np.all(np.abs(shelf_counts - expected) < 4 * sigma)
 
     def test_deterministic_under_seeded_rng(self):
-        a = sample_shelving(5, 30e-3, ShelvingProcess(), np.random.default_rng(7))
-        b = sample_shelving(5, 30e-3, ShelvingProcess(), np.random.default_rng(7))
+        a = sample_shelving(5, 30e-3, ShelvingProcess(), 7, 2**48)
+        b = sample_shelving(5, 30e-3, ShelvingProcess(), 7, 2**48)
         assert a.to_string() == b.to_string()
 
 
@@ -147,7 +163,8 @@ def reference_protocol(coupling, beam_time, times, measurement, seed,
     for ti, t in enumerate(times):
         for s in range(shots):
             rng = np.random.default_rng([seed, ti * shots + s])
-            mask = sample_shelving(n, beam_time, ShelvingProcess(), rng)
+            mask = oracles.sample_shelving(n, beam_time, ShelvingProcess(),
+                                           rng)
             config = mask.to_string()
             if config not in tables:
                 series = scan_evolution(apply_mask(coupling, mask), times)
@@ -199,11 +216,10 @@ class TestBlockSamplers:
         times = np.linspace(0.0, 0.2, 6)
         got = sample_shelving_decay(3, times, process, shots=25, seed=91)
         for ti, t in enumerate(times):
-            in_ground = sum(
-                3 - sample_shelving(3, float(t), process, np.random.default_rng(
-                    [91, ti * 25 + s])).shelved_indices.size
-                for s in range(25))
-            assert got[ti] == in_ground
+            masks = [oracles.sample_shelving(
+                3, float(t), process, np.random.default_rng([91, ti * 25 + s]))
+                for s in range(25)]
+            assert got[ti] == sum(3 - m.shelved_indices.size for m in masks)
 
     def test_deshelving_scan_matches_per_shot_draws(self):
         model = DeshelvingModel()
@@ -474,3 +490,28 @@ class TestEvolvedSeries:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * evolved.probabilities.nbytes
+
+
+def generator_uses(tree):
+    """Line numbers of every default_rng and numpy Generator named in a
+    module: calls, attributes and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        if {"default_rng", "Generator"} & set(names):
+            yield node.lineno
+
+
+def test_only_the_crystal_starts_build_a_generator():
+    # every sample comes from ShotStreams; the seeded crystal restarts are the
+    # one numpy Generator in the library
+    uses = {path.name: list(generator_uses(ast.parse(path.read_text())))
+            for path in sorted(SOURCE.glob("*.py"))}
+    assert uses.pop("crystal.py")
+    assert uses == {name: [] for name in uses}

@@ -35,14 +35,16 @@ KAGOME = {
 
 
 # (potential, gradient, hessian) calls the tracer counts in one
-# solve_equilibrium of each SOLVE_CASES crystal. The first two numbers are the
-# counts measured with scipy.optimize.minimize(method="BFGS") in the solve,
-# less 8: the Newton polish of each of the 8 restarts starts from the energy
-# and gradient BFGS ends with, and does not ask for them again.
+# solve_equilibrium of each SOLVE_CASES crystal. With
+# scipy.optimize.minimize(method="BFGS") in the solve they were 799, 784 and 8
+# (linear-12), 1304, 1313, 8 (zigzag-20) and 1362, 1347, 8 (3d-28). The Newton
+# polish of each of the 8 restarts starts from the energy and gradient BFGS
+# ends with (8 fewer of each), and asks for the gradient once at its final
+# point (8 fewer gradients).
 CRYSTAL_EVALS = {
-    "linear-12": (799 - 8, 784 - 8, 8),
-    "zigzag-20": (1304 - 8, 1313 - 8, 8),
-    "3d-28": (1362 - 8, 1347 - 8, 8),
+    "linear-12": (791, 768, 8),
+    "zigzag-20": (1296, 1297, 8),
+    "3d-28": (1354, 1331, 8),
 }
 
 
