@@ -76,6 +76,10 @@ TWO_PI = 2.0 * math.pi
 # stream index of the `mask` artifact's sample; no per-shot stream reaches it
 MASK_STREAM = 2**48
 
+# libyaml's safe loader where PyYAML was built with it: the same objects as
+# the pure-Python SafeLoader, several times faster
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 BUNDLED_SCENARIOS = ("fig4b", "fig4c", "fig4d", "fig4e-g", "fig_op", "fig6")
 
 SUBCOMMANDS = ("solve-crystal", "modes", "couplings", "mask", "simulate",
@@ -219,7 +223,7 @@ def load_scenario(ref: str, seed_override: int | None = None) -> Scenario:
         raise ScenarioError(f"cannot read scenario {ref!r}: {err}") from err
 
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as err:
         raise ScenarioError(f"{path}: YAML parse error: {err}") from err
 

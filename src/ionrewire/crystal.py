@@ -24,12 +24,14 @@ leading-axis reduce is that sequence serves the energy, force and Hessian.
 
 The quasi-Newton search (`_bfgs`) does the float operations of scipy 1.17.1's
 `minimize(method="BFGS")` in the same order: `_minimize_bfgs`, the
-`ScalarFunction` memo and `scalar_search_wolfe1`. So it returns the same
-iterates, bit for bit, without scipy's per-call wrappers. The step-length
-search itself still comes from scipy: `DCSRCH` (MINPACK's More-Thuente
-search) and, when that finds no step, `scipy.optimize.line_search`.
+`ScalarFunction` memo, `scalar_search_wolfe1` and its step-length search
+`DCSRCH` (MINPACK-2's More-Thuente search, here `_dcsrch` and `_dcstep`). So
+it returns the same iterates, bit for bit, without scipy's per-call wrappers
+and objects. When `_dcsrch` finds no step, `scipy.optimize.line_search` takes
+over, as in scipy.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -39,13 +41,12 @@ import scipy.optimize
 from .constants import PhysicalConstants
 
 try:
-    from scipy.optimize._dcsrch import DCSRCH
     from scipy.optimize._linesearch import LineSearchWarning
 except ImportError as err:
     raise ImportError(
-        "ionrewire.crystal needs DCSRCH from scipy.optimize._dcsrch and "
-        "LineSearchWarning from scipy.optimize._linesearch, private scipy API "
-        f"verified on scipy 1.17.1; this scipy is {scipy.__version__}") from err
+        "ionrewire.crystal needs LineSearchWarning from "
+        "scipy.optimize._linesearch, private scipy API verified on scipy "
+        f"1.17.1; this scipy is {scipy.__version__}") from err
 
 # modes whose frequencies differ by at most this fraction form one cluster
 DEGENERACY_RTOL = 1e-9
@@ -153,38 +154,54 @@ def _pair_geometry(pos: np.ndarray):
     return diff, 1.0 / dist
 
 
+class _Pass:
+    """Pair geometry, energy and gradient of one configuration u."""
+
+    __slots__ = ("key", "diff", "inv", "energy", "gradient")
+
+    def __init__(self, u: np.ndarray, alphas: np.ndarray, key: bytes):
+        pos = u.reshape(-1, 3)
+        self.key = key
+        self.diff, self.inv = _pair_geometry(pos)
+        self.energy = (0.5 * np.add.reduce(alphas * (pos * pos), axis=None)
+                       + 0.5 * np.add.reduce(self.inv, axis=None))
+        terms = self.diff * (self.inv**3)[:, :, None]
+        self.gradient = (alphas * pos - np.add.reduce(terms, axis=0)).reshape(-1)
+
+
 class _Point:
-    """Pair geometry, energy and gradient of the last configuration asked
-    for, at fixed alphas.
+    """The `_Pass` of the last two configurations asked for, at fixed
+    alphas.
 
     BFGS asks `potential` and then `gradient` at each point, and the Newton
     polish asks `hessian` too. One `_Point` per restart, passed to each call,
-    makes that one pass over the ion pairs per point.
+    makes that one pass over the ion pairs per point. The line search
+    sometimes goes back to the trial point before the last, which the
+    second entry keeps.
     """
 
-    __slots__ = ("_key", "diff", "inv", "energy", "gradient")
+    __slots__ = ("_last", "_before")
 
     def __init__(self):
-        self._key = None
+        self._last = self._before = None
 
-    def at(self, u: np.ndarray, alphas: np.ndarray) -> "_Point":
+    def at(self, u: np.ndarray, alphas: np.ndarray) -> _Pass:
         key = u.tobytes()
-        if key != self._key:
-            pos = u.reshape(-1, 3)
-            self.diff, self.inv = _pair_geometry(pos)
-            self.energy = (0.5 * np.add.reduce(alphas * (pos * pos), axis=None)
-                           + 0.5 * np.add.reduce(self.inv, axis=None))
-            terms = self.diff * (self.inv**3)[:, :, None]
-            self.gradient = (alphas * pos - np.add.reduce(terms, axis=0)).reshape(-1)
-            self._key = key
-        return self
+        last, before = self._last, self._before
+        if last is not None and last.key == key:
+            return last
+        if before is not None and before.key == key:
+            self._last, self._before = before, last
+            return before
+        self._last, self._before = _Pass(u, alphas, key), last
+        return self._last
 
 
 def potential(u: np.ndarray, alphas: np.ndarray, point: _Point | None = None) -> float:
     """Dimensionless potential energy at flat ion-major coordinates u.
 
     point, if given, is shared with `gradient` and `hessian` calls at the
-    same alphas, and a call at its last u reuses that pass.
+    same alphas, and a call at one of its last two u reuses that pass.
     """
     return (point or _Point()).at(u, alphas).energy
 
@@ -231,8 +248,9 @@ class _Objective:
         self.g = gradient(self.x, alphas, point)
 
     def _at(self, x):
-        # np.array_equal, for arrays of one shape
-        if not (x == self.x).all():
+        # np.array_equal, for arrays of one shape; a first entry that
+        # differs, or is NaN, decides it without the whole comparison
+        if x[0] != self.x[0] or not (x == self.x).all():
             self.x, self.f, self.g = x.copy(), None, None
 
     def fun(self, x):
@@ -247,44 +265,260 @@ class _Objective:
             self.g = gradient(self.x, self.alphas, self.point)
         return self.g
 
+    def fun_grad(self, x):
+        """`fun(x)` and then `grad(x)`, with one comparison of x."""
+        self._at(x)
+        if self.f is None:
+            self.f = potential(self.x, self.alphas, self.point)
+        if self.g is None:
+            self.g = gradient(self.x, self.alphas, self.point)
+        return self.f, self.g
+
 
 def _vecnorm(v):
-    """scipy's 2-norm for BFGS's step test, whose bits decide zero and NaN."""
-    return np.sum(np.abs(v)**2, axis=0)**(1.0 / 2)
+    """scipy's 2-norm for BFGS's step test, whose bits decide zero and NaN:
+    np.sum's reduce, without its wrapper."""
+    return np.add.reduce(np.abs(v)**2, axis=0)**(1.0 / 2)
+
+
+# DCSRCH's tolerances and step bounds as scalar_search_wolfe1 sets them for
+# BFGS: ftol and gtol are BFGS's Wolfe constants c1 and c2
+_FTOL, _GTOL, _XTOL = 1e-4, 0.9, 1e-14
+_STPMIN, _STPMAX = 1e-100, 1e100
+_MAXITER = 100
+
+
+def _clip(x, lo, hi):
+    """np.clip's value for scalars: NaN stays, a tie goes to the bound."""
+    if x != x:
+        return x
+    x = x if x > lo else lo
+    return x if x < hi else hi
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """scipy 1.17.1's `dcstep` (MINPACK-2's safeguarded cubic or quadratic
+    step, More and Thuente 1994), operation for operation: a new trial step
+    and the updated interval (stx, sty) that holds a minimizer."""
+    # np.sign(dp) * np.sign(dx) < 0, which NaN fails
+    opposite = dp < 0 < dx or dx < 0 < dp
+
+    if fp > fx:
+        # a higher function value: the minimum is bracketed; the cubic
+        # step if it is closer to stx than the quadratic one, else their mean
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp < stx:
+            gamma *= -1
+        p = (gamma - dx) + theta
+        q = ((gamma - dx) + gamma) + dp
+        r = p / q
+        stpc = stx + r * (stp - stx)
+        stpq = stx + ((dx / ((fx - fp) / (stp - stx) + dx)) / 2.0) * (stp - stx)
+        if abs(stpc - stx) <= abs(stpq - stx):
+            stpf = stpc
+        else:
+            stpf = stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:
+        # a lower value and derivatives of opposite sign: bracketed; the
+        # cubic step if it is farther from stp than the secant step
+        theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt((theta / s) ** 2 - (dx / s) * (dp / s))
+        if stp > stx:
+            gamma *= -1
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dx
+        r = p / q
+        stpc = stp + r * (stx - stp)
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if abs(stpc - stp) > abs(stpq - stp):
+            stpf = stpc
+        else:
+            stpf = stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        # a lower value, derivatives of one sign, and a decreasing slope:
+        # the cubic step if the cubic tends to infinity along the step or
+        # its minimum lies beyond stp, else the secant step
+        theta = 3 * (fx - fp) / (stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = s * np.sqrt(max(0, (theta / s) ** 2 - (dx / s) * (dp / s)))
+        if stp > stx:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = (gamma + (dx - dp)) + gamma
+        r = p / q
+        if r < 0 and gamma != 0:
+            stpc = stp + r * (stx - stp)
+        elif stp > stx:
+            stpc = stpmax
+        else:
+            stpc = stpmin
+        stpq = stp + (dp / (dp - dx)) * (stx - stp)
+        if brackt:
+            if abs(stpc - stp) < abs(stpq - stp):
+                stpf = stpc
+            else:
+                stpf = stpq
+            if stp > stx:
+                stpf = min(stp + 0.66 * (sty - stp), stpf)
+            else:
+                stpf = max(stp + 0.66 * (sty - stp), stpf)
+        else:
+            if abs(stpc - stp) > abs(stpq - stp):
+                stpf = stpc
+            else:
+                stpf = stpq
+            stpf = _clip(stpf, stpmin, stpmax)
+    else:
+        # a lower value, derivatives of one sign, and a slope that does not
+        # decrease: the cubic step if bracketed, else a bound
+        if brackt:
+            theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
+            s = max(abs(theta), abs(dy), abs(dp))
+            gamma = s * np.sqrt((theta / s) ** 2 - (dy / s) * (dp / s))
+            if stp > sty:
+                gamma = -gamma
+            p = (gamma - dp) + theta
+            q = ((gamma - dp) + gamma) + dy
+            r = p / q
+            stpc = stp + r * (sty - stp)
+            stpf = stpc
+        elif stp > stx:
+            stpf = stpmax
+        else:
+            stpf = stpmin
+
+    # update the interval that holds a minimizer
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _dcsrch(obj, xk, pk, stp, finit, ginit):
+    """scipy 1.17.1's `DCSRCH(phi, derphi, _FTOL, _GTOL, _XTOL, _STPMIN,
+    _STPMAX)(stp, finit, ginit, _MAXITER)` on phi(s) = obj.fun(xk + s pk),
+    operation for operation, with locals in place of the object's state.
+
+    Each trial point is built once and asked `obj.fun_grad`. Returns
+    (step, energy, gradient) at a step that meets the strong Wolfe
+    conditions, or None when DCSRCH finds none: an ERROR or WARNING exit,
+    a step that is not finite, or _MAXITER iterations, the first of which
+    is START's argument check.
+    """
+    # START: the tolerances and bounds are valid constants; a step outside
+    # the bounds or an ascent direction is an ERROR, a NaN step a WARNING
+    if not _STPMIN <= stp <= _STPMAX or ginit >= 0:
+        return None
+    brackt = False
+    stage = 1
+    gtest = _FTOL * ginit
+    width = _STPMAX - _STPMIN
+    width1 = width / 0.5
+    # (stx, fx, gx) is the best step so far, (sty, fy, gy) the interval's
+    # other end
+    stx, fx, gx = 0.0, finit, ginit
+    sty, fy, gy = 0.0, finit, ginit
+    stmin, stmax = 0, stp + 4.0 * stp
+    for _ in range(_MAXITER - 1):
+        f, gval = obj.fun_grad(xk + stp * pk)
+        g = np.dot(gval, pk)
+        ftest = finit + stp * gtest
+        # psi(stp) <= 0 and f'(stp) >= 0 start the second stage
+        if stage == 1 and f <= ftest and g >= 0:
+            stage = 2
+        warning = False
+        if brackt and (stp <= stmin or stp >= stmax):
+            warning = True  # rounding errors prevent progress
+        if brackt and stmax - stmin <= _XTOL * stmax:
+            warning = True  # the xtol test is satisfied
+        if stp == _STPMAX and f <= ftest and g <= gtest:
+            warning = True
+        if stp == _STPMIN and (f > ftest or g >= gtest):
+            warning = True
+        if f <= ftest and abs(g) <= _GTOL * -ginit:
+            return stp, f, gval
+        if warning:
+            return None
+
+        # dcstep's operations can make NaN (inf/inf, say), which DCSRCH
+        # does not warn about
+        if stage == 1 and f <= fx and f > ftest:
+            # a lower value without sufficient decrease: step on the
+            # modified function psi
+            fm = f - stp * gtest
+            fxm = fx - stx * gtest
+            fym = fy - sty * gtest
+            gm = g - gtest
+            gxm = gx - gtest
+            gym = gy - gtest
+            with np.errstate(invalid="ignore", over="ignore"):
+                stx, fxm, gxm, sty, fym, gym, stp, brackt = _dcstep(
+                    stx, fxm, gxm, sty, fym, gym, stp, fm, gm, brackt,
+                    stmin, stmax)
+            fx = fxm + stx * gtest
+            fy = fym + sty * gtest
+            gx = gxm + gtest
+            gy = gym + gtest
+        else:
+            with np.errstate(invalid="ignore", over="ignore"):
+                stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                    stx, fx, gx, sty, fy, gy, stp, f, g, brackt,
+                    stmin, stmax)
+
+        if brackt:
+            # bisect if the interval shrank too slowly
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1 = width
+            width = abs(sty - stx)
+            stmin = min(stx, sty)
+            stmax = max(stx, sty)
+        else:
+            stmin = stp + 1.1 * (stp - stx)
+            stmax = stp + 4.0 * (stp - stx)
+        stp = _clip(stp, _STPMIN, _STPMAX)
+        # if no further progress is possible, go back to the best step
+        if (brackt and (stp <= stmin or stp >= stmax)
+                or brackt and stmax - stmin <= _XTOL * stmax):
+            stp = stx
+        if not math.isfinite(stp):
+            return None
+    # DCSRCH asks for its last trial point but tests it no more
+    obj.fun_grad(xk + stp * pk)
+    return None
 
 
 def _line_search(obj, xk, pk, gfk, old_fval, old_old_fval):
-    """scipy's `_line_search_wolfe12`: `DCSRCH` set up as
-    `scalar_search_wolfe1` does, then `line_search` if it finds no step.
+    """scipy's `_line_search_wolfe12`: `_dcsrch` from the step guess of
+    `scalar_search_wolfe1`, then `scipy.optimize.line_search` if it finds
+    no step.
 
     Returns (step, energy, energy at xk, gradient or None), or None when
     both searches fail.
     """
-    c1, c2 = 1e-4, 0.9  # BFGS's Wolfe constants
-    gval = [gfk]
-
-    def phi(s):
-        return obj.fun(xk + s * pk)
-
-    def derphi(s):
-        gval[0] = obj.grad(xk + s * pk)
-        return np.dot(gval[0], pk)
-
     derphi0 = np.dot(gfk, pk)
     alpha1 = 1.0
     if derphi0 != 0:
         alpha1 = min(1.0, 1.01*2*(old_fval - old_old_fval)/derphi0)
         if alpha1 < 0:
             alpha1 = 1.0
-    stp, fval, _, _ = DCSRCH(phi, derphi, c1, c2, 1e-14, 1e-100, 1e100)(
-        alpha1, phi0=old_fval, derphi0=derphi0, maxiter=100)
-    if stp is not None:
-        return stp, fval, old_fval, gval[0]
+    found = _dcsrch(obj, xk, pk, alpha1, old_fval, derphi0)
+    if found is not None:
+        stp, fval, g = found
+        return stp, fval, old_fval, g
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LineSearchWarning)
         stp, _, _, fval, old_fval, g = scipy.optimize.line_search(
             obj.fun, obj.grad, xk, pk, gfk, old_fval, old_old_fval,
-            c1=c1, c2=c2, amax=1e100)
+            c1=_FTOL, c2=_GTOL, amax=_STPMAX)
     return None if stp is None else (stp, fval, old_fval, g)
 
 
@@ -298,8 +532,11 @@ def _bfgs(x0, alphas, point, gtol, maxiter):
     old_fval = obj.fun(x0)
     gfk = obj.grad(x0)
     k, warnflag = 0, 0
-    eye = np.eye(x0.size, dtype=int)
+    size = x0.size
+    eye = np.eye(size)
     hk = eye
+    # the update's n x n temporaries, made once
+    a1, a2, ss = (np.empty((size, size)) for _ in range(3))
     # the first step guess makes dx ~ 1
     old_old_fval = old_fval + np.linalg.norm(gfk) / 2
     gnorm = np.abs(gfk).max()
@@ -325,18 +562,23 @@ def _bfgs(x0, alphas, point, gtol, maxiter):
         step = alpha_k * _vecnorm(pk)
         if step <= 0 and step <= 0 * (0 + _vecnorm(xk)):
             break
-        if not np.isfinite(old_fval):
+        if not math.isfinite(old_fval):
             warnflag = 2
             break
         rhok_inv = np.dot(yk, sk)
         rhok = 1000.0 if rhok_inv == 0. else 1. / rhok_inv
-        a1 = eye - sk[:, np.newaxis] * yk[np.newaxis, :] * rhok
+        # scipy's A1 = I - sk yk^T rhok, as (sk_i yk_j) rhok
+        np.multiply.outer(sk, yk, out=a1)
+        a1 *= rhok
+        np.subtract(eye, a1, out=a1)
         # scipy's A2 = I - yk sk^T rhok is A1 transposed, bit for bit, as
         # products commute. BLAS needs it contiguous: through a transposed
         # view, np.dot(hk, a2) changes bits in about half the updates.
-        a2 = a1.T.copy()
-        hk = (np.dot(a1, np.dot(hk, a2))
-              + rhok * sk[:, np.newaxis] * sk[np.newaxis, :])
+        a2[...] = a1.T
+        # scipy's rhok sk sk^T, as (rhok sk_i) sk_j
+        np.multiply.outer(rhok * sk, sk, out=ss)
+        hk = np.dot(a1, np.dot(hk, a2))
+        hk += ss
     if warnflag == 0 and k >= maxiter:
         warnflag = 1
     elif warnflag == 0 and (np.isnan(gnorm) or np.isnan(old_fval)

@@ -70,7 +70,7 @@ class TestValidation:
         path = tmp_path / "broken.yaml"
         path.write_text("name: [unclosed\n")
         assert run_cli("all", "--scenario", path, "--out", tmp_path / "o") == 2
-        assert "parse error" in capsys.readouterr().err
+        assert "YAML parse error" in capsys.readouterr().err
 
     def test_mask_length_mismatch(self, tmp_path, capsys):
         bad = dict(MINI_SCENARIO, mask={"explicit": "QQQ"})
@@ -454,6 +454,33 @@ LISTING_CASES = {
     "kagome": (KAGOME_SCENARIO,
                ising_listings(["QQQ"], pattern=True, fit_due=False)),
 }
+
+
+def typed(node):
+    """A loaded YAML document with the type of every node kept, so that 1,
+    1.0 and True compare unequal."""
+    if isinstance(node, dict):
+        return dict, [(typed(k), typed(v)) for k, v in node.items()]
+    if isinstance(node, list):
+        return list, [typed(v) for v in node]
+    return type(node), node
+
+
+class TestYamlLoader:
+    def test_libyaml_loads_what_the_python_loader_loads(self):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("this PyYAML was built without libyaml")
+        from test_tracer import KAGOME
+        assert cli.YAML_LOADER is yaml.CSafeLoader
+        pattern = TestPatternScenarios().make_pattern_scenario
+        texts = [cli.resolve_scenario_path(name).read_text()
+                 for name in cli.BUNDLED_SCENARIOS]
+        texts += [yaml.safe_dump(raw) for raw in (
+            MINI_SCENARIO, DECAY_SCENARIO, SCAN_SCENARIO, KAGOME_SCENARIO,
+            BEAM_SCENARIO, KAGOME, pattern("honeycomb", 12, 12))]
+        for text in texts:
+            assert (typed(yaml.load(text, Loader=yaml.CSafeLoader))
+                    == typed(yaml.load(text, Loader=yaml.SafeLoader)))
 
 
 class TestOutputSets:

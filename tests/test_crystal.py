@@ -1,5 +1,9 @@
+import hashlib
 import importlib.util
+import json
 import sys
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,24 +233,58 @@ class TestPairKernel:
         """BFGS asks for the energy and the gradient at each point, and the
         polish adds the Hessian; a restart's `_Point` makes that one pass.
         The polish starts from the energy and gradient BFGS ends with. The
-        `_Point` holds one configuration, so a return to an earlier point
-        counts as a new point here: BFGS's line search returns to recent
-        points near convergence, and the polish's first Hessian is at the
-        final iterate, which a failed last search has moved away from."""
+        `_Point` holds the last two configurations, which covers the line
+        search's returns to the trial point before the last. The 4 passes
+        beyond the 782 distinct points are returns to older points: the
+        fallback search's first trial, which repeats the failed `_dcsrch`'s
+        first, and the polish's first Hessian at the final iterate after a
+        failed last search. The asks are counted too: they are the
+        tracer's call counts, which the history leaves alone."""
         passes = []
         asked = []
         geometry = crystal_module._pair_geometry
         monkeypatch.setattr(crystal_module, "_pair_geometry",
                             lambda pos: passes.append(1) or geometry(pos))
         for name in ("potential", "gradient", "hessian"):
-            def ask(u, *args, f=getattr(crystal_module, name)):
-                asked.append(u.tobytes())
+            def ask(u, *args, f=getattr(crystal_module, name), name=name):
+                asked.append((name, u.tobytes()))
                 return f(u, *args)
             monkeypatch.setattr(crystal_module, name, ask)
         freqs, n, seed = SOLVE_CASES["linear-12"]
         solve_equilibrium(constants, TrapConfig.from_hz(*freqs), n, seed=seed)
-        points = 1 + sum(a != b for a, b in zip(asked, asked[1:]))
-        assert 0 < len(passes) <= points < len(asked)
+        points = {u for _, u in asked}
+        calls = [sum(name == f for f, _ in asked)
+                 for name in ("potential", "gradient", "hessian")]
+        assert (len(passes), len(points)) == (786, 782)
+        assert calls == [791, 768, 8]
+
+
+# digests of the trap_sweep workload's seed-0 crystals, 6 to 28 ions
+PINNED_CRYSTALS = Path(__file__).parent / "data" / "trap_sweep_crystals.json"
+
+
+def crystal_digests(crystal):
+    """SHA-256 of the float64 bytes of each field tests/data pins."""
+    return {name: hashlib.sha256(np.ascontiguousarray(
+                getattr(crystal, name), dtype=np.float64).tobytes()).hexdigest()
+            for name in ("positions", "potential_energy", "gradient_norm")}
+
+
+class TestPinnedCrystals:
+    """Linear, zigzag and 3D crystals above 3 ions keep their bits through
+    BFGS, the Newton polish and the canonical order."""
+
+    def test_trap_sweep_crystals_keep_their_bits(self):
+        drifted = []
+        for case in json.loads(PINNED_CRYSTALS.read_text())["crystals"]:
+            crystal = solve_equilibrium(
+                PhysicalConstants.for_mass_u(case["ion_mass_u"]),
+                TrapConfig.from_hz(*case["trap_hz"]), case["n_ions"],
+                seed=case["seed"])
+            drifted += [f"{case['name']}: {name}"
+                        for name, digest in crystal_digests(crystal).items()
+                        if digest != case[name]]
+        assert not drifted
 
 
 # trap Hz of tests/conftest.py's `trap` and of the three SOLVE_CASES
@@ -303,13 +341,19 @@ class CountedLineSearch:
 
 
 class NoStep:
-    """A `DCSRCH` that never finds a step."""
+    """scipy's `DCSRCH`, for the reference BFGS, when it never finds a
+    step."""
 
     def __init__(self, *args):
         pass
 
     def __call__(self, alpha1, phi0=None, derphi0=None, maxiter=100):
         return None, phi0, phi0, b"WARNING"
+
+
+def no_step(*args):
+    """`crystal._dcsrch` when it never finds a step."""
+    return None
 
 
 class TestBfgsLoop:
@@ -332,7 +376,7 @@ class TestBfgsLoop:
         # far starts take steps so small that line_search's ten doublings
         # end without a gradient, which BFGS then asks for
         searches = CountedLineSearch(monkeypatch)
-        monkeypatch.setattr(crystal_module, "DCSRCH", NoStep)
+        monkeypatch.setattr(crystal_module, "_dcsrch", no_step)
         monkeypatch.setattr(scipy.optimize._linesearch, "DCSRCH", NoStep)
         for n in range(1, 31, 3):
             assert_bfgs_equals_scipy(*bfgs_start(n, n % 4, 0))
@@ -355,14 +399,133 @@ class TestBfgsLoop:
         x0[4] = np.nan
         assert assert_bfgs_equals_scipy(alphas, x0) == 3
 
-    def test_missing_dcsrch_names_the_module_and_scipy_release(self,
-                                                               monkeypatch):
-        monkeypatch.setitem(sys.modules, "scipy.optimize._dcsrch", None)
+    def test_missing_linesearch_names_the_module_and_scipy_release(
+            self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize._linesearch", None)
         spec = importlib.util.spec_from_file_location(
-            "ionrewire._crystal_without_dcsrch", crystal_module.__file__)
-        with pytest.raises(ImportError,
-                           match=r"scipy\.optimize\._dcsrch.*scipy 1\.17\.1"):
+            "ionrewire._crystal_without_linesearch", crystal_module.__file__)
+        with pytest.raises(ImportError, match=(
+                r"^ionrewire\.crystal needs LineSearchWarning from "
+                r"scipy\.optimize\._linesearch, .*scipy 1\.17\.1; this scipy "
+                r"is \S+$")):
             spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+class Line:
+    """A 1-D search problem as `_dcsrch` and scipy's `DCSRCH` each see it:
+    `fun_grad` at x = 0 + s * 1 for the one, phi(s) and derphi(s) for the
+    other. Both log the steps they are asked at."""
+
+    def __init__(self, phi, derphi):
+        self.phi, self.derphi, self.steps = phi, derphi, []
+
+    def fun_grad(self, x):
+        self.steps.append(x[0])
+        return self.phi(x[0]), np.array([self.derphi(x[0])])
+
+    def logged_phi(self, s):
+        self.steps.append(s)
+        return self.phi(s)
+
+
+def noisy_line(seed, nan_from=np.inf):
+    """phi(s) = -s and phi'(s) = -1, each plus a normal draw seeded by the
+    bits of s: values and slopes that disagree, so that the search meets
+    its warnings. The energy is NaN from s = nan_from on."""
+    def draw(s):
+        bits = zlib.crc32(np.float64(s).tobytes())
+        return np.random.default_rng([seed, bits]).normal(size=2)
+
+    def phi(s):
+        if s >= nan_from:
+            return np.float64(np.nan)
+        return -np.float64(s) + draw(s)[0] if s else np.float64(0.0)
+
+    def derphi(s):
+        return -1.0 + 2 * draw(s)[1] if s else np.float64(-1.0)
+    return phi, derphi
+
+
+def slope(s):
+    """phi(s) = -s, which has no minimum."""
+    return -np.float64(s)
+
+
+def minus_one(s):
+    return np.float64(-1.0)
+
+
+# (phi, phi') or noisy_line's arguments, first step, and DCSRCH's exit
+LINE_CASES = {
+    "convergence": ((0,), 1.0, b"CONVERGENCE"),
+    "rounding": ((2,), 1.0, b"WARNING: ROUNDING ERRORS PREVENT PROGRESS"),
+    "xtol": ((102,), 1.0, b"WARNING: XTOL TEST SATISFIED"),
+    "stpmin": ((391,), 1.0, b"WARNING: STP = STPMIN"),
+    "stpmax": ((slope, minus_one), 1e99, b"WARNING: STP = STPMAX"),
+    "maxiter": ((slope, minus_one),
+                1e-3, b"WARNING: dcsrch did not converge within max iterations"),
+    "nan-energy": ((0, 0.5), 1.0, b"WARN"),
+}
+
+
+@pytest.fixture
+def scipy_dcsrch():
+    """scipy's `DCSRCH`, which `crystal._dcsrch` ports: private API, so the
+    tests that compare with it skip without it."""
+    return pytest.importorskip(
+        "scipy.optimize._dcsrch",
+        reason="scipy.optimize._dcsrch, the reference for crystal._dcsrch, "
+               "is missing").DCSRCH
+
+
+def assert_dcsrch_equals_scipy(dcsrch, phi, derphi, alpha1, derphi0=None):
+    """`_dcsrch` asks for the same steps as scipy's `DCSRCH` with BFGS's
+    settings and returns its step and energy, bit for bit, and the gradient
+    at that step; returns DCSRCH's exit."""
+    derphi0 = derphi(0.0) if derphi0 is None else derphi0
+    ours, ref = Line(phi, derphi), Line(phi, derphi)
+    found = crystal_module._dcsrch(ours, np.zeros(1), np.ones(1), alpha1,
+                                   phi(0.0), derphi0)
+    stp, fval, _, task = dcsrch(ref.logged_phi, derphi, 1e-4, 0.9, 1e-14,
+                                1e-100, 1e100)(alpha1, phi0=phi(0.0),
+                                               derphi0=derphi0, maxiter=100)
+    assert bits(ours.steps) == bits(ref.steps)
+    if stp is None:
+        assert found is None
+    else:
+        assert bits(found[:2]) == bits([stp, fval])
+        assert bits(found[2]) == bits([derphi(stp)])
+    return task
+
+
+class TestLineSearch:
+    """`crystal._dcsrch` is scipy 1.17.1's `DCSRCH`, which stays here as the
+    reference: the same trial steps, exit, step and energy."""
+
+    @pytest.mark.parametrize("case", list(LINE_CASES))
+    def test_each_exit(self, scipy_dcsrch, case):
+        problem, alpha1, exit = LINE_CASES[case]
+        phi, derphi = (problem if callable(problem[0])
+                       else noisy_line(*problem))
+        assert assert_dcsrch_equals_scipy(scipy_dcsrch, phi, derphi,
+                                          alpha1) == exit
+
+    def test_ascent_is_an_error_without_a_step(self, scipy_dcsrch):
+        phi, derphi = noisy_line(0)
+        for derphi0 in (np.float64(0.0), np.float64(0.5)):
+            task = assert_dcsrch_equals_scipy(scipy_dcsrch, phi, derphi, 1.0,
+                                              derphi0)
+            assert task == b"ERROR: INITIAL G .GE. ZERO"
+
+    def test_seeded_lines(self, scipy_dcsrch):
+        exits = set()
+        for seed in range(200):
+            for nan_from in (np.inf, 0.5):
+                for alpha1 in (1.0, 0.3):
+                    task = assert_dcsrch_equals_scipy(
+                        scipy_dcsrch, *noisy_line(seed, nan_from), alpha1)
+                    exits.add(task[:4])
+        assert exits == {b"CONV", b"WARN"}
 
 
 def fd_hessian_of_potential(u, alphas, h=1e-3):
