@@ -46,7 +46,6 @@ from .stochastic import (
     DeshelvingModel,
     MeasurementModel,
     ShotRecords,
-    ShotStreams,
     shelf_survival,
     sample_shelving,
     deshelve_probability,
@@ -91,7 +90,6 @@ __all__ = [
     "DeshelvingModel",
     "MeasurementModel",
     "ShotRecords",
-    "ShotStreams",
     "shelf_survival",
     "sample_shelving",
     "deshelve_probability",

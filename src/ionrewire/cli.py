@@ -69,11 +69,13 @@ from .stochastic import (
     sample_deshelving_scan,
     sample_shelving,
     sample_shelving_decay,
+    shelf_survival,
 )
 
 TWO_PI = 2.0 * math.pi
 
-# stream index of the `mask` artifact's sample; no per-shot stream reaches it
+# stream index of the `mask` artifact's sample; the block samplers draw from
+# stream 0, so the mask's uniforms are its own
 MASK_STREAM = 2**48
 
 # libyaml's safe loader where PyYAML was built with it: the same objects as
@@ -659,8 +661,7 @@ def _run_shelving_decay(scenario: Scenario, out_dir: Path, fmt: str):
 
     header = ["time_s", "p_s_model", "n_ions_sampled", "n_in_s", "f_in_s"]
     total = shots * n
-    # math.exp, not np.exp: numpy's exp may differ from libm in the last bit
-    model = np.array([math.exp(x) for x in (-times / process.tau_shelve).tolist()])
+    model = np.array([shelf_survival(t, process) for t in times.tolist()])
     fractions = in_ground / total
     table = Table(times, model, np.full(times.size, total), in_ground, fractions)
     names = [write_table(out_dir, "survival", header, table, fmt)]

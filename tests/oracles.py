@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 
-from ionrewire.dynamics import SpinState
-from ionrewire.lattice import ShelveMask
+from ionrewire.dynamics import SpinState, scan_evolution
+from ionrewire.lattice import ShelveMask, apply_mask
+from ionrewire.stochastic import ShelvingProcess
 
 
 def pair_geometry(pos: np.ndarray):
@@ -63,11 +64,90 @@ def populations(state: SpinState) -> np.ndarray:
     return p / p.sum()
 
 
-def sample_shelving(n: int, beam_time: float, process, rng) -> ShelveMask:
-    """Per-ion Bernoulli shelving drawn from a numpy Generator: ion i is
-    shelved when the i-th of n uniforms is below 1 - exp(-beam_time / tau)."""
+def shelve_by(uniforms, beam_time: float, process) -> ShelveMask:
+    """Per-ion Bernoulli shelving: ion i is shelved when uniforms[i] is below
+    1 - exp(-beam_time / tau)."""
     p = 1.0 - math.exp(-beam_time / process.tau_shelve)
-    return ShelveMask(tuple((rng.random(n) < p).tolist()))
+    return ShelveMask(tuple((np.asarray(uniforms) < p).tolist()))
+
+
+def sample_shelving(n: int, beam_time: float, process, rng) -> ShelveMask:
+    """Per-ion Bernoulli shelving from the next n uniforms of a numpy
+    Generator."""
+    return shelve_by(rng.random(n), beam_time, process)
+
+
+def reference_protocol(coupling, beam_time, times, measurement, seed,
+                       deshelving=None, drive_rabi=None):
+    """Per-shot protocol: (config, outcome, intact) for every shot in order.
+
+    Shot r = ti * shots + s reads row r of each block drawn from
+    default_rng([seed, 0]), in order: shelving (total, n), outcome (total,),
+    flips (total, n) with a SPAM error above 0, returns (total, n) with
+    deshelving."""
+    n, shots = coupling.n_spins, measurement.shots
+    total = len(times) * shots
+    rng = np.random.default_rng([seed, 0])
+    shelving = rng.random((total, n))
+    outcomes = rng.random(total)
+    flips = rng.random((total, n)) if measurement.spam_error > 0.0 else None
+    returns = rng.random((total, n)) if deshelving is not None else None
+    tables = {}
+    rows = []
+    for ti, t in enumerate(times):
+        for s in range(shots):
+            r = ti * shots + s
+            mask = shelve_by(shelving[r], beam_time, ShelvingProcess())
+            config = mask.to_string()
+            if config not in tables:
+                series = scan_evolution(apply_mask(coupling, mask), times)
+                tables[config] = np.cumsum(series.probabilities, axis=1)
+            k = mask.survivors.size
+            outcome = min(int(np.searchsorted(tables[config][ti], outcomes[r],
+                                              side="right")), 2**k - 1)
+            if flips is not None:
+                flipped = flips[r, :k] < measurement.spam_error
+                outcome ^= int(flipped @ (1 << np.arange(k)))
+            intact = True
+            if returns is not None:
+                p_return = 1.0 - math.exp(-t / deshelving.tau_g(drive_rabi))
+                returned = returns[r] < p_return
+                intact = not returned[mask.shelved_indices].any()
+            rows.append((config, outcome, intact))
+    return rows
+
+
+def reference_shelving_decay(n_ions, times, process, shots, seed) -> list:
+    """Ions left unshelved at each time, summed shot by shot; shot s at time
+    index ti reads row ti * shots + s of one (times * shots, n_ions) block
+    drawn from default_rng([seed, 0])."""
+    uniforms = np.random.default_rng([seed, 0]).random((len(times) * shots,
+                                                         n_ions))
+    counts = []
+    for ti, t in enumerate(times):
+        masks = [shelve_by(uniforms[ti * shots + s], float(t), process)
+                 for s in range(shots)]
+        counts.append(sum(n_ions - m.shelved_indices.size for m in masks))
+    return counts
+
+
+def reference_deshelving_scan(model, omegas, points, max_time_factor, shots,
+                              seed) -> list:
+    """(time, return probability, returned shots) per curve point, counted
+    shot by shot; point p of the flattened curves reads row p of one
+    (curves * points, shots) block drawn from default_rng([seed, 0])."""
+    uniforms = np.random.default_rng([seed, 0]).random((len(omegas) * points,
+                                                         shots))
+    curves = []
+    for oi, omega in enumerate(omegas):
+        tau = model.tau_g(omega)
+        curve = []
+        for ti, t in enumerate(np.linspace(0.0, max_time_factor * tau, points)):
+            p = 1.0 - math.exp(-t / tau)
+            returned = sum(u < p for u in uniforms[oi * points + ti])
+            curve.append((t, p, returned))
+        curves.append(curve)
+    return curves
 
 
 def mask_union(first: ShelveMask, second: ShelveMask) -> ShelveMask:

@@ -48,11 +48,15 @@ from ionrewire.lattice import (
     triangular_array,
     verify_geometry,
 )
-from ionrewire.stochastic import ShelvingProcess
+from ionrewire.stochastic import (
+    MeasurementModel,
+    ShelvingProcess,
+    run_protocol,
+    sample_shelving_decay,
+)
 from oracles import (
     embed_survivor_state,
     populations,
-    sample_shelving,
     survivor_marginal,
     zero_shelved_couplings,
 )
@@ -293,25 +297,23 @@ def test_criterion_7_shelving_statistics():
     process = ShelvingProcess(tau_shelve=55e-3)
     times = np.linspace(0.0, 0.25, 26)
     shots = 120
-    fractions = []
-    for ti, t in enumerate(times):
-        in_s = 0
-        for s in range(shots):
-            rng = np.random.default_rng([7500, ti * shots + s])
-            mask = sample_shelving(1, float(t), process, rng)
-            in_s += 1 - len(mask.shelved_indices)
-        fractions.append(in_s / shots)
-    fit = fit_exponential(times, np.array(fractions), model="decay")
+    in_ground = sample_shelving_decay(1, times, process, shots, 7500)
+    fit = fit_exponential(times, in_ground / shots, model="decay")
     tau_hat = fit.parameters["tau"]
     assert abs(tau_hat - 55e-3) <= 3 * fit.std_errors["tau"]
 
-    # configuration frequencies at p = 1/2, n = 3, over 1e5 samples
+    # configuration frequencies at p = 1/2, n = 3, over 1e5 shots
     beam_time = 55e-3 * math.log(2.0)
-    rng = np.random.default_rng(7600)
     samples = 100_000
+    result = run_protocol(InteractionGraph.uniform(3, TWO_PI * 450.0),
+                          beam_time=beam_time, times=np.array([0.0]),
+                          shelving=process,
+                          measurement=MeasurementModel(shots=samples,
+                                                       spam_error=0.0),
+                          seed=7600)
     counts = np.zeros(4, dtype=int)
-    for _ in range(samples):
-        counts[len(sample_shelving(3, beam_time, process, rng).shelved_indices)] += 1
+    for config, group in result.groups.items():
+        counts[config.count("S")] += group.n_total[0]
     probs = np.array([1, 3, 3, 1]) / 8.0
     sigma = np.sqrt(samples * probs * (1 - probs))
     deviation = np.abs(counts - samples * probs)

@@ -19,7 +19,6 @@ from ionrewire.stochastic import (
     MeasurementModel,
     ProtocolResult,
     ShelvingProcess,
-    ShotStreams,
     deshelve_probability,
     run_protocol,
     sample_deshelving_scan,
@@ -126,64 +125,6 @@ class TestDeshelving:
             DeshelvingModel().tau_g(0.0)
 
 
-class TestShotStreams:
-    """The block streams against numpy's own per-shot generators."""
-
-    # both sides of 2**32, where a shot index becomes two entropy words, and
-    # the mask artifact's stream 2**48
-    SHOTS = (0, 1, 2, 1000, 2**32 - 1, 2**32, 2**32 + 1, 2**48, 2**63 + 7)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
-    def test_draws_match_default_rng(self, seed):
-        streams = ShotStreams(seed, np.array(self.SHOTS, dtype=np.uint64))
-        words = streams.next_uint64(3)
-        doubles = streams.random(5)
-        for i, shot in enumerate(self.SHOTS):
-            rng = np.random.default_rng([seed, shot])
-            assert np.array_equal(words[i], rng.bit_generator.random_raw(3))
-            assert np.array_equal(doubles[i], rng.random(5))
-
-    def test_empty_block(self):
-        assert ShotStreams(3, []).random(2).shape == (0, 2)
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            ShotStreams(-1, [0])
-
-
-def reference_protocol(coupling, beam_time, times, measurement, seed,
-                       deshelving=None, drive_rabi=None):
-    """Per-shot protocol, one generator per shot, as the block sampler must
-    reproduce it: (config, outcome, intact) for every shot in order. Each
-    shot draws n shelving uniforms, one outcome uniform, n flip uniforms
-    (with a SPAM error above 0), then n return uniforms (with deshelving)."""
-    n, shots = coupling.n_spins, measurement.shots
-    tables = {}
-    rows = []
-    for ti, t in enumerate(times):
-        for s in range(shots):
-            rng = np.random.default_rng([seed, ti * shots + s])
-            mask = oracles.sample_shelving(n, beam_time, ShelvingProcess(),
-                                           rng)
-            config = mask.to_string()
-            if config not in tables:
-                series = scan_evolution(apply_mask(coupling, mask), times)
-                tables[config] = np.cumsum(series.probabilities, axis=1)
-            k = mask.survivors.size
-            outcome = min(int(np.searchsorted(tables[config][ti], rng.random(),
-                                              side="right")), 2**k - 1)
-            if measurement.spam_error > 0.0:
-                flips = rng.random(n)[:k] < measurement.spam_error
-                outcome ^= int(flips @ (1 << np.arange(k)))
-            intact = True
-            if deshelving is not None:
-                p_return = 1.0 - math.exp(-t / deshelving.tau_g(drive_rabi))
-                returned = rng.random(n) < p_return
-                intact = not returned[mask.shelved_indices].any()
-            rows.append((config, outcome, intact))
-    return rows
-
-
 class TestBlockSamplers:
     @pytest.mark.parametrize("spam,deshelve", [(0.0, False), (0.05, False),
                                                (0.3, True)])
@@ -199,8 +140,9 @@ class TestBlockSamplers:
                               shelving=ShelvingProcess(),
                               measurement=measurement, seed=4242,
                               deshelving=deshelving, drive_rabi=drive)
-        expected = reference_protocol(coupling, 40e-3, times, measurement,
-                                      4242, deshelving, drive)
+        expected = oracles.reference_protocol(coupling, 40e-3, times,
+                                              measurement, 4242, deshelving,
+                                              drive)
         records = result.records
         got = [(records.configs[c], o, i) for c, o, i in zip(
             records.config.tolist(), records.outcome.tolist(),
@@ -215,26 +157,28 @@ class TestBlockSamplers:
         process = ShelvingProcess(tau_shelve=55e-3)
         times = np.linspace(0.0, 0.2, 6)
         got = sample_shelving_decay(3, times, process, shots=25, seed=91)
-        for ti, t in enumerate(times):
-            masks = [oracles.sample_shelving(
-                3, float(t), process, np.random.default_rng([91, ti * 25 + s]))
-                for s in range(25)]
-            assert got[ti] == sum(3 - m.shelved_indices.size for m in masks)
+        expected = oracles.reference_shelving_decay(3, times, process, 25, 91)
+        assert got.tolist() == expected
 
     def test_deshelving_scan_matches_per_shot_draws(self):
         model = DeshelvingModel()
         omegas = [TWO_PI * 76e3, TWO_PI * 152e3]
         scan = sample_deshelving_scan(model, omegas, points=4,
                                       max_time_factor=3.0, shots=30, seed=6)
-        for oi, omega in enumerate(omegas):
-            tau = model.tau_g(omega)
-            for ti, t in enumerate(np.linspace(0.0, 3.0 * tau, 4)):
-                p = 1.0 - math.exp(-t / tau)
-                returned = sum(np.random.default_rng(
-                    [6, (oi * 4 + ti) * 30 + s]).random() < p for s in range(30))
+        expected = oracles.reference_deshelving_scan(model, omegas, 4, 3.0,
+                                                     30, 6)
+        for oi, curve in enumerate(expected):
+            for ti, (t, p, returned) in enumerate(curve):
                 assert scan.times[oi, ti] == t
                 assert scan.p_returned[oi, ti] == p
                 assert scan.returned[oi, ti] == returned
+
+    def test_negative_seed_rejected(self):
+        # numpy's SeedSequence takes nonnegative entropy only
+        with pytest.raises(ValueError):
+            run_protocol(uniform_triangle_coupling(), beam_time=28e-3,
+                         times=np.array([1e-3]), shelving=ShelvingProcess(),
+                         measurement=MeasurementModel(shots=10), seed=-1)
 
 
 def uniform_triangle_coupling(j=TWO_PI * 450.0):
@@ -492,26 +436,67 @@ class TestEvolvedSeries:
         assert peak < 1.5 * evolved.probabilities.nbytes
 
 
-def generator_uses(tree):
-    """Line numbers of every default_rng and numpy Generator named in a
-    module: calls, attributes and imports."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.Attribute):
-            names = [node.attr]
-        elif isinstance(node, ast.Name):
-            names = [node.id]
-        else:
-            continue
-        if {"default_rng", "Generator"} & set(names):
-            yield node.lineno
+SAMPLERS = ("sample_shelving", "run_protocol", "sample_shelving_decay",
+            "sample_deshelving_scan")
+# names and constants of a stream hash or generator built by hand: numpy's
+# SeedSequence hash and PCG64 multiplier, and numpy's own classes behind
+# default_rng
+STREAM_NAMES = {"ShotStreams", "_seed_sequence_state", "_mulhi64",
+                "SeedSequence", "PCG64", "Generator", "RandomState"}
+STREAM_CONSTANTS = {0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED,
+                    0xCA01F9DD, 0x4973F715, 2549297995355413924,
+                    4865540595714422341}
 
 
-def test_only_the_crystal_starts_build_a_generator():
-    # every sample comes from ShotStreams; the seeded crystal restarts are the
-    # one numpy Generator in the library
-    uses = {path.name: list(generator_uses(ast.parse(path.read_text())))
-            for path in sorted(SOURCE.glob("*.py"))}
-    assert uses.pop("crystal.py")
-    assert uses == {name: [] for name in uses}
+def names_of(node):
+    """The names a node refers to, defines or imports."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return {name for alias in node.names
+                for name in (alias.name, alias.asname) if name}
+    return set()
+
+
+def is_seed_and_stream(call):
+    """Whether a call's one argument is a two-element list `[seed, stream]`."""
+    if len(call.args) != 1 or call.keywords:
+        return False
+    arg = call.args[0]
+    return (isinstance(arg, ast.List) and len(arg.elts) == 2
+            and isinstance(arg.elts[0], ast.Name) and arg.elts[0].id == "seed")
+
+
+def test_generators_come_from_the_samplers_and_crystal_restarts():
+    # default_rng is called by the crystal's seeded restarts and by each
+    # sampler with [seed, stream], and nowhere else; nothing rebuilds a stream
+    built = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            calls = {id(node.func): node for node in ast.walk(top)
+                     if isinstance(node, ast.Call)}
+            for node in ast.walk(top):
+                where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+                names = names_of(node)
+                assert not names & STREAM_NAMES, f"{where}: {names}"
+                assert not (isinstance(node, ast.Constant)
+                            and node.value in STREAM_CONSTANTS), where
+                if "default_rng" not in names:
+                    continue
+                call = calls.get(id(node))
+                assert call is not None, f"{where}: default_rng not called"
+                if path.name == "stochastic.py":
+                    assert owner in SAMPLERS, where
+                    assert is_seed_and_stream(call), where
+                else:
+                    assert (path.name, owner) == ("crystal.py",
+                                                  "solve_equilibrium"), where
+                built.add((path.name, owner))
+    assert built == {("crystal.py", "solve_equilibrium"),
+                     *(("stochastic.py", name) for name in SAMPLERS)}
