@@ -237,6 +237,8 @@ def load_scenario(ref: str, seed_override: int | None = None) -> Scenario:
 
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: scenario must be a mapping")
+    if seed_override is not None:
+        raw = dict(raw, seed=int(seed_override))
 
     validator = jsonschema.Draft202012Validator(_schema())
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
@@ -253,9 +255,6 @@ def load_scenario(ref: str, seed_override: int | None = None) -> Scenario:
                                                          err.message)
         raise ScenarioError(f"{path}: ${where}: {message}")
     _cross_validate(raw)
-
-    if seed_override is not None:
-        raw = dict(raw, seed=int(seed_override))
     digest = hashlib.sha256(text.encode()).hexdigest()
     return Scenario(raw=raw, source_sha256=digest)
 

@@ -23,12 +23,15 @@ does. Pair quantities are bitwise symmetric, so the one (j, i) layout whose
 leading-axis reduce is that sequence serves the energy, force and Hessian.
 
 The quasi-Newton search (`_bfgs`) does the float operations of scipy 1.17.1's
-`minimize(method="BFGS")` in the same order: `_minimize_bfgs`, the
-`ScalarFunction` memo, `scalar_search_wolfe1` and its step-length search
-`DCSRCH` (MINPACK-2's More-Thuente search, here `_dcsrch` and `_dcstep`). So
-it returns the same iterates, bit for bit, without scipy's per-call wrappers
-and objects. When `_dcsrch` finds no step, `scipy.optimize.line_search` takes
-over, as in scipy.
+`minimize(method="BFGS")` in the same order: `_minimize_bfgs`,
+`scalar_search_wolfe1` and its step-length search `DCSRCH` (MINPACK-2's
+More-Thuente search, here `_dcsrch` and `_dcstep`). So it returns the same
+iterates, bit for bit, without scipy's per-call wrappers and objects. It has
+no memo of its own in place of scipy's `ScalarFunction`: every energy and
+gradient is asked of `potential` and `gradient` with the restart's `_Point`,
+which answers a repeated ask at either of its last two points without
+another pass. When `_dcsrch` finds no step, `scipy.optimize.line_search`
+takes over, as in scipy.
 """
 
 import math
@@ -235,46 +238,6 @@ def hessian(u: np.ndarray, alphas: np.ndarray,
     return 0.5 * (h + h.T)
 
 
-class _Objective:
-    """scipy's `ScalarFunction` memo: the last x asked for, compared with
-    `np.array_equal`, and its energy and gradient, each computed on demand
-    at that stored x through the module-level `potential` and `gradient`.
-    So BFGS calls those two exactly as often as scipy's did."""
-
-    def __init__(self, x, alphas, point):
-        self.alphas, self.point = alphas, point
-        self.x = x.copy()
-        self.f = potential(self.x, alphas, point)
-        self.g = gradient(self.x, alphas, point)
-
-    def _at(self, x):
-        # np.array_equal, for arrays of one shape; a first entry that
-        # differs, or is NaN, decides it without the whole comparison
-        if x[0] != self.x[0] or not (x == self.x).all():
-            self.x, self.f, self.g = x.copy(), None, None
-
-    def fun(self, x):
-        self._at(x)
-        if self.f is None:
-            self.f = potential(self.x, self.alphas, self.point)
-        return self.f
-
-    def grad(self, x):
-        self._at(x)
-        if self.g is None:
-            self.g = gradient(self.x, self.alphas, self.point)
-        return self.g
-
-    def fun_grad(self, x):
-        """`fun(x)` and then `grad(x)`, with one comparison of x."""
-        self._at(x)
-        if self.f is None:
-            self.f = potential(self.x, self.alphas, self.point)
-        if self.g is None:
-            self.g = gradient(self.x, self.alphas, self.point)
-        return self.f, self.g
-
-
 def _vecnorm(v):
     """scipy's 2-norm for BFGS's step test, whose bits decide zero and NaN:
     np.sum's reduce, without its wrapper."""
@@ -402,16 +365,17 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
-def _dcsrch(obj, xk, pk, stp, finit, ginit):
+def _dcsrch(fun_grad, xk, pk, stp, finit, ginit):
     """scipy 1.17.1's `DCSRCH(phi, derphi, _FTOL, _GTOL, _XTOL, _STPMIN,
-    _STPMAX)(stp, finit, ginit, _MAXITER)` on phi(s) = obj.fun(xk + s pk),
-    operation for operation, with locals in place of the object's state.
+    _STPMAX)(stp, finit, ginit, _MAXITER)` on phi(s), the energy at
+    xk + s pk, operation for operation, with locals in place of the
+    object's state.
 
-    Each trial point is built once and asked `obj.fun_grad`. Returns
-    (step, energy, gradient) at a step that meets the strong Wolfe
-    conditions, or None when DCSRCH finds none: an ERROR or WARNING exit,
-    a step that is not finite, or _MAXITER iterations, the first of which
-    is START's argument check.
+    Each trial point is built once, and `fun_grad` returns its energy and
+    gradient. Returns (step, energy, gradient) at a step that meets the
+    strong Wolfe conditions, or None when DCSRCH finds none: an ERROR or
+    WARNING exit, a step that is not finite, or _MAXITER iterations, the
+    first of which is START's argument check.
     """
     # START: the tolerances and bounds are valid constants; a step outside
     # the bounds or an ascent direction is an ERROR, a NaN step a WARNING
@@ -428,7 +392,7 @@ def _dcsrch(obj, xk, pk, stp, finit, ginit):
     sty, fy, gy = 0.0, finit, ginit
     stmin, stmax = 0, stp + 4.0 * stp
     for _ in range(_MAXITER - 1):
-        f, gval = obj.fun_grad(xk + stp * pk)
+        f, gval = fun_grad(xk + stp * pk)
         g = np.dot(gval, pk)
         ftest = finit + stp * gtest
         # psi(stp) <= 0 and f'(stp) >= 0 start the second stage
@@ -492,34 +456,37 @@ def _dcsrch(obj, xk, pk, stp, finit, ginit):
         if not math.isfinite(stp):
             return None
     # DCSRCH asks for its last trial point but tests it no more
-    obj.fun_grad(xk + stp * pk)
+    fun_grad(xk + stp * pk)
     return None
 
 
-def _line_search(obj, xk, pk, gfk, old_fval, old_old_fval):
+def _line_search(alphas, point, xk, pk, gfk, old_fval, old_old_fval):
     """scipy's `_line_search_wolfe12`: `_dcsrch` from the step guess of
     `scalar_search_wolfe1`, then `scipy.optimize.line_search` if it finds
-    no step.
+    no step. Both ask `potential` and `gradient` with the restart's
+    `_Point`, which serves a repeated point without another pair pass.
 
-    Returns (step, energy, energy at xk, gradient or None), or None when
-    both searches fail.
+    Returns (step, energy, gradient or None), or None when both searches
+    fail.
     """
+    def fun_grad(x):
+        return potential(x, alphas, point), gradient(x, alphas, point)
+
     derphi0 = np.dot(gfk, pk)
     alpha1 = 1.0
     if derphi0 != 0:
         alpha1 = min(1.0, 1.01*2*(old_fval - old_old_fval)/derphi0)
         if alpha1 < 0:
             alpha1 = 1.0
-    found = _dcsrch(obj, xk, pk, alpha1, old_fval, derphi0)
+    found = _dcsrch(fun_grad, xk, pk, alpha1, old_fval, derphi0)
     if found is not None:
-        stp, fval, g = found
-        return stp, fval, old_fval, g
+        return found
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", LineSearchWarning)
-        stp, _, _, fval, old_fval, g = scipy.optimize.line_search(
-            obj.fun, obj.grad, xk, pk, gfk, old_fval, old_old_fval,
-            c1=_FTOL, c2=_GTOL, amax=_STPMAX)
-    return None if stp is None else (stp, fval, old_fval, g)
+        stp, _, _, fval, _, g = scipy.optimize.line_search(
+            potential, gradient, xk, pk, gfk, old_fval, old_old_fval,
+            args=(alphas, point), c1=_FTOL, c2=_GTOL, amax=_STPMAX)
+    return None if stp is None else (stp, fval, g)
 
 
 def _bfgs(x0, alphas, point, gtol, maxiter):
@@ -527,10 +494,9 @@ def _bfgs(x0, alphas, point, gtol, maxiter):
     test, bit for bit. Returns (x, energy, gradient, iterations, warnflag):
     warnflag 0 converged, 1 hit maxiter, 2 a line search failed or the
     energy is not finite, 3 NaN."""
-    obj = _Objective(x0, alphas, point)
     xk = x0
-    old_fval = obj.fun(x0)
-    gfk = obj.grad(x0)
+    old_fval = potential(x0, alphas, point)
+    gfk = gradient(x0, alphas, point)
     k, warnflag = 0, 0
     size = x0.size
     eye = np.eye(size)
@@ -542,15 +508,17 @@ def _bfgs(x0, alphas, point, gtol, maxiter):
     gnorm = np.abs(gfk).max()
     while gnorm > gtol and k < maxiter:
         pk = -np.dot(hk, gfk)
-        found = _line_search(obj, xk, pk, gfk, old_fval, old_old_fval)
+        found = _line_search(alphas, point, xk, pk, gfk, old_fval,
+                             old_old_fval)
         if found is None:
             warnflag = 2
             break
-        alpha_k, old_fval, old_old_fval, gfkp1 = found
+        alpha_k, fval, gfkp1 = found
+        old_old_fval, old_fval = old_fval, fval
         sk = alpha_k * pk
         xk = xk + sk
         if gfkp1 is None:
-            gfkp1 = obj.grad(xk)
+            gfkp1 = gradient(xk, alphas, point)
         yk = gfkp1 - gfk
         gfk = gfkp1
         k += 1

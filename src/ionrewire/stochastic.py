@@ -154,7 +154,8 @@ def deshelve_probability(t: float, rabi_frequency: float,
 
 def _distinct_rows(flags: np.ndarray):
     """Distinct rows of a boolean matrix in lexicographic order (False
-    first), and each row's index among them."""
+    first), each row's index among them, and the rows grouped by that index:
+    a stable order whose group c is order[bounds[c]:bounds[c + 1]]."""
     packed = np.packbits(flags, axis=1)
     # with no columns every row is the one empty row; lexsort needs a key
     order = (np.lexsort(packed.T[::-1]) if packed.shape[1]
@@ -164,7 +165,8 @@ def _distinct_rows(flags: np.ndarray):
     np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
     index = np.empty(order.size, dtype=np.intp)
     index[order] = np.cumsum(first) - 1
-    return flags[order[first]], index
+    bounds = np.append(np.flatnonzero(first), order.size)
+    return flags[order[first]], index, order, bounds
 
 
 # --------------------------------------------------------------------------
@@ -221,7 +223,8 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
     rng = np.random.default_rng([seed, 0])
     time_index = np.repeat(np.arange(times.size), shots)
     p_shelve = 1.0 - shelf_survival(beam_time, shelving)
-    shelved, config = _distinct_rows(rng.random((total, n)) < p_shelve)
+    shelved, config, order, config_bounds = _distinct_rows(
+        rng.random((total, n)) < p_shelve)
     n_survivors = (n - shelved.sum(axis=1)).tolist()
     draws = rng.random(total)
     flips = rng.random((total, n)) if spam > 0.0 else None
@@ -234,8 +237,6 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
         intact = ~np.any(returned & shelved[config], axis=1)
 
     outcome = np.empty(total, dtype=np.int64)
-    order = np.argsort(config, kind="stable")
-    config_bounds = np.searchsorted(config[order], np.arange(len(shelved) + 1))
     groups = {}
     configs = []
     for c, mask_row in enumerate(shelved):

@@ -66,6 +66,15 @@ class TestValidation:
         assert "freq_x_hz" in message
         assert not out.exists()
 
+    @pytest.mark.parametrize("scenario", ["fig4b", "fig_op"])
+    def test_negative_seed_override_rejected_without_outputs(
+            self, tmp_path, capsys, scenario):
+        out = tmp_path / "out"
+        assert run_cli("all", "--scenario", scenario, "--out", out,
+                       "--seed", -1) == 2
+        assert "$.seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_yaml_rejected(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("name: [unclosed\n")

@@ -35,16 +35,17 @@ KAGOME = {
 
 
 # (potential, gradient, hessian) calls the tracer counts in one
-# solve_equilibrium of each SOLVE_CASES crystal. With
-# scipy.optimize.minimize(method="BFGS") in the solve they were 799, 784 and 8
-# (linear-12), 1304, 1313, 8 (zigzag-20) and 1362, 1347, 8 (3d-28). The Newton
-# polish of each of the 8 restarts starts from the energy and gradient BFGS
-# ends with (8 fewer of each), and asks for the gradient once at its final
-# point (8 fewer gradients).
+# solve_equilibrium of each SOLVE_CASES crystal. They count asks, not pair
+# passes: BFGS and both line searches ask `potential` and `gradient` at each
+# point they visit, and a restart's `_Point` serves a point it holds without
+# another pass (linear-12 makes 786 passes for 782 distinct points, see
+# test_crystal.py's test_one_pair_pass_per_point). The Newton polish starts
+# from the energy and gradient BFGS ends with; in these solves it asks for
+# the Hessian once per restart.
 CRYSTAL_EVALS = {
-    "linear-12": (791, 768, 8),
-    "zigzag-20": (1296, 1297, 8),
-    "3d-28": (1354, 1331, 8),
+    "linear-12": (805, 776, 8),
+    "zigzag-20": (1304, 1297, 8),
+    "3d-28": (1387, 1358, 8),
 }
 
 
