@@ -24,7 +24,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from importlib import metadata, resources
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import jsonschema
@@ -71,6 +70,7 @@ from .stochastic import (
     sample_shelving_decay,
     shelf_survival,
 )
+from .tables import Coded, Table, write_json, write_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -257,128 +257,6 @@ def load_scenario(ref: str, seed_override: int | None = None) -> Scenario:
     _cross_validate(raw)
     digest = hashlib.sha256(text.encode()).hexdigest()
     return Scenario(raw=raw, source_sha256=digest)
-
-
-# --------------------------------------------------------------------------
-# table writing (deterministic formatting)
-
-
-def _fmt_cell(value, fmt: str = "csv") -> str:
-    """The text of one Python scalar: a float's repr, an int in decimal,
-    true or false, a string as is. In JSON a string is quoted and a
-    non-finite float is null."""
-    kind = type(value)
-    if kind is bool:
-        return "true" if value else "false"
-    if fmt == "json":
-        if kind is str:
-            return encode_basestring_ascii(value)
-        if kind is float and not math.isfinite(value):
-            return "null"
-    return repr(value) if kind is float else str(value)
-
-
-# a chunk of a Table holds at most this many cells, or one row if wider
-CHUNK_CELLS = 2**16
-
-
-@dataclass(frozen=True)
-class Coded:
-    """A table column whose row r is values[codes[r]], so each distinct value
-    is formatted once."""
-
-    values: list
-    codes: np.ndarray
-
-
-class Table:
-    """Table rows held as columns, for write_table. A column is a 1-D array
-    (one table column), a 2-D array (one table column per array column) or a
-    Coded column; every column has the same number of rows."""
-
-    def __init__(self, *columns):
-        self.columns = [column if isinstance(column, Coded) or column.ndim == 2
-                        else column[:, None] for column in columns]
-        self.width = sum(1 if isinstance(c, Coded) else c.shape[1]
-                         for c in self.columns)
-
-    def __len__(self) -> int:
-        column = self.columns[0]
-        return len(column.codes if isinstance(column, Coded) else column)
-
-    def chunks(self, fmt: str):
-        """The rows as tuples of cell texts (_fmt_cell in format fmt), in
-        chunks of consecutive rows with at most CHUNK_CELLS cells."""
-        coded = {i: np.array([_fmt_cell(v, fmt) for v in column.values],
-                             dtype=object)
-                 for i, column in enumerate(self.columns)
-                 if isinstance(column, Coded)}
-        step = max(1, CHUNK_CELLS // self.width)
-        for start in range(0, len(self), step):
-            rows = slice(start, min(start + step, len(self)))
-            chunk = np.empty((rows.stop - start, self.width), dtype=object)
-            first = 0
-            for i, column in enumerate(self.columns):
-                if i in coded:
-                    chunk[:, first] = coded[i][column.codes[rows]]
-                    first += 1
-                    continue
-                block = column[rows]
-                out = chunk[:, first:first + block.shape[1]]
-                first += block.shape[1]
-                # cells whose bits are all zero (0, +0.0, false; never -0.0)
-                # share one text, so only the others are formatted
-                out.fill(_fmt_cell(block.dtype.type(0).item()))
-                nonzero = block.view(f"u{block.itemsize}") != 0
-                values = block[nonzero].tolist()
-                text = _fmt_cell if block.dtype.kind == "b" else repr
-                out[nonzero] = np.fromiter(map(text, values), dtype=object,
-                                           count=len(values))
-                if fmt == "json" and block.dtype.kind == "f":
-                    out[~np.isfinite(block)] = "null"
-            # one flat list, grouped by a zip that reuses its row tuple: a
-            # list per row would leave the garbage collector many to scan
-            yield zip(*[iter(chunk.ravel().tolist())] * self.width)
-
-
-def write_table(out_dir: Path, stem: str, header: list, rows: Table,
-                fmt: str) -> str:
-    """Write one tabular artifact; returns the file name. CSV has a header
-    line and one line per row; JSON is the indent=2 layout of a list of flat
-    row objects, as json.dumps(indent=2) would write it."""
-    name = f"{stem}.{fmt}"
-    with (out_dir / name).open("w", encoding="utf-8") as out:
-        if fmt == "csv":
-            out.write(",".join(header) + "\n")
-            for chunk in rows.chunks(fmt):
-                out.write("\n".join(map(",".join, chunk)) + "\n")
-            return name
-        keys = (encode_basestring_ascii(key).replace("%", "%%")
-                for key in header)
-        row = "  {\n" + ",\n".join(f"    {key}: %s" for key in keys) + "\n  }"
-        opening = "[\n"
-        for chunk in rows.chunks(fmt):
-            out.write(opening + ",\n".join(map(row.__mod__, chunk)))
-            opening = ",\n"
-        out.write("[]\n" if opening == "[\n" else "\n]\n")
-    return name
-
-
-def write_json(out_dir: Path, stem: str, payload: dict) -> str:
-    name = f"{stem}.json"
-
-    def sanitize(obj):
-        if isinstance(obj, dict):
-            return {k: sanitize(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [sanitize(v) for v in obj]
-        if isinstance(obj, (float, np.floating)):
-            return float(obj) if math.isfinite(obj) else None
-        return obj.item() if isinstance(obj, np.generic) else obj
-
-    (out_dir / name).write_text(
-        json.dumps(sanitize(payload), indent=2, sort_keys=True) + "\n")
-    return name
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import io
 import itertools
 import json
 import math
+import os
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ionrewire import cli, dynamics, stochastic
+from ionrewire import cli, dynamics, stochastic, tables
 from ionrewire.dynamics import SIZE_CAP, ObservableSeries
 from ionrewire.stochastic import GroupSeries
 
@@ -771,8 +773,8 @@ def _writer_cases():
     group = _group_with_empty_bin()
     series_header, series = cli._series_rows(
         ObservableSeries(0, np.array([0.0, 0.5]), np.ones((2, 1))))
-    tall = cli.CHUNK_CELLS + 5
-    wide = np.zeros((3, cli.CHUNK_CELLS + 2))
+    tall = tables.CHUNK_CELLS + 5
+    wide = np.zeros((3, tables.CHUNK_CELLS + 2))
     wide[0, 0], wide[1, -1], wide[2, 7] = -0.0, 0.3, 1e-300
     return [
         ("floats", ["x", *[f"b{j}" for j in range(5)]], [floats, block]),
@@ -783,6 +785,9 @@ def _writer_cases():
         ("no_rows", ["t", "a", "b", "c"],
          [np.empty(0), np.empty((0, 2)), cli.Coded(["x"], np.empty(0, int))]),
         ("one_column", ["t"], [np.array([0.0, -0.0, 1.5])]),
+        ("one_row", ["t", "a", "b", "label"], [
+            np.array([0.25]), np.array([[1e-300, -0.0]]),
+            cli.Coded(["Q"], np.array([0]))]),
         ("mixed_kinds", ["ion", "x", "state", "t", "flag", "y_é", "k%s"], [
             np.array([0, 1, 2]), np.array([-0.0, math.nan, 2.5]),
             cli.Coded(["Q", "S", 'a"b\\é'], np.array([0, 1, 2])),
@@ -807,6 +812,39 @@ def _writer_cases():
 WRITER_CASES = _writer_cases()
 
 
+def count_forks(monkeypatch) -> list:
+    """Patch os.fork to log each call; returns the log."""
+    forks, fork = [], os.fork
+
+    def logged():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", logged)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_in(monkeypatch, process: str):
+    """Make Table.chunks raise an OSError in the test's own process
+    ("parent") or in a forked writer worker ("worker"). When the parent
+    fails, the workers sleep for a minute, so only a kill ends them soon."""
+    parent, chunks = os.getpid(), tables.Table.chunks
+
+    def failing(self, fmt, start=0, stop=None):
+        if (os.getpid() == parent) == (process == "parent"):
+            raise OSError("no space left on device")
+        if process == "parent":
+            time.sleep(60)
+        return chunks(self, fmt, start, stop)
+
+    monkeypatch.setattr(tables.Table, "chunks", failing)
+
+
 class TestWriteTable:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("chunk_cells", [None, 5])
@@ -814,16 +852,111 @@ class TestWriteTable:
                              ids=[case[0] for case in WRITER_CASES])
     def test_matches_per_cell_writer(self, tmp_path, monkeypatch, fmt,
                                      chunk_cells, name, header, columns):
+        """The same bytes serially and with the rows split between 2 or 3
+        forked workers; a table of under two rows is never split."""
         if chunk_cells is not None:
-            monkeypatch.setattr(cli, "CHUNK_CELLS", chunk_cells)
+            monkeypatch.setattr(tables, "CHUNK_CELLS", chunk_cells)
         table = cli.Table(*columns)
         rows = per_cell_rows(columns)
         assert len(table) == len(rows)
         assert all(len(row) == len(header) for row in rows)
-        written = cli.write_table(tmp_path, name, header, table, fmt)
-        assert written == f"{name}.{fmt}"
-        assert ((tmp_path / written).read_bytes()
-                == reference_text(header, rows, fmt).encode())
+        expected = reference_text(header, rows, fmt).encode()
+        forks = count_forks(monkeypatch)
+        for cpus in (None, 2, 3):
+            if cpus is not None:
+                monkeypatch.setattr(tables, "SPLIT_VALUES", 0)
+                monkeypatch.setattr(tables, "_usable_cpus", lambda: cpus)
+            out_dir = tmp_path / str(cpus)
+            out_dir.mkdir()
+            forks.clear()
+            written = cli.write_table(out_dir, name, header, table, fmt)
+            assert written == f"{name}.{fmt}"
+            assert (out_dir / written).read_bytes() == expected
+            parts = 1 if cpus is None else max(1, min(cpus, len(rows)))
+            assert len(forks) == parts - 1
+
+    @pytest.mark.parametrize("failing", [None, "worker", "parent"])
+    def test_no_worker_or_part_file_outlives_a_split_write(
+            self, tmp_path, monkeypatch, failing):
+        name, header, columns = WRITER_CASES[0]
+        monkeypatch.setattr(tables, "SPLIT_VALUES", 0)
+        monkeypatch.setattr(tables, "_usable_cpus", lambda: 3)
+        forks = count_forks(monkeypatch)
+        table = cli.Table(*columns)
+        started = time.monotonic()
+        if failing is None:
+            cli.write_table(tmp_path, name, header, table, "csv")
+        else:
+            failing_in(monkeypatch, failing)
+            # a worker's error is reported by its file; the parent's own
+            # error is raised as it is, after the sleeping workers are killed
+            raised = RuntimeError if failing == "worker" else OSError
+            match = f"{name}.csv" if failing == "worker" else "no space"
+            with pytest.raises(raised, match=match):
+                cli.write_table(tmp_path, name, header, table, "csv")
+        assert time.monotonic() - started < 30
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == [f"{name}.csv"]
+
+    def test_worker_failure_in_all_exits_1_naming_the_stage(
+            self, tmp_path, monkeypatch):
+        # MINI_SCENARIO's series table has 93 nonzero float cells and each
+        # other table at most 70, so only the series is split
+        monkeypatch.setattr(tables, "SPLIT_VALUES", 80)
+        monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
+        forks = count_forks(monkeypatch)
+        failing_in(monkeypatch, "worker")
+        out = tmp_path / "out"
+        code, err = run_captured(["all", "--scenario",
+                                  write_scenario(tmp_path, MINI_SCENARIO),
+                                  "--out", out])
+        assert code == 1
+        assert err == ("error in stage 'dynamics': series.csv: a table "
+                       "writer worker failed (exit status 1)\n")
+        assert len(forks) == 1
+        assert_no_child_left()
+        assert "series.csv" in os.listdir(out)
+
+
+WORKLOADS = Path(__file__).parent / "data" / "workloads"
+
+
+@pytest.mark.parametrize("scenario,split", [
+    *[(name, {}) for name in cli.BUNDLED_SCENARIOS],
+    *[(f"trap_sweep/{path.stem}", {})
+      for path in sorted((WORKLOADS / "trap_sweep").glob("*.yaml"))],
+    ("lattice/decay-companion", {}),
+    ("lattice/pair-companion", {}),
+    ("lattice/lattice0-kagome-3x5", {}),
+    ("lattice/lattice1-honeycomb-3x5", {}),
+    ("lattice/lattice2-triangular-4x3", {"series": 123_123}),
+    ("lattice/lattice3-honeycomb-7x3", {"series": 491_763}),
+])
+def test_only_the_wide_series_tables_are_split(tmp_path, monkeypatch,
+                                               scenario, split):
+    """At 2 usable CPUs, `all` forks one writer worker per table of at
+    least SPLIT_VALUES nonzero float cells: only the 12- and 14-spin lattice
+    series tables of the committed traffic."""
+    monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
+    forks = count_forks(monkeypatch)
+    values = {}
+    write_table = cli.write_table
+
+    def logged(out_dir, stem, header, rows, fmt):
+        values[stem] = rows.float_values()
+        return write_table(out_dir, stem, header, rows, fmt)
+
+    monkeypatch.setattr(cli, "write_table", logged)
+    if scenario not in cli.BUNDLED_SCENARIOS:
+        scenario = WORKLOADS / f"{scenario}.yaml"
+    code, err = run_captured(["all", "--scenario", scenario,
+                              "--out", tmp_path / "out"])
+    assert (code, err) == (0, "")
+    assert {stem: count for stem, count in values.items()
+            if count >= tables.SPLIT_VALUES} == split
+    assert len(forks) == len(split)
+    assert_no_child_left()
 
 
 # table columns that hold text; every other cell is a number or a boolean
