@@ -38,7 +38,6 @@ from .dynamics import (
     DecoherenceModel,
     ObservableSeries,
     evolve_ising,
-    apply_decoherence,
     scan_evolution,
 )
 from .stochastic import (
@@ -84,7 +83,6 @@ __all__ = [
     "DecoherenceModel",
     "ObservableSeries",
     "evolve_ising",
-    "apply_decoherence",
     "scan_evolution",
     "ShelvingProcess",
     "DeshelvingModel",

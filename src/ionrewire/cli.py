@@ -659,7 +659,9 @@ def _run_ising(command: str, ctx: IsingContext, out_dir: Path,
             print(f"skipped stages {skipped}: {survivors} survivors exceed the "
                   f"exact-evolution cap of {SIZE_CAP}", file=sys.stderr)
             break
-        outputs += ISING_STAGES[stage](ctx, out_dir, fmt)
+        # a stage that names its own layer (dynamics, ...) keeps that name
+        with _stage(stage):
+            outputs += ISING_STAGES[stage](ctx, out_dir, fmt)
     return outputs
 
 
@@ -681,7 +683,8 @@ def run_command(command: str, scenario: Scenario, out_dir: Path,
     else:
         outputs = _run_ising(command, build_ising_context(scenario), out_dir, fmt)
     if command == "all":
-        outputs.append(_write_manifest(scenario, out_dir, outputs))
+        with _stage("manifest"):
+            outputs.append(_write_manifest(scenario, out_dir, outputs))
     return outputs
 
 

@@ -5,6 +5,10 @@ a Walsh-Hadamard butterfly, accumulate phases exp(-i t E(s)) with
 E(s) = sum_{i<j} J_ij s_i s_j over spin signs s = +-1, and transform back.
 Cost is O(n 2^n) per time point, exact to machine precision.
 
+scan_evolution and dephased_limit start from all spins down, which in the
+x basis is the uniform 2^(-n/2): no start vector to transform. evolve_ising
+takes any SpinState; it is the general-state oracle for the tests.
+
 One kernel, _walsh_hadamard, transforms the rows of a block of time points
 (evolve_ising, scan_evolution) or energy levels (dephased_limit). A block of
 at most BLOCK_ELEMENTS = 2^13 amplitudes (128 KiB, and a work buffer as big)
@@ -184,21 +188,15 @@ def ising_energies(couplings: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("si,ij,sj->s", signs, couplings, signs)
 
 
-def _prepare(graph: InteractionGraph, initial: SpinState | None) -> tuple:
-    """The checked initial state (all down if None) and its x-basis form."""
-    n = graph.n_spins
+def _check_cap(n: int) -> None:
     if n > SIZE_CAP:
         raise CapacityError(
             f"{n} spins exceeds the exact-evolution cap of {SIZE_CAP}")
-    initial = SpinState.all_down(n) if initial is None else initial
-    if initial.n_spins != n:
-        raise ValueError(
-            f"state has {initial.n_spins} spins, graph has {n} survivors")
-    return initial, _walsh_hadamard(initial.amplitudes[None, :].copy())[0]
 
 
-def _evolve(psi_x: np.ndarray, spectrum: tuple, times: np.ndarray) -> np.ndarray:
-    """z-basis amplitudes exp(-iHt)|psi>, one row per time in the block.
+def _evolve(psi_x, spectrum: tuple, times: np.ndarray) -> np.ndarray:
+    """z-basis amplitudes exp(-iHt)|psi>, one row per time in the block, from
+    the x-basis amplitudes psi_x (an array, or one scalar for all of them).
 
     spectrum is np.unique(energies, return_inverse=True): phases are computed
     once per distinct energy, for at most half the states as E(s) = E(-s).
@@ -210,14 +208,19 @@ def _evolve(psi_x: np.ndarray, spectrum: tuple, times: np.ndarray) -> np.ndarray
 
 def evolve_ising(graph: InteractionGraph, t: float, initial: SpinState) -> SpinState:
     """Exact |psi(t)> = exp(-iHt) |psi(0)> for the graph's Ising couplings."""
-    _, psi_x = _prepare(graph, initial)
+    n = graph.n_spins
+    _check_cap(n)
+    if initial.n_spins != n:
+        raise ValueError(
+            f"state has {initial.n_spins} spins, graph has {n} survivors")
+    psi_x = _walsh_hadamard(initial.amplitudes[None, :].copy())[0]
     spectrum = np.unique(ising_energies(graph.couplings), return_inverse=True)
     amps = _evolve(psi_x, spectrum, np.array([t], dtype=float))[0]
-    return SpinState(n_spins=graph.n_spins, amplitudes=amps)
+    return SpinState(n_spins=n, amplitudes=amps)
 
 
-def dephased_limit(graph: InteractionGraph, initial: SpinState) -> np.ndarray:
-    """Long-time average of the outcome probabilities.
+def dephased_limit(graph: InteractionGraph) -> np.ndarray:
+    """Long-time average of the outcome probabilities from all spins down.
 
     Cross terms between x-basis states of different energy average to zero,
     so the limit is the incoherent sum over equal-energy groups. For a
@@ -225,7 +228,7 @@ def dephased_limit(graph: InteractionGraph, initial: SpinState) -> np.ndarray:
     Energies within ENERGY_RTOL of the largest |E| count as one level.
     """
     n = graph.n_spins
-    _, psi_x = _prepare(graph, initial)
+    _check_cap(n)
     energies = ising_energies(graph.couplings)
     scale = max(np.max(np.abs(energies)), 1.0)
     keys = np.round(energies / (scale * ENERGY_RTOL)).astype(np.int64)
@@ -238,50 +241,36 @@ def dephased_limit(graph: InteractionGraph, initial: SpinState) -> np.ndarray:
         rows = min(step, keys.size - first)
         cols = np.flatnonzero((level >= first) & (level < first + rows))
         block = np.zeros((rows, 2**n), dtype=complex)
-        block[level[cols] - first, cols] = psi_x[cols]
+        block[level[cols] - first, cols] = 1.0 / math.sqrt(2**n)
         for row in np.abs(_walsh_hadamard(block)) ** 2:
             limit += row
     return limit / limit.sum()
 
 
-def apply_decoherence(series: ObservableSeries, model: DecoherenceModel,
-                      graph: InteractionGraph,
-                      initial: SpinState) -> ObservableSeries:
-    """Damp probabilities toward their dephased limit:
+def scan_evolution(graph: InteractionGraph, times,
+                   model: DecoherenceModel | None = None) -> ObservableSeries:
+    """Outcome probabilities from all spins down over a time grid.
+
+    Evolves blocks of time points; each row is bit-identical to evolve_ising
+    from SpinState.all_down at its time. With a finite model.tau_d each row
+    is damped toward the dephased limit:
 
         p(t) -> p_inf + (p(t) - p_inf) exp(-t / tau_d)
-
-    p_inf is the exact long-time average for the graph and initial state.
-    """
-    if not math.isfinite(model.tau_d):
-        return series
-    p_inf = dephased_limit(graph, initial)
-    envelope = np.exp(-series.times / model.tau_d)[:, None]
-    damped = p_inf[None, :] + (series.probabilities - p_inf[None, :]) * envelope
-    return ObservableSeries(n_spins=series.n_spins, times=series.times,
-                            probabilities=damped)
-
-
-def scan_evolution(graph: InteractionGraph, times, initial: SpinState | None = None,
-                   model: DecoherenceModel | None = None) -> ObservableSeries:
-    """Outcome probabilities over a time grid, optionally decohered.
-
-    Evaluates the shared x-basis transform once, then evolves blocks of time
-    points; each row is bit-identical to evolve_ising at its time.
     """
     n = graph.n_spins
+    _check_cap(n)
     times = np.asarray(times, dtype=float)
-    initial, psi_x = _prepare(graph, initial)
     spectrum = np.unique(ising_energies(graph.couplings), return_inverse=True)
     probs = np.empty((times.size, 2**n))
     step = max(1, BLOCK_ELEMENTS // 2**n)
     for first in range(0, times.size, step):
         p = probs[first:first + step]
-        np.abs(_evolve(psi_x, spectrum, times[first:first + step]), out=p)
+        np.abs(_evolve(1.0 / math.sqrt(2**n), spectrum,
+                       times[first:first + step]), out=p)
         np.square(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
 
-    series = ObservableSeries(n_spins=n, times=times, probabilities=probs)
-    if model is not None:
-        series = apply_decoherence(series, model, graph, initial)
-    return series
+    if model is not None and math.isfinite(model.tau_d):
+        p_inf = dephased_limit(graph)
+        probs = p_inf + (probs - p_inf) * np.exp(-times / model.tau_d)[:, None]
+    return ObservableSeries(n_spins=n, times=times, probabilities=probs)

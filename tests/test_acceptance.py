@@ -102,7 +102,7 @@ def test_criterion_1_two_ion_dynamics():
 
     # contrast is damped with tau_d: at t = tau_d the coherent deviation
     # from the dephased limit is reduced by exactly e
-    limit = dephased_limit(graph, SpinState.all_down(2))[0b11]
+    limit = dephased_limit(graph)[0b11]
     tau = 5.5e-3
     coherent = np.sin(j12 * tau) ** 2
     damped = scan_evolution(graph, np.array([tau]),

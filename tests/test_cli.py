@@ -678,6 +678,28 @@ class TestScenarioRules:
         assert "Traceback" not in err
         assert taken.read_text() == "keep"
 
+    @pytest.mark.parametrize("scenario,name,stage", [
+        (MINI_SCENARIO, "positions.csv", "solve-crystal"),
+        (MINI_SCENARIO, "modes.csv", "modes"),
+        (MINI_SCENARIO, "couplings.json", "couplings"),
+        (MINI_SCENARIO, "mask.csv", "mask"),
+        (MINI_SCENARIO, "manifest.json", "manifest"),
+        (DECAY_SCENARIO, "manifest.json", "manifest"),
+    ], ids=["positions", "modes", "couplings", "mask", "manifest",
+            "decay-manifest"])
+    def test_write_error_names_its_stage(self, tmp_path, scenario, name,
+                                         stage):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        code, err = run_captured(["all", "--scenario",
+                                  write_scenario(tmp_path, scenario),
+                                  "--out", out])
+        assert code == 1
+        assert err.startswith(f"error in stage '{stage}': ")
+        assert len(err.splitlines()) == 1
+        assert str(out / name) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("times", [
         {"list_s": [1e-4 * k for k in range(15, -1, -1)]},
         {"start_s": 1.5e-3, "stop_s": 1e-4, "num": 16},

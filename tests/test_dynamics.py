@@ -12,7 +12,6 @@ from ionrewire.dynamics import (
     DecoherenceModel,
     ObservableSeries,
     SpinState,
-    apply_decoherence,
     dephased_limit,
     evolve_ising,
     ising_energies,
@@ -65,11 +64,6 @@ def dense_evolution(j: np.ndarray, t: float, amplitudes: np.ndarray) -> np.ndarr
                 term = np.kron(term, op)
             h = h + j[i, k] * term
     return scipy.linalg.expm(-1j * t * h) @ amplitudes
-
-
-def random_state(n, rng) -> SpinState:
-    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return SpinState(n_spins=n, amplitudes=amps / np.linalg.norm(amps))
 
 
 def vector_walsh_hadamard(amps: np.ndarray) -> np.ndarray:
@@ -171,16 +165,20 @@ class TestEvolve:
         graph = graph_of(np.zeros((15, 15)))
         with pytest.raises(CapacityError):
             evolve_ising(graph, 1e-4, SpinState.all_down(15))
+        with pytest.raises(CapacityError):
+            scan_evolution(graph, [0.0])
+        with pytest.raises(CapacityError):
+            dephased_limit(graph)
 
     def test_state_size_mismatch_rejected(self):
         graph = graph_of(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            evolve_ising(graph, 1e-4, SpinState.all_down(2))
         for state in (SpinState.all_down(2), SpinState.all_down(4)):
             with pytest.raises(ValueError, match="graph has 3 survivors"):
-                scan_evolution(graph, [0.0], initial=state)
-            with pytest.raises(ValueError, match="graph has 3 survivors"):
-                dephased_limit(graph, state)
+                evolve_ising(graph, 1e-4, state)
+        # scan and dephased limit start from the graph's own all-down state
+        down = populations(SpinState.all_down(3))
+        assert np.array_equal(scan_evolution(graph, [0.0]).probabilities[0], down)
+        assert np.array_equal(dephased_limit(graph), down)
 
 
 class TestShelvingEquivalence:
@@ -233,20 +231,20 @@ class TestDecoherence:
         times = np.linspace(0, 1e-3, 7)
         j = InteractionGraph.uniform(2, TWO_PI * 750.0).couplings
         series = scan_evolution(graph_of(j), times)
-        damped = apply_decoherence(series, DecoherenceModel(tau_d=np.inf),
-                                   graph_of(j), SpinState.all_down(2))
+        damped = scan_evolution(graph_of(j), times,
+                                model=DecoherenceModel(tau_d=np.inf))
         assert np.array_equal(damped.probabilities, series.probabilities)
 
     def test_dephased_limit_two_ions(self):
         j = InteractionGraph.uniform(2, TWO_PI * 750.0).couplings
-        limit = dephased_limit(graph_of(j), SpinState.all_down(2))
+        limit = dephased_limit(graph_of(j))
         assert np.allclose(limit, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
     def test_dephased_limit_matches_long_time_average(self):
         rng = np.random.default_rng(12)
         j = random_symmetric_j(3, rng)
         graph = graph_of(j)
-        limit = dephased_limit(graph, SpinState.all_down(3))
+        limit = dephased_limit(graph)
         times = np.linspace(0, 5.0, 20001)  # seconds >> 1/J: many periods
         series = scan_evolution(graph, times)
         average = series.probabilities.mean(axis=0)
@@ -258,7 +256,7 @@ class TestDecoherence:
         model = DecoherenceModel(tau_d=5.5e-3)
         times = np.array([0.0, 1.0])  # 1 s >> tau_d
         series = scan_evolution(graph, times, model=model)
-        limit = dephased_limit(graph, SpinState.all_down(2))
+        limit = dephased_limit(graph)
         assert np.allclose(series.probabilities[-1], limit, atol=1e-12)
 
     def test_contrast_drops_by_e_at_tau(self):
@@ -266,9 +264,7 @@ class TestDecoherence:
         graph = InteractionGraph.uniform(2, j12)
         tau = 5.5e-3
         times = np.array([tau])
-        bare = scan_evolution(graph, times)
-        damped = apply_decoherence(bare, DecoherenceModel(tau_d=tau),
-                                   graph=graph, initial=SpinState.all_down(2))
+        damped = scan_evolution(graph, times, model=DecoherenceModel(tau_d=tau))
         coherent = np.sin(j12 * tau) ** 2
         expected = 0.5 + (coherent - 0.5) / np.e
         assert damped.outcome("11")[0] == pytest.approx(expected, rel=1e-12)
@@ -279,11 +275,26 @@ class TestDecoherence:
         # integer couplings make degenerate levels with several members
         j = rng.integers(-3, 4, size=(n, n)) * TWO_PI * 100.0
         graph = graph_of(np.triu(j, 1) + np.triu(j, 1).T)
-        initial = random_state(n, rng)
         levels = np.unique(ising_energies(graph.couplings)).size
         assert math.ceil(levels / (BLOCK_ELEMENTS // 2**n)) == blocks
-        assert np.array_equal(dephased_limit(graph, initial),
-                              per_level_dephased_limit(graph, initial))
+        assert np.array_equal(dephased_limit(graph),
+                              per_level_dephased_limit(graph, SpinState.all_down(n)))
+
+    @pytest.mark.parametrize("n", [0, 1, 9, 13])
+    def test_damping_toward_dephased_limit_bit_for_bit(self, n):
+        rng = np.random.default_rng(40 + n)
+        # integer couplings make degenerate levels with several members
+        j = rng.integers(-3, 4, size=(n, n)) * TWO_PI * 100.0
+        graph = graph_of(np.triu(j, 1) + np.triu(j, 1).T)
+        times = np.linspace(0, 2e-3, 7)
+        tau = 0.8e-3
+        undamped = scan_evolution(graph, times).probabilities
+        p_inf = dephased_limit(graph)
+        expected = p_inf + (undamped - p_inf) * np.exp(-times / tau)[:, None]
+        damped = scan_evolution(graph, times, model=DecoherenceModel(tau_d=tau))
+        assert np.array_equal(damped.probabilities, expected)
+        coherent = scan_evolution(graph, times, model=DecoherenceModel(math.inf))
+        assert np.array_equal(coherent.probabilities, undamped)
 
 
 class TestScan:
@@ -291,12 +302,11 @@ class TestScan:
     def test_matches_pointwise_evolution(self, n):
         rng = np.random.default_rng(13)
         graph = graph_of(random_symmetric_j(n, rng))
-        initial = random_state(n, rng)
         # three blocks of time rows, the last one partial
         times = np.linspace(0, 2e-3, 2 * (BLOCK_ELEMENTS // 2**n) + 1)
-        series = scan_evolution(graph, times, initial=initial)
+        series = scan_evolution(graph, times)
         for row, t in zip(series.probabilities, times):
-            p = populations(evolve_ising(graph, t, initial))
+            p = populations(evolve_ising(graph, t, SpinState.all_down(n)))
             assert np.array_equal(row, p)
 
     def test_empty_graph_scan(self):

@@ -500,3 +500,27 @@ def test_generators_come_from_the_samplers_and_crystal_restarts():
                 built.add((path.name, owner))
     assert built == {("crystal.py", "solve_equilibrium"),
                      *(("stochastic.py", name) for name in SAMPLERS)}
+
+
+def takes_a_start_state(arg):
+    """Whether a parameter is named `initial` or annotated with SpinState
+    (bare, quoted or inside a union)."""
+    return arg.arg == "initial" or (arg.annotation is not None and
+                                    "SpinState" in ast.unparse(arg.annotation))
+
+
+def test_only_evolve_ising_takes_a_start_state():
+    # scan_evolution, dephased_limit and every caller start from all spins
+    # down; evolve_ising keeps general states as the oracle of the tests
+    takers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            params = node.args
+            args = [*params.posonlyargs, *params.args, *params.kwonlyargs,
+                    *filter(None, (params.vararg, params.kwarg))]
+            if any(takes_a_start_state(arg) for arg in args):
+                takers.add((path.name, getattr(node, "name", "<lambda>")))
+    assert takers == {("dynamics.py", "evolve_ising")}
