@@ -13,7 +13,7 @@ conditioned. SI values are restored at the interface.
 Coordinate layout is ion-major: flat index 3*i + a for ion i, axis a.
 
 The energy and the gradient at a point come from one pass over the ion
-pairs (`_Point`), shared by BFGS's `potential` and `gradient` calls. The pass
+pairs (`_Pass`), shared by BFGS's `potential` and `gradient` calls. The pass
 keeps two reduction orders of the plain (i, j) form, so every crystal the
 solver returns keeps its bits, and with them every mode, coupling and
 checksum downstream: a squared distance adds (dx^2 + dy^2) + dz^2, as a
@@ -21,6 +21,8 @@ reduce over a length-3 axis does, and an ion's Coulomb force adds its
 partners j = 0, 1, ... in sequence, as a reduce over a non-contiguous axis
 does. Pair quantities are bitwise symmetric, so the one (j, i) layout whose
 leading-axis reduce is that sequence serves the energy, force and Hessian.
+The last two passes are kept, keyed by the float64 bytes of u and alphas
+(`_pair_pass`), so a repeated ask at either point costs no pass.
 
 The quasi-Newton search (`_bfgs`) does the float operations of scipy 1.17.1's
 `minimize(method="BFGS")` in the same order: `_minimize_bfgs`,
@@ -28,12 +30,11 @@ The quasi-Newton search (`_bfgs`) does the float operations of scipy 1.17.1's
 More-Thuente search, here `_dcsrch` and `_dcstep`). So it returns the same
 iterates, bit for bit, without scipy's per-call wrappers and objects. It has
 no memo of its own in place of scipy's `ScalarFunction`: every energy and
-gradient is asked of `potential` and `gradient` with the restart's `_Point`,
-which answers a repeated ask at either of its last two points without
-another pass. When `_dcsrch` finds no step, `scipy.optimize.line_search`
-takes over, as in scipy.
+gradient is asked of `potential` and `gradient`. When `_dcsrch` finds no
+step, `scipy.optimize.line_search` takes over, as in scipy.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -160,11 +161,10 @@ def _pair_geometry(pos: np.ndarray):
 class _Pass:
     """Pair geometry, energy and gradient of one configuration u."""
 
-    __slots__ = ("key", "diff", "inv", "energy", "gradient")
+    __slots__ = ("diff", "inv", "energy", "gradient")
 
-    def __init__(self, u: np.ndarray, alphas: np.ndarray, key: bytes):
+    def __init__(self, u: np.ndarray, alphas: np.ndarray):
         pos = u.reshape(-1, 3)
-        self.key = key
         self.diff, self.inv = _pair_geometry(pos)
         self.energy = (0.5 * np.add.reduce(alphas * (pos * pos), axis=None)
                        + 0.5 * np.add.reduce(self.inv, axis=None))
@@ -172,55 +172,39 @@ class _Pass:
         self.gradient = (alphas * pos - np.add.reduce(terms, axis=0)).reshape(-1)
 
 
-class _Point:
-    """The `_Pass` of the last two configurations asked for, at fixed
-    alphas.
+@functools.lru_cache(maxsize=2)
+def _cached_pass(u: bytes, alphas: bytes) -> _Pass:
+    """The `_Pass` at float64 bytes u and alphas, for the last two asked.
 
     BFGS asks `potential` and then `gradient` at each point, and the Newton
-    polish asks `hessian` too. One `_Point` per restart, passed to each call,
-    makes that one pass over the ion pairs per point. The line search
+    polish asks `hessian` too, so each point costs one pass. The line search
     sometimes goes back to the trial point before the last, which the
     second entry keeps.
     """
-
-    __slots__ = ("_last", "_before")
-
-    def __init__(self):
-        self._last = self._before = None
-
-    def at(self, u: np.ndarray, alphas: np.ndarray) -> _Pass:
-        key = u.tobytes()
-        last, before = self._last, self._before
-        if last is not None and last.key == key:
-            return last
-        if before is not None and before.key == key:
-            self._last, self._before = before, last
-            return before
-        self._last, self._before = _Pass(u, alphas, key), last
-        return self._last
+    return _Pass(np.frombuffer(u), np.frombuffer(alphas))
 
 
-def potential(u: np.ndarray, alphas: np.ndarray, point: _Point | None = None) -> float:
-    """Dimensionless potential energy at flat ion-major coordinates u.
-
-    point, if given, is shared with `gradient` and `hessian` calls at the
-    same alphas, and a call at one of its last two u reuses that pass.
-    """
-    return (point or _Point()).at(u, alphas).energy
+def _pair_pass(u, alphas) -> _Pass:
+    """The cached `_Pass` at u and alphas, keyed by their float64 bytes."""
+    return _cached_pass(np.asarray(u, dtype=float).tobytes(),
+                        np.asarray(alphas, dtype=float).tobytes())
 
 
-def gradient(u: np.ndarray, alphas: np.ndarray,
-             point: _Point | None = None) -> np.ndarray:
-    """Analytic gradient of `potential`, same flat layout as u."""
-    return (point or _Point()).at(u, alphas).gradient.copy()
+def potential(u: np.ndarray, alphas: np.ndarray) -> float:
+    """Dimensionless potential energy at flat ion-major coordinates u."""
+    return _pair_pass(u, alphas).energy
 
 
-def hessian(u: np.ndarray, alphas: np.ndarray,
-            point: _Point | None = None) -> np.ndarray:
+def gradient(u: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Analytic gradient of `potential`, as a flat float64 array."""
+    return _pair_pass(u, alphas).gradient.copy()
+
+
+def hessian(u: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """Analytic Hessian of `potential` as a (3N, 3N) symmetric matrix."""
-    n = u.size // 3
-    geometry = (point or _Point()).at(u, alphas)
+    geometry = _pair_pass(u, alphas)
     diff, inv = geometry.diff, geometry.inv
+    n = inv.shape[0]
     inv3 = inv**3
     inv5 = inv**5
 
@@ -460,17 +444,17 @@ def _dcsrch(fun_grad, xk, pk, stp, finit, ginit):
     return None
 
 
-def _line_search(alphas, point, xk, pk, gfk, old_fval, old_old_fval):
+def _line_search(alphas, xk, pk, gfk, old_fval, old_old_fval):
     """scipy's `_line_search_wolfe12`: `_dcsrch` from the step guess of
     `scalar_search_wolfe1`, then `scipy.optimize.line_search` if it finds
-    no step. Both ask `potential` and `gradient` with the restart's
-    `_Point`, which serves a repeated point without another pair pass.
+    no step. Both ask `potential` and `gradient`, whose last two pair passes
+    serve a repeated point without another pass.
 
     Returns (step, energy, gradient or None), or None when both searches
     fail.
     """
     def fun_grad(x):
-        return potential(x, alphas, point), gradient(x, alphas, point)
+        return potential(x, alphas), gradient(x, alphas)
 
     derphi0 = np.dot(gfk, pk)
     alpha1 = 1.0
@@ -485,18 +469,18 @@ def _line_search(alphas, point, xk, pk, gfk, old_fval, old_old_fval):
         warnings.simplefilter("ignore", LineSearchWarning)
         stp, _, _, fval, _, g = scipy.optimize.line_search(
             potential, gradient, xk, pk, gfk, old_fval, old_old_fval,
-            args=(alphas, point), c1=_FTOL, c2=_GTOL, amax=_STPMAX)
+            args=(alphas,), c1=_FTOL, c2=_GTOL, amax=_STPMAX)
     return None if stp is None else (stp, fval, g)
 
 
-def _bfgs(x0, alphas, point, gtol, maxiter):
+def _bfgs(x0, alphas, gtol, maxiter):
     """scipy 1.17.1's `minimize(method="BFGS")` with the ∞-norm `gtol`
     test, bit for bit. Returns (x, energy, gradient, iterations, warnflag):
     warnflag 0 converged, 1 hit maxiter, 2 a line search failed or the
     energy is not finite, 3 NaN."""
     xk = x0
-    old_fval = potential(x0, alphas, point)
-    gfk = gradient(x0, alphas, point)
+    old_fval = potential(x0, alphas)
+    gfk = gradient(x0, alphas)
     k, warnflag = 0, 0
     size = x0.size
     eye = np.eye(size)
@@ -508,8 +492,7 @@ def _bfgs(x0, alphas, point, gtol, maxiter):
     gnorm = np.abs(gfk).max()
     while gnorm > gtol and k < maxiter:
         pk = -np.dot(hk, gfk)
-        found = _line_search(alphas, point, xk, pk, gfk, old_fval,
-                             old_old_fval)
+        found = _line_search(alphas, xk, pk, gfk, old_fval, old_old_fval)
         if found is None:
             warnflag = 2
             break
@@ -518,7 +501,7 @@ def _bfgs(x0, alphas, point, gtol, maxiter):
         sk = alpha_k * pk
         xk = xk + sk
         if gfkp1 is None:
-            gfkp1 = gradient(xk, alphas, point)
+            gfkp1 = gradient(xk, alphas)
         yk = gfkp1 - gfk
         gfk = gfkp1
         k += 1
@@ -555,13 +538,14 @@ def _bfgs(x0, alphas, point, gtol, maxiter):
     return xk, old_fval, gfk, k, warnflag
 
 
-def _newton_polish(u, energy, g, alphas, tol, point, max_steps=60):
+def _newton_polish(u, energy, g, alphas, tol, max_steps=60):
     """Newton refinement of a near-converged configuration u, whose energy
-    and gradient are given; point is the restart's `_Point`."""
+    and gradient are given. The first Hessian reuses the pair pass of u
+    that BFGS ended with."""
     for _ in range(max_steps):
         if np.linalg.norm(g) <= tol:
             break
-        h = hessian(u, alphas, point)
+        h = hessian(u, alphas)
         try:
             step = np.linalg.solve(h, -g)
         except np.linalg.LinAlgError:
@@ -569,10 +553,10 @@ def _newton_polish(u, energy, g, alphas, tol, point, max_steps=60):
         # Backtrack if a full Newton step overshoots.
         for _ in range(30):
             trial = u + step
-            trial_energy = potential(trial, alphas, point)
+            trial_energy = potential(trial, alphas)
             if np.isfinite(trial_energy) and trial_energy <= energy + 1e-12 * abs(energy):
                 u, energy = trial, trial_energy
-                g = gradient(u, alphas, point)
+                g = gradient(u, alphas)
                 break
             step *= 0.5
         else:
@@ -614,11 +598,10 @@ def solve_equilibrium(constants: PhysicalConstants, trap: TrapConfig, n: int,
     best = None
     best_gnorm = np.inf
     for x0 in inits:
-        point = _Point()
-        x, fun, g, _, _ = _bfgs(x0, alphas, point, 0.1 * gradient_tol,
+        x, fun, g, _, _ = _bfgs(x0, alphas, 0.1 * gradient_tol,
                                 max_iterations)
         u, energy, gnorm = _newton_polish(x, fun, g, alphas,
-                                          0.1 * gradient_tol, point)
+                                          0.1 * gradient_tol)
         best_gnorm = min(best_gnorm, gnorm)
         if gnorm <= gradient_tol and (best is None or energy < best[0]):
             best = (energy, u)
@@ -646,11 +629,10 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     np.argmax returns the first maximal entry, so ties resolve to the lowest
     (ion, axis) row index.
     """
+    lead = np.argmax(np.abs(vecs), axis=0)
+    flip = vecs[lead, np.arange(vecs.shape[1])] < 0
     out = vecs.copy()
-    for k in range(out.shape[1]):
-        lead = np.argmax(np.abs(out[:, k]))
-        if out[lead, k] < 0:
-            out[:, k] = -out[:, k]
+    out[:, flip] = -out[:, flip]
     return out
 
 

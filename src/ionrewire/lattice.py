@@ -153,15 +153,19 @@ class GeometryReport:
     degree_histogram: dict = field(default_factory=dict)
 
 
+def _surviving_neighbors(graph: InteractionGraph,
+                         array: TriangularArray) -> list:
+    """(a, b, |J|) for each nearest-neighbor array pair whose sites both
+    survive, in adjacency order."""
+    pos = {label: k for k, label in enumerate(graph.survivors.tolist())}
+    return [(a, b, abs(graph.couplings[pos[a], pos[b]]))
+            for a, b in array.adjacency if a in pos and b in pos]
+
+
 def default_adjacency_threshold(graph: InteractionGraph,
                                 array: TriangularArray) -> float:
     """Half the median |J| over surviving nearest-neighbor pairs."""
-    keep = set(graph.survivors.tolist())
-    values = []
-    pos = {label: k for k, label in enumerate(graph.survivors.tolist())}
-    for a, b in array.adjacency:
-        if a in keep and b in keep:
-            values.append(abs(graph.couplings[pos[a], pos[b]]))
+    values = [j for _, _, j in _surviving_neighbors(graph, array)]
     if not values:
         return 0.0
     return 0.5 * float(np.median(values))
@@ -181,11 +185,9 @@ def verify_geometry(graph: InteractionGraph, array: TriangularArray,
     if threshold is None:
         threshold = default_adjacency_threshold(graph, array)
 
-    keep = set(graph.survivors.tolist())
-    pos = {label: k for k, label in enumerate(graph.survivors.tolist())}
     degree = {label: 0 for label in graph.survivors.tolist()}
-    for a, b in array.adjacency:
-        if a in keep and b in keep and abs(graph.couplings[pos[a], pos[b]]) >= threshold:
+    for a, b, j in _surviving_neighbors(graph, array):
+        if j >= threshold:
             degree[a] += 1
             degree[b] += 1
 

@@ -58,6 +58,17 @@ def hessian(u: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return 0.5 * (h + h.T)
 
 
+def fix_signs(vecs: np.ndarray) -> np.ndarray:
+    """Each column negated when its first largest-magnitude entry is
+    negative, one column at a time."""
+    out = vecs.copy()
+    for k in range(out.shape[1]):
+        lead = np.argmax(np.abs(out[:, k]))
+        if out[lead, k] < 0:
+            out[:, k] = -out[:, k]
+    return out
+
+
 def populations(state: SpinState) -> np.ndarray:
     """|amplitude|^2 per z-basis outcome; sums to 1."""
     p = np.abs(state.amplitudes) ** 2

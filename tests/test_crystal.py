@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -196,22 +197,39 @@ class TestPairKernel:
             h = hessian(u, alphas)
             assert h.tobytes() == oracles.hessian(u, alphas).tobytes()
 
-    def test_shared_point_follows_each_new_configuration(self):
-        point = crystal_module._Point()
+    def test_pass_cache_follows_each_new_configuration(self):
         cases = list(kernel_cases(32, count=60))
         for alphas, u in cases + cases[::-1]:
-            assert potential(u, alphas, point) == oracles.potential(u, alphas)
-            assert np.array_equal(gradient(u.copy(), alphas, point),
+            assert potential(u, alphas) == oracles.potential(u, alphas)
+            assert np.array_equal(gradient(u.copy(), alphas),
                                   oracles.gradient(u, alphas))
-            assert np.array_equal(hessian(u, alphas, point),
+            assert np.array_equal(hessian(u, alphas),
                                   oracles.hessian(u, alphas))
 
     def test_returned_gradient_is_a_copy(self):
-        point = crystal_module._Point()
         alphas, u = next(kernel_cases(33))
-        gradient(u, alphas, point)[:] = 0.0
-        assert np.array_equal(gradient(u, alphas, point),
+        gradient(u, alphas)[:] = 0.0
+        assert np.array_equal(gradient(u, alphas),
                               oracles.gradient(u, alphas))
+
+    def test_cache_key_is_the_float64_point(self):
+        """The cache keys a pass by the float64 bytes of u and alphas, so
+        an int or float32 u, an (n, 3) u and a list alphas each give the
+        oracle's bits at that float64 point, and one u under two alphas
+        gives two energies."""
+        pos = np.array([[0, 0, -2], [1, 0, 0], [0, 3, 1]])
+        alphas = [1.0, 2.5, 7.0]
+        reference = np.asarray(pos, dtype=float).reshape(-1)
+        for u in (pos.reshape(-1), pos.astype(np.float32).reshape(-1), pos,
+                  reference.reshape(-1, 3)):
+            for name in ("potential", "gradient", "hessian"):
+                got = getattr(crystal_module, name)(u, alphas)
+                want = getattr(oracles, name)(reference, np.array(alphas))
+                assert bits(got) == bits(want), (u.dtype, u.shape, name)
+        softer = [1.0, 2.5, 3.0]
+        assert potential(reference, softer) == oracles.potential(
+            reference, np.array(softer))
+        assert potential(reference, softer) != potential(reference, alphas)
 
     @pytest.mark.parametrize("case", list(SOLVE_CASES))
     def test_solve_equals_bfgs_on_the_oracle(self, constants, monkeypatch,
@@ -220,10 +238,7 @@ class TestPairKernel:
         trap = TrapConfig.from_hz(*freqs)
         fast = solve_equilibrium(constants, trap, n, seed=seed)
         for name in ("potential", "gradient", "hessian"):
-            reference = getattr(oracles, name)
-            monkeypatch.setattr(crystal_module, name,
-                                lambda u, alphas, point=None, f=reference:
-                                f(u, alphas))
+            monkeypatch.setattr(crystal_module, name, getattr(oracles, name))
         slow = solve_equilibrium(constants, trap, n, seed=seed)
         assert fast.positions.tobytes() == slow.positions.tobytes()
         assert fast.potential_energy == slow.potential_energy
@@ -231,18 +246,22 @@ class TestPairKernel:
 
     def test_one_pair_pass_per_point(self, constants, monkeypatch):
         """BFGS asks for the energy and the gradient at each point, and the
-        polish adds the Hessian; a restart's `_Point` makes that one pass.
-        The polish starts from the energy and gradient BFGS ends with. The
-        `_Point` holds the last two configurations, which covers the line
-        search's returns to the trial point before the last. The 4 passes
-        beyond the 782 distinct points are returns to older points: the
-        fallback search's first trial, which repeats the failed `_dcsrch`'s
-        first, and the polish's first Hessian at the final iterate after a
-        failed last search. The asks are counted too: they are the
-        tracer's call counts. Every search asks `potential` and `gradient`
-        at each of its trial points straight through the `_Point`, so an
-        ask at a point it holds costs no pass, and there are more asks than
-        passes."""
+        polish adds the Hessian; the cache of pair passes makes that one
+        pass. The polish starts from the energy and gradient BFGS ends
+        with. The cache holds the last two configurations, which covers the
+        line search's returns to the trial point before the last. The 4
+        passes beyond the 782 distinct points are returns to older points:
+        the fallback search's first trial, which repeats the failed
+        `_dcsrch`'s first, and the polish's first Hessian at the final
+        iterate after a failed last search. The asks are counted too: they
+        are the tracer's call counts. Every search asks `potential` and
+        `gradient` at each of its trial points, so an ask at a point the
+        cache holds costs no pass, and there are more asks than passes.
+        The same solve runs first, so the counts cannot lean on what the
+        cache held before."""
+        freqs, n, seed = SOLVE_CASES["linear-12"]
+        trap = TrapConfig.from_hz(*freqs)
+        solve_equilibrium(constants, trap, n, seed=seed)
         passes = []
         asked = []
         geometry = crystal_module._pair_geometry
@@ -253,13 +272,36 @@ class TestPairKernel:
                 asked.append((name, u.tobytes()))
                 return f(u, *args)
             monkeypatch.setattr(crystal_module, name, ask)
-        freqs, n, seed = SOLVE_CASES["linear-12"]
-        solve_equilibrium(constants, TrapConfig.from_hz(*freqs), n, seed=seed)
+        solve_equilibrium(constants, trap, n, seed=seed)
         points = {u for _, u in asked}
         calls = [sum(name == f for f, _ in asked)
                  for name in ("potential", "gradient", "hessian")]
         assert (len(passes), len(points)) == (786, 782)
         assert calls == [805, 776, 8]
+
+
+def test_no_crystal_function_takes_a_point():
+    # the pair-pass cache is the solve's one memo: nothing hands a point
+    # object from call to call, and the kernel takes (u, alphas) alone
+    takers, kernel = [], {}
+    tree = ast.parse(Path(crystal_module.__file__).read_text())
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        params = node.args
+        args = [arg.arg for arg in (
+            *params.posonlyargs, *params.args, *params.kwonlyargs,
+            *filter(None, (params.vararg, params.kwarg)))]
+        name = getattr(node, "name", "<lambda>")
+        if "point" in args:
+            takers.append(name)
+        if name in ("potential", "gradient", "hessian"):
+            kernel[name] = args
+    assert takers == []
+    assert kernel == {name: ["u", "alphas"]
+                      for name in ("potential", "gradient", "hessian")}
+    assert crystal_module._cached_pass.cache_parameters()["maxsize"] == 2
 
 
 # digests of the trap_sweep workload's seed-0 crystals, 6 to 28 ions
@@ -316,7 +358,7 @@ def assert_bfgs_equals_scipy(alphas, x0, maxiter=2000):
         potential, x0, args=(alphas,), jac=gradient, method="BFGS",
         options={"gtol": BFGS_GTOL, "maxiter": maxiter})
     x, fun, g, nit, warnflag = crystal_module._bfgs(
-        x0, alphas, crystal_module._Point(), BFGS_GTOL, maxiter)
+        x0, alphas, BFGS_GTOL, maxiter)
     assert x.tobytes() == ref.x.tobytes()
     assert bits(fun) == bits(ref.fun)
     assert g.tobytes() == ref.jac.tobytes()
@@ -572,6 +614,19 @@ class TestNormalModes:
                 expected = np.zeros((n, 3))
                 expected[:, axis] = 1 / np.sqrt(n)
                 assert np.max(np.abs(vec - expected)) < 1e-7
+
+    def test_fix_signs_equals_the_column_loop(self):
+        # rounded entries make ties for the largest magnitude, and some
+        # are signed zeros, whose negation == cannot see
+        rng = np.random.default_rng(34)
+        for k in range(300):
+            n = 1 + k % 84
+            vecs = rng.normal(size=(n, n))
+            if k % 2:
+                vecs = np.round(vecs)
+                vecs[rng.random((n, n)) < 0.2] = -0.0
+            got = crystal_module._fix_signs(vecs)
+            assert got.tobytes() == oracles.fix_signs(vecs).tobytes()
 
     def test_three_ion_spectrum_matches_fd_hessian(self, constants, trap):
         crystal = solve_equilibrium(constants, trap, 3, seed=5)

@@ -37,11 +37,11 @@ KAGOME = {
 # (potential, gradient, hessian) calls the tracer counts in one
 # solve_equilibrium of each SOLVE_CASES crystal. They count asks, not pair
 # passes: BFGS and both line searches ask `potential` and `gradient` at each
-# point they visit, and a restart's `_Point` serves a point it holds without
-# another pass (linear-12 makes 786 passes for 782 distinct points, see
-# test_crystal.py's test_one_pair_pass_per_point). The Newton polish starts
-# from the energy and gradient BFGS ends with; in these solves it asks for
-# the Hessian once per restart.
+# point they visit, and the cache of the last two pair passes serves a point
+# it holds without another pass (linear-12 makes 786 passes for 782 distinct
+# points, see test_crystal.py's test_one_pair_pass_per_point). The Newton
+# polish starts from the energy and gradient BFGS ends with; in these solves
+# it asks for the Hessian once per restart.
 CRYSTAL_EVALS = {
     "linear-12": (805, 776, 8),
     "zigzag-20": (1304, 1297, 8),
