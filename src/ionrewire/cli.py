@@ -49,7 +49,12 @@ from .dynamics import (
     outcome_labels,
     scan_evolution,
 )
-from .estimator import fit_exponential, fit_pair_coupling, fit_power_law
+from .estimator import (
+    MIN_PAIR_POINTS,
+    fit_exponential,
+    fit_pair_coupling,
+    fit_power_law,
+)
 from .lattice import (
     ShelveMask,
     apply_mask,
@@ -74,18 +79,11 @@ from .tables import Coded, Table, write_json, write_table
 
 TWO_PI = 2.0 * math.pi
 
-# stream index of the `mask` artifact's sample; the block samplers draw from
-# stream 0, so the mask's uniforms are its own
-MASK_STREAM = 2**48
-
 # libyaml's safe loader where PyYAML was built with it: the same objects as
 # the pure-Python SafeLoader, several times faster
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 BUNDLED_SCENARIOS = ("fig4b", "fig4c", "fig4d", "fig4e-g", "fig_op", "fig6")
-
-SUBCOMMANDS = ("solve-crystal", "modes", "couplings", "mask", "simulate",
-               "protocol", "fit", "all")
 
 
 class ScenarioError(ValueError):
@@ -419,7 +417,7 @@ def _mask_artifact(ctx, out_dir, fmt):
     if key == "beam_time_s":
         # probabilistic source: report one seeded sample for inspection
         mask = sample_shelving(ctx.coupling.n_spins, ctx.beam_time,
-                               scenario.shelving(), scenario.seed, MASK_STREAM)
+                               scenario.shelving(), scenario.seed)
         graph = apply_mask(ctx.coupling, mask)
     table = Table(np.arange(len(mask)),
                   Coded(["Q", "S"], np.array(mask.shelved, dtype=np.intp)))
@@ -455,16 +453,14 @@ def _series_artifact(ctx, out_dir, fmt):
 @_stage("stochastic")
 def _protocol_artifact(ctx, out_dir, fmt):
     scenario = ctx.scenario
-    deshelving = scenario.deshelving()
-    drive_rabi = ctx.drive.rabi_frequency if ctx.drive is not None else None
     # after simulate, the protocol samples its unshelved configuration from
     # the series; the series is dropped before the wide group tables are
     # formatted
     result = ctx.result = run_protocol(
         ctx.graph, beam_time=ctx.beam_time, times=scenario.times(),
         shelving=scenario.shelving(), measurement=scenario.measurement(),
-        seed=scenario.seed, deshelving=deshelving,
-        drive_rabi=drive_rabi if deshelving is not None else None,
+        seed=scenario.seed, deshelving=scenario.deshelving(),
+        drive_rabi=ctx.drive.rabi_frequency if ctx.drive is not None else None,
         decoherence=scenario.decoherence(), evolved=ctx.series)
     ctx.series = None
     records = result.records
@@ -482,8 +478,7 @@ def _protocol_artifact(ctx, out_dir, fmt):
     header = ["shot", "time_s", "config", "outcomes", "intact"]
     names = [write_table(out_dir, "records", header, table, fmt)]
 
-    for config in sorted(result.groups):
-        group = result.groups[config]
+    for config, group in result.groups.items():
         labels = outcome_labels(group.survivors.size)
         gheader = (["time_s", "n_total", "n_intact"]
                    + [f"c_{lab}" for lab in labels]
@@ -499,14 +494,13 @@ def _protocol_artifact(ctx, out_dir, fmt):
 def _fit_artifact(ctx, out_dir, fmt):
     fits = {"pair_couplings": []}
     times = ctx.scenario.times()
-    for config in sorted(ctx.result.groups):
-        group = ctx.result.groups[config]
+    for config, group in ctx.result.groups.items():
         if group.survivors.size != 2:
             continue
         values = group.outcome_frequency("11")
         shots = group.n_intact.astype(float)
         usable = shots > 0
-        if usable.sum() < 8:
+        if usable.sum() < MIN_PAIR_POINTS:
             continue
         result = fit_pair_coupling(times[usable], values[usable],
                                    shots=shots[usable])
@@ -639,6 +633,8 @@ ISING_STAGES = {"solve-crystal": _positions_artifact, "modes": _modes_artifact,
                 "couplings": _couplings_artifact, "mask": _mask_artifact,
                 "simulate": _series_artifact, "protocol": _protocol_artifact,
                 "fit": _fit_artifact}
+
+SUBCOMMANDS = (*ISING_STAGES, "all")
 
 
 def _run_ising(command: str, ctx: IsingContext, out_dir: Path,

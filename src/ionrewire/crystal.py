@@ -31,7 +31,8 @@ More-Thuente search, here `_dcsrch` and `_dcstep`). So it returns the same
 iterates, bit for bit, without scipy's per-call wrappers and objects. It has
 no memo of its own in place of scipy's `ScalarFunction`: every energy and
 gradient is asked of `potential` and `gradient`. When `_dcsrch` finds no
-step, `scipy.optimize.line_search` takes over, as in scipy.
+step, `scipy.optimize.line_search` takes over, as in scipy, with its
+private `LineSearchWarning` silenced through the base class `RuntimeWarning`.
 """
 
 import functools
@@ -43,14 +44,6 @@ import numpy as np
 import scipy.optimize
 
 from .constants import PhysicalConstants
-
-try:
-    from scipy.optimize._linesearch import LineSearchWarning
-except ImportError as err:
-    raise ImportError(
-        "ionrewire.crystal needs LineSearchWarning from "
-        "scipy.optimize._linesearch, private scipy API verified on scipy "
-        f"1.17.1; this scipy is {scipy.__version__}") from err
 
 # modes whose frequencies differ by at most this fraction form one cluster
 DEGENERACY_RTOL = 1e-9
@@ -466,7 +459,7 @@ def _line_search(alphas, xk, pk, gfk, old_fval, old_old_fval):
     if found is not None:
         return found
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LineSearchWarning)
+        warnings.simplefilter("ignore", RuntimeWarning)
         stp, _, _, fval, _, g = scipy.optimize.line_search(
             potential, gradient, xk, pk, gfk, old_fval, old_old_fval,
             args=(alphas,), c1=_FTOL, c2=_GTOL, amax=_STPMAX)

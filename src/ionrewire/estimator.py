@@ -14,6 +14,10 @@ import numpy as np
 import scipy.optimize
 
 
+# the fewest finite time points a pair-coupling fit takes
+MIN_PAIR_POINTS = 8
+
+
 class FitError(RuntimeError):
     """Degenerate data or no converged fit."""
 
@@ -53,14 +57,14 @@ def _clean_series(times, values, shots=None):
 def fit_pair_coupling(times, values, shots=None) -> FitResult:
     """Recover (J, tau_d, p_inf) from a P(up,up)-style oscillation.
 
-    Needs at least 8 strictly increasing points spanning roughly half an
+    Needs MIN_PAIR_POINTS strictly increasing points spanning roughly half an
     oscillation. shots (a scalar or per-point array) switches on
     inverse-binomial-variance weights. Raises FitError for constant series or
     if no start converges.
     """
     times, values, shots = _clean_series(times, values, shots)
-    if times.size < 8:
-        raise ValueError("need at least 8 finite time points")
+    if times.size < MIN_PAIR_POINTS:
+        raise ValueError(f"need at least {MIN_PAIR_POINTS} finite time points")
     # the FFT seed takes its frequency grid from the median time step
     if not np.all(np.diff(times) > 0):
         raise ValueError("time points must be strictly increasing")
@@ -170,6 +174,8 @@ def fit_power_law(omegas, taus) -> FitResult:
 
     x = np.log(omegas)
     y = np.log(taus)
+    if np.unique(x).size < 2:  # one intensity gives the line no slope
+        raise FitError("power-law fit needs at least 2 distinct intensities")
     n = x.size
     x_bar = x.mean()
     sxx = float(np.sum((x - x_bar) ** 2))

@@ -8,6 +8,7 @@ and take whole blocks of uniforms from it in a fixed order, one row per
 shot, so runs are reproducible bit for bit and every block is sampled with
 array operations. A shot's draws are its row of each block, so they depend
 on the shot count and the time grid; shots do not have independent streams.
+`sample_shelving` draws from its own stream, `MASK_STREAM`.
 """
 
 import math
@@ -24,6 +25,9 @@ from .dynamics import (
     scan_evolution,
 )
 from .lattice import ShelveMask, apply_mask
+
+# the stream of `sample_shelving`, apart from the block samplers' stream 0
+MASK_STREAM = 2**48
 
 
 @dataclass(frozen=True)
@@ -136,11 +140,11 @@ def shelf_survival(t: float, process: ShelvingProcess) -> float:
 
 
 def sample_shelving(n: int, beam_time: float, process: ShelvingProcess,
-                    seed: int, stream: int) -> ShelveMask:
+                    seed: int) -> ShelveMask:
     """Independent per-ion Bernoulli shelving after a pumping pulse, from the
-    first n uniforms of `np.random.default_rng([seed, stream])`."""
+    first n uniforms of `np.random.default_rng([seed, MASK_STREAM])`."""
     p = 1.0 - shelf_survival(beam_time, process)
-    uniforms = np.random.default_rng([seed, stream]).random(n)
+    uniforms = np.random.default_rng([seed, MASK_STREAM]).random(n)
     return ShelveMask(tuple(bool(u < p) for u in uniforms))
 
 
@@ -202,7 +206,8 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
     Shots are grouped by their verified initial configuration; the group
     counts that feed the empirical frequencies include intact shots only,
     mirroring the experimental post-selection. Group totals partition the
-    full shot budget.
+    full shot budget. `groups` and `records.configs` list the configurations
+    in label order, Q before S, as `_distinct_rows` yields them.
 
     evolved, if given, is scan_evolution(graph, times, model=decoherence):
     the configuration with no shelved ion samples from it instead of
@@ -277,8 +282,7 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
     records = ShotRecords(configs=tuple(configs), shot=np.arange(total),
                           time_index=time_index, config=config,
                           outcome=outcome, intact=intact)
-    return ProtocolResult(times=times, records=records,
-                          groups=dict(sorted(groups.items())))
+    return ProtocolResult(times=times, records=records, groups=groups)
 
 
 def sample_shelving_decay(n_ions: int, times, process: ShelvingProcess,

@@ -577,6 +577,13 @@ RULE_CASES = [
     (SCAN_SCENARIO, {"scan.rabi_freqs_hz": [76e3, 152e3]},
      "$.scan.rabi_freqs_hz"),
     (MINI_SCENARIO, {"drive.direction": [0.0, 0.0, 0.0]}, "$.drive.direction"),
+    # a zero drive calibrates nothing and returns no shelved ion
+    (MINI_SCENARIO, {"drive.rabi_freq_hz": 0.0, "mask": {"beam_time_s": 0.02}},
+     "$.drive.rabi_freq_hz"),
+    (MINI_SCENARIO, {"drive.rabi_freq_hz": 0, "drive.calibration": DROP,
+                     "drive.detuning_hz": 1.2e6, "mask": {"beam_time_s": 0.02},
+                     "deshelving": {"enabled": True}},
+     "$.drive.rabi_freq_hz"),
     # nonzero, but the squared norm underflows, is subnormal or overflows
     *[(MINI_SCENARIO, {"drive.direction": d}, "$.drive.direction")
       for d in ([1e-300, 0.0, 0.0], [1e-200, 1e-200, 0.0], [1e-160, 0.0, 0.0],
@@ -666,6 +673,21 @@ class TestScenarioRules:
         assert run_cli("all", "--scenario", write_scenario(tmp_path, raw),
                        "--out", out) == 0
         assert data_files(out) == ["deshelve_curves.csv"]
+
+    def test_one_repeated_rabi_frequency_fails_in_estimator(self, tmp_path):
+        raw = mutated(SCAN_SCENARIO, {"scan.rabi_freqs_hz": [76.0e3] * 3})
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run_captured(["all", "--scenario",
+                                      write_scenario(tmp_path, raw),
+                                      "--out", out])
+        assert [str(w.message) for w in caught] == []
+        assert code == 1
+        assert err.startswith("error in stage 'estimator': ")
+        assert len(err.splitlines()) == 1
+        assert "RuntimeWarning" not in err
+        assert not (out / "fits.json").exists()
 
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_out_that_is_a_file(self, tmp_path, below):

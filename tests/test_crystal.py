@@ -1,8 +1,6 @@
 import ast
 import hashlib
-import importlib.util
 import json
-import sys
 import zlib
 from pathlib import Path
 
@@ -443,17 +441,6 @@ class TestBfgsLoop:
         alphas, x0 = bfgs_start(3, 0, 0)
         x0[4] = np.nan
         assert assert_bfgs_equals_scipy(alphas, x0) == 3
-
-    def test_missing_linesearch_names_the_module_and_scipy_release(
-            self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "scipy.optimize._linesearch", None)
-        spec = importlib.util.spec_from_file_location(
-            "ionrewire._crystal_without_linesearch", crystal_module.__file__)
-        with pytest.raises(ImportError, match=(
-                r"^ionrewire\.crystal needs LineSearchWarning from "
-                r"scipy\.optimize\._linesearch, .*scipy 1\.17\.1; this scipy "
-                r"is \S+$")):
-            spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
 
 class Line:

@@ -168,6 +168,19 @@ class TestPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law(np.array([1.0, 2.0]), np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("omegas", [[76e3] * 3, [76e3] * 5])
+    def test_one_intensity_repeated_is_a_fit_error(self, omegas):
+        # the taus differ, but a line through points at one intensity has
+        # no slope; numpy warns of nothing
+        with pytest.raises(FitError, match="2 distinct intensities"):
+            fit_power_law(TWO_PI * np.array(omegas),
+                          np.linspace(0.4, 0.6, len(omegas)))
+
+    def test_two_distinct_intensities_fit(self):
+        result = fit_power_law(np.array([1.0, 1.0, 2.0]),
+                               np.array([4.0, 4.0, 1.0]))
+        assert result.parameters["exponent"] == pytest.approx(-2.0, abs=1e-12)
+
     def test_nonpositive_values_rejected(self):
         with pytest.raises(ValueError):
             fit_power_law(np.array([1.0, 2.0, 3.0]), np.array([1.0, -0.5, 0.2]))
