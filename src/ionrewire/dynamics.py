@@ -3,23 +3,34 @@
 Every term commutes, so e^{-iHt} is diagonal in the x basis: transform with
 a Walsh-Hadamard butterfly, accumulate phases exp(-i t E(s)) with
 E(s) = sum_{i<j} J_ij s_i s_j over spin signs s = +-1, and transform back.
-Cost is O(n 2^n) per time point, exact to machine precision.
+Cost is O(n 2^(n-1)) per time point or energy level, exact to machine
+precision.
 
 scan_evolution and dephased_limit start from all spins down, which in the
-x basis is the uniform 2^(-n/2): no start vector to transform. evolve_ising
-takes any SpinState; it is the general-state oracle for the tests.
+x basis is the uniform 2^(-n/2), and transform only the half of the x-basis
+states with s_(n-1) = +1:
+- E(s) = E(-s) bit for bit, so each row equals itself under index complement;
+- the last butterfly stage takes the top index bit, so it adds u to +-u: each
+  output is u + u on an even number of up spins and +0 on an odd number;
+- so the half-length transform, doubled, gives every even-parity outcome.
+The dephased rows are real. Numpy divides a complex number by a real one as
+a multiplication by its reciprocal, so they are multiplied by 1 / sqrt(2^n),
+which keeps the bits of the complex rows they replace. evolve_ising takes any
+SpinState and transforms all 2^n entries; it is the oracle for the tests.
 
 One kernel, _walsh_hadamard, transforms the rows of a block of time points
 (evolve_ising, scan_evolution) or energy levels (dephased_limit). A block of
-at most BLOCK_ELEMENTS = 2^13 amplitudes (128 KiB, and a work buffer as big)
-stays in cache; on a 2-core x86 host it beat 2^12 (more numpy calls per row)
-and 2^14 (30% slower at n = 12) in total scan_evolution time over n = 9-14.
+at most 128 KiB (BLOCK_ELEMENTS = 2^13 complex or 2^14 real entries, and a
+work buffer as big) stays in cache; on a 2-core x86 host it beat 2^12 (more
+numpy calls per row) and 2^14 (30% slower at n = 12) in total
+scan_evolution time over n = 9-14.
 
 z-basis indexing: bit i of the amplitude index is the state of spin i,
 0 = down; outcome_label, outcome_labels and outcome_index convert indices
 to labels.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,18 +158,19 @@ class ObservableSeries:
 
 
 def _walsh_hadamard(block: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform (its own inverse) of each row of a
-    C-contiguous complex (rows, 2^n) block, in place.
+    """Unnormalized Walsh-Hadamard transform of each row of a C-contiguous
+    float or complex (rows, 2^n) block; returns the block or a new array.
 
     A pass fuses two radix-2 stages: with a, b, c, d = x[0::4], ..., x[3::4]
     it writes (a+b)+(c+d), (a-b)+(c-d), (a+b)-(c+d), (a-b)-(c-d) as quarters,
     a self-sorting order with long numpy loops; odd n ends with one radix-2
     stage. Additions and their order are those of one stage at a time, so
-    each row is bit-identical to a vector butterfly.
+    each row is bit-identical to a vector butterfly. Stage k takes index bit
+    k, so the last stage takes the top bit.
     """
     rows, size = block.shape
     n = size.bit_length() - 1
-    pairs = np.empty((rows, 2, size // 2), dtype=complex)
+    pairs = np.empty((rows, 2, size // 2), dtype=block.dtype)
     sums, diffs = pairs[:, 0], pairs[:, 1]
     for _ in range(n // 2):
         quarters = block.reshape(rows, 4, -1)
@@ -168,12 +180,22 @@ def _walsh_hadamard(block: np.ndarray) -> np.ndarray:
         np.add(diffs[:, 0::2], diffs[:, 1::2], out=quarters[:, 1])
         np.subtract(sums[:, 0::2], sums[:, 1::2], out=quarters[:, 2])
         np.subtract(diffs[:, 0::2], diffs[:, 1::2], out=quarters[:, 3])
-    result = block
     if n % 2:
         np.add(block[:, 0::2], block[:, 1::2], out=sums)
         np.subtract(block[:, 0::2], block[:, 1::2], out=diffs)
-        result = pairs.reshape(rows, size)
-    return np.divide(result, math.sqrt(size), out=block)
+        return pairs.reshape(rows, size)
+    return block
+
+
+@functools.lru_cache
+def _even_columns(n: int) -> np.ndarray:
+    """Read-only outcome index of each entry z' < 2^(n-1) of a half-length
+    transform: z' if z' has an even number of bits set, else z' + 2^(n-1),
+    the same outcome with spin n-1 up; either way an even-parity outcome."""
+    low = np.arange(2**(n - 1))
+    columns = np.where(np.bitwise_count(low) % 2, low + 2**(n - 1), low)
+    columns.flags.writeable = False
+    return columns
 
 
 def _spin_signs(n: int) -> np.ndarray:
@@ -194,18 +216,6 @@ def _check_cap(n: int) -> None:
             f"{n} spins exceeds the exact-evolution cap of {SIZE_CAP}")
 
 
-def _evolve(psi_x, spectrum: tuple, times: np.ndarray) -> np.ndarray:
-    """z-basis amplitudes exp(-iHt)|psi>, one row per time in the block, from
-    the x-basis amplitudes psi_x (an array, or one scalar for all of them).
-
-    spectrum is np.unique(energies, return_inverse=True): phases are computed
-    once per distinct energy, for at most half the states as E(s) = E(-s).
-    """
-    energies, level = spectrum
-    phases = np.exp(-1j * times[:, None] * energies)[:, level]
-    return _walsh_hadamard(np.multiply(psi_x, phases, out=phases))
-
-
 def evolve_ising(graph: InteractionGraph, t: float, initial: SpinState) -> SpinState:
     """Exact |psi(t)> = exp(-iHt) |psi(0)> for the graph's Ising couplings."""
     n = graph.n_spins
@@ -213,10 +223,13 @@ def evolve_ising(graph: InteractionGraph, t: float, initial: SpinState) -> SpinS
     if initial.n_spins != n:
         raise ValueError(
             f"state has {initial.n_spins} spins, graph has {n} survivors")
-    psi_x = _walsh_hadamard(initial.amplitudes[None, :].copy())[0]
-    spectrum = np.unique(ising_energies(graph.couplings), return_inverse=True)
-    amps = _evolve(psi_x, spectrum, np.array([t], dtype=float))[0]
-    return SpinState(n_spins=n, amplitudes=amps)
+    norm = math.sqrt(2**n)
+    psi_x = np.divide(_walsh_hadamard(initial.amplitudes[None, :].copy()), norm)
+    energies, level = np.unique(ising_energies(graph.couplings),
+                                return_inverse=True)
+    phases = np.exp(-1j * np.array([[t]], dtype=float) * energies)[:, level]
+    amps = np.divide(_walsh_hadamard(np.multiply(psi_x, phases, out=phases)), norm)
+    return SpinState(n_spins=n, amplitudes=amps[0])
 
 
 def dephased_limit(graph: InteractionGraph) -> np.ndarray:
@@ -229,47 +242,71 @@ def dephased_limit(graph: InteractionGraph) -> np.ndarray:
     """
     n = graph.n_spins
     _check_cap(n)
+    if n == 0:
+        return np.ones(1)
     energies = ising_energies(graph.couplings)
     scale = max(np.max(np.abs(energies)), 1.0)
     keys = np.round(energies / (scale * ENERGY_RTOL)).astype(np.int64)
     keys, level = np.unique(keys, return_inverse=True)
 
-    # one row per level, summed in level order
-    limit = np.zeros(2**n)
-    step = max(1, BLOCK_ELEMENTS // 2**n)
+    # one real row per level over half the states, summed in level order
+    half = 2**(n - 1)
+    level = level[:half]
+    limit = np.zeros(half)
+    step = max(1, 2 * BLOCK_ELEMENTS // half)
     for first in range(0, keys.size, step):
         rows = min(step, keys.size - first)
         cols = np.flatnonzero((level >= first) & (level < first + rows))
-        block = np.zeros((rows, 2**n), dtype=complex)
+        block = np.zeros((rows, half))
         block[level[cols] - first, cols] = 1.0 / math.sqrt(2**n)
-        for row in np.abs(_walsh_hadamard(block)) ** 2:
+        u = _walsh_hadamard(block)
+        # a multiply, not a divide: the bits of numpy's complex / real
+        np.multiply(np.add(u, u, out=u), 1.0 / math.sqrt(2**n), out=u)
+        for row in np.abs(u) ** 2:
             limit += row
-    return limit / limit.sum()
+    full = np.zeros(2**n)
+    full[_even_columns(n)] = limit
+    return full / full.sum()
+
+
+def _coherent_scan(couplings: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Undamped outcome probabilities from all spins down, one row per time,
+    for n >= 1 spins; rows are evolved in blocks over half the states."""
+    n = couplings.shape[0]
+    energies, level = np.unique(ising_energies(couplings), return_inverse=True)
+    # phases once per distinct energy, for the half of the states with
+    # s_(n-1) = +1 (see the module docstring)
+    half = 2**(n - 1)
+    level = level[:half]
+    probs = np.zeros((times.size, 2**n))
+    step = max(1, BLOCK_ELEMENTS // half)
+    for first in range(0, times.size, step):
+        block = times[first:first + step, None]
+        phases = np.exp(-1j * block * energies)[:, level]
+        u = _walsh_hadamard(np.multiply(1.0 / math.sqrt(2**n), phases, out=phases))
+        amps = np.divide(np.add(u, u, out=u), math.sqrt(2**n), out=u)
+        p = probs[first:first + step]
+        p[:, _even_columns(n)] = np.square(np.abs(amps))
+        p /= p.sum(axis=1, keepdims=True)
+    return probs
 
 
 def scan_evolution(graph: InteractionGraph, times,
                    model: DecoherenceModel | None = None) -> ObservableSeries:
     """Outcome probabilities from all spins down over a time grid.
 
-    Evolves blocks of time points; each row is bit-identical to evolve_ising
-    from SpinState.all_down at its time. With a finite model.tau_d each row
-    is damped toward the dephased limit:
+    Each row is bit-identical to evolve_ising from SpinState.all_down at its
+    time. With a finite model.tau_d each row is damped toward the dephased
+    limit:
 
         p(t) -> p_inf + (p(t) - p_inf) exp(-t / tau_d)
     """
     n = graph.n_spins
     _check_cap(n)
     times = np.asarray(times, dtype=float)
-    spectrum = np.unique(ising_energies(graph.couplings), return_inverse=True)
-    probs = np.empty((times.size, 2**n))
-    step = max(1, BLOCK_ELEMENTS // 2**n)
-    for first in range(0, times.size, step):
-        p = probs[first:first + step]
-        np.abs(_evolve(1.0 / math.sqrt(2**n), spectrum,
-                       times[first:first + step]), out=p)
-        np.square(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
-
+    # no spins: the one, empty outcome is certain
+    probs = (_coherent_scan(graph.couplings, times) if n
+             else np.ones((times.size, 1)))
     if model is not None and math.isfinite(model.tau_d):
         p_inf = dephased_limit(graph)
         probs = p_inf + (probs - p_inf) * np.exp(-times / model.tau_d)[:, None]

@@ -117,6 +117,20 @@ class TestValidation:
         assert "$.drive.direction" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("block", ["trap", "drive"])
+    def test_pattern_rejects_crystal_blocks(self, tmp_path, capsys, block):
+        # a pattern's couplings come from its lattice, so neither block
+        # would change anything, whatever it holds
+        blocks = {"trap": MINI_SCENARIO["trap"],
+                  "drive": {"rabi_freq_hz": 0, "detuning_hz": 5,
+                            "calibration": {"target_j_hz": 1, "pair": [0, 9]}}}
+        path = write_scenario(tmp_path,
+                              dict(KAGOME_SCENARIO, **{block: blocks[block]}))
+        out = tmp_path / "out"
+        assert run_cli("all", "--scenario", path, "--out", out) == 2
+        assert f"$.{block}: not used by a pattern" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pipeline_error_names_the_module(self, tmp_path, capsys):
         drive = dict(MINI_SCENARIO["drive"])
         drive["calibration"] = {"target_j_hz": 1.0e9, "pair": [0, 1],

@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from ionrewire import dynamics
 from ionrewire.coupling import InteractionGraph
 from ionrewire.dynamics import (
     BLOCK_ELEMENTS,
@@ -269,14 +272,18 @@ class TestDecoherence:
         expected = 0.5 + (coherent - 0.5) / np.e
         assert damped.outcome("11")[0] == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("n,blocks", [(0, 1), (3, 1), (9, 9), (12, 158)])
+    @pytest.mark.parametrize("n,blocks",
+                             [(0, 1), (3, 1), (9, 3), (11, 16), (12, 40)])
     def test_dephased_limit_matches_per_level_loop(self, n, blocks):
         rng = np.random.default_rng(20 + n)
         # integer couplings make degenerate levels with several members
         j = rng.integers(-3, 4, size=(n, n)) * TWO_PI * 100.0
         graph = graph_of(np.triu(j, 1) + np.triu(j, 1).T)
         levels = np.unique(ising_energies(graph.couplings)).size
-        assert math.ceil(levels / (BLOCK_ELEMENTS // 2**n)) == blocks
+        # a block is 2 * BLOCK_ELEMENTS real entries of even-parity half rows;
+        # the last block of n = 9, 11 and 12 is partial
+        rows_per_block = 2 * BLOCK_ELEMENTS // max(1, 2**n // 2)
+        assert math.ceil(levels / rows_per_block) == blocks
         assert np.array_equal(dephased_limit(graph),
                               per_level_dephased_limit(graph, SpinState.all_down(n)))
 
@@ -296,18 +303,46 @@ class TestDecoherence:
         coherent = scan_evolution(graph, times, model=DecoherenceModel(math.inf))
         assert np.array_equal(coherent.probabilities, undamped)
 
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_damped_scan_calls_dephased_limit_by_module_name(self, n,
+                                                             monkeypatch):
+        # the benchmark's tracer counts dephased_limit calls by patching the
+        # module attribute, so every damped scan, n = 0 too, must look it up
+        calls = []
+        monkeypatch.setattr(dynamics, "dephased_limit",
+                            lambda g: calls.append(g.n_spins) or dephased_limit(g))
+        graph = graph_of(np.ones((n, n)) - np.eye(n))
+        scan_evolution(graph, [0.0, 1e-3], model=DecoherenceModel(tau_d=1e-3))
+        assert calls == [n]
+
 
 class TestScan:
     @pytest.mark.parametrize("n", [3, 9, 13])
     def test_matches_pointwise_evolution(self, n):
         rng = np.random.default_rng(13)
         graph = graph_of(random_symmetric_j(n, rng))
-        # three blocks of time rows, the last one partial
-        times = np.linspace(0, 2e-3, 2 * (BLOCK_ELEMENTS // 2**n) + 1)
+        # three blocks of time rows over the even-parity half, the last partial
+        times = np.linspace(0, 2e-3, 2 * (BLOCK_ELEMENTS // 2**(n - 1)) + 1)
         series = scan_evolution(graph, times)
         for row, t in zip(series.probabilities, times):
             p = populations(evolve_ising(graph, t, SpinState.all_down(n)))
             assert np.array_equal(row, p)
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_odd_parity_outcomes_are_exact_zeros(self, n):
+        # H flips spins in pairs, so from all down an odd number of up spins
+        # has probability +0 exactly, in the dephased limit too
+        rng = np.random.default_rng(60 + n)
+        # integer couplings make degenerate levels with several members
+        j = rng.integers(-2, 3, size=(n, n)) * TWO_PI * 100.0
+        graph = graph_of(np.triu(j, 1) + np.triu(j, 1).T)
+        odd = np.bitwise_count(np.arange(2**n)) % 2 == 1
+        times = np.linspace(0, 2e-3, 5)
+        model = DecoherenceModel(tau_d=0.8e-3)
+        for p in (scan_evolution(graph, times).probabilities[:, odd],
+                  scan_evolution(graph, times, model).probabilities[:, odd],
+                  dephased_limit(graph)[odd]):
+            assert np.all(p == 0.0) and not np.any(np.signbit(p))
 
     def test_empty_graph_scan(self):
         graph = InteractionGraph(survivors=np.array([], dtype=int),
@@ -365,3 +400,16 @@ class TestOutcomeLabels:
         assert outcome_label(0b110, 3) == "011"
         state = SpinState.from_bits("011")
         assert np.flatnonzero(state.amplitudes).tolist() == [0b110]
+
+
+def test_only_walsh_hadamard_subtracts():
+    # one evolution kernel: every butterfly in dynamics.py is _walsh_hadamard
+    tree = ast.parse(Path(dynamics.__file__).read_text())
+    callers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and "subtract" in {getattr(node.func, "attr", None),
+                                       getattr(node.func, "id", None)}):
+                callers.add(getattr(top, "name", None))
+    assert callers == {"_walsh_hadamard"}
