@@ -21,7 +21,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from importlib import metadata, resources
 from pathlib import Path
@@ -56,6 +56,8 @@ from .estimator import (
     fit_power_law,
 )
 from .lattice import (
+    QUBIT,
+    SHELVED,
     ShelveMask,
     apply_mask,
     honeycomb_mask,
@@ -84,6 +86,13 @@ TWO_PI = 2.0 * math.pi
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 BUNDLED_SCENARIOS = ("fig4b", "fig4c", "fig4d", "fig4e-g", "fig_op", "fig6")
+
+# JSON Schema's "integer" takes 2.0, but a count read as a float breaks the
+# samplers, so only a YAML integer is one
+ScenarioValidator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: type(value) is int))
 
 
 class ScenarioError(ValueError):
@@ -238,7 +247,7 @@ def load_scenario(ref: str, seed_override: int | None = None) -> Scenario:
     if seed_override is not None:
         raw = dict(raw, seed=int(seed_override))
 
-    validator = jsonschema.Draft202012Validator(_schema())
+    validator = ScenarioValidator(_schema())
     errors = sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path))
     if errors:
         # name the failing field; a missing one is named, not its parent
@@ -327,20 +336,18 @@ def build_ising_context(scenario: Scenario) -> IsingContext:
         direction = np.asarray(drive_raw.get("direction", [1.0, 0.0, 0.0]),
                                dtype=float)
         direction = direction / np.linalg.norm(direction)
-        rabi = TWO_PI * drive_raw["rabi_freq_hz"]
+        drive = RamanDrive(rabi_frequency=TWO_PI * drive_raw["rabi_freq_hz"],
+                           delta_k_magnitude=delta_k, detuning=0.0,
+                           delta_k_direction=direction)
 
         if drive_raw.get("detuning_hz") is not None:
             detuning = TWO_PI * drive_raw["detuning_hz"]
         else:
             cal = drive_raw["calibration"]
-            probe = RamanDrive(rabi_frequency=rabi, delta_k_magnitude=delta_k,
-                               detuning=0.0, delta_k_direction=direction)
             detuning = calibrate_detuning(
-                modes, probe, constants, target=TWO_PI * cal["target_j_hz"],
+                modes, drive, constants, target=TWO_PI * cal["target_j_hz"],
                 pair=tuple(cal["pair"]), side=cal.get("side", "above"))
-
-        drive = RamanDrive(rabi_frequency=rabi, delta_k_magnitude=delta_k,
-                           detuning=detuning, delta_k_direction=direction)
+        drive = replace(drive, detuning=detuning)
         coupling = coupling_matrix(modes, drive, constants)
 
     if key == "explicit":
@@ -354,7 +361,7 @@ def build_ising_context(scenario: Scenario) -> IsingContext:
 
 
 def _series_rows(series: ObservableSeries):
-    labels = series.outcome_labels()
+    labels = outcome_labels(series.n_spins)
     header = (["time_s"] + [f"p_{lab}" for lab in labels]
               + ["mean_sigma_z", "p_all_up", "p_all_down"])
     p = series.probabilities
@@ -419,8 +426,8 @@ def _mask_artifact(ctx, out_dir, fmt):
         mask = sample_shelving(ctx.coupling.n_spins, ctx.beam_time,
                                scenario.shelving(), scenario.seed)
         graph = apply_mask(ctx.coupling, mask)
-    table = Table(np.arange(len(mask)),
-                  Coded(["Q", "S"], np.array(mask.shelved, dtype=np.intp)))
+    states = Coded([QUBIT, SHELVED], np.array(mask.shelved, dtype=np.intp))
+    table = Table(np.arange(len(mask)), states)
     names = [write_table(out_dir, "mask", ["ion", "state"], table, fmt)]
     names.append(_pair_table(out_dir, "graph", graph, fmt))
 
@@ -464,14 +471,15 @@ def _protocol_artifact(ctx, out_dir, fmt):
         decoherence=scenario.decoherence(), evolved=ctx.series)
     ctx.series = None
     records = result.records
-    survivors = np.array([result.groups[c].survivors.size for c in records.configs])
+    survivors = np.array([g.survivors.size for g in result.groups.values()])
     # an outcome's label depends on its value and its survivor count
     width = int(survivors.max(initial=0)) + 1
     outcome_keys, outcome_codes = np.unique(
         records.outcome * width + survivors[records.config], return_inverse=True)
     table = Table(
-        records.shot, Coded(result.times.tolist(), records.time_index),
-        Coded(records.configs, records.config),
+        np.arange(len(records)),
+        Coded(result.times.tolist(), records.time_index),
+        Coded(list(result.groups), records.config),
         Coded([outcome_label(*divmod(key, width))
                for key in outcome_keys.tolist()], outcome_codes),
         Coded([False, True], records.intact.astype(np.intp)))
@@ -483,7 +491,7 @@ def _protocol_artifact(ctx, out_dir, fmt):
         gheader = (["time_s", "n_total", "n_intact"]
                    + [f"c_{lab}" for lab in labels]
                    + [f"f_{lab}" for lab in labels])
-        table = Table(group.times, group.n_total, group.n_intact,
+        table = Table(result.times, group.n_total, group.n_intact,
                       group.counts, group.frequencies())
         names.append(write_table(out_dir, f"group_{config}", gheader, table,
                                  fmt))
@@ -493,7 +501,7 @@ def _protocol_artifact(ctx, out_dir, fmt):
 @_stage("estimator")
 def _fit_artifact(ctx, out_dir, fmt):
     fits = {"pair_couplings": []}
-    times = ctx.scenario.times()
+    times = ctx.result.times
     for config, group in ctx.result.groups.items():
         if group.survivors.size != 2:
             continue

@@ -14,7 +14,7 @@ returns one over the whole crystal, and lattice.apply_mask maps one to the
 graph of the ions a shelving mask leaves.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
@@ -153,22 +153,22 @@ def coupling_matrix(modes: NormalModes, drive: RamanDrive,
     if drive.delta_k_magnitude <= 0:
         raise ValueError("delta_k_magnitude must be positive to drive couplings")
     proj = project_modes(modes, drive.delta_k_direction)
+    freqs = modes.frequencies
     mu = abs(drive.detuning)
-    gaps = np.abs(mu - proj.frequencies)
+    gaps = np.abs(mu - freqs)
     offending = np.where(proj.participating & (gaps < guard_band))[0]
     if offending.size:
         k = int(offending[np.argmin(gaps[offending])])
         raise ResonanceError(
             f"detuning {mu:.6e} rad/s is within the {guard_band:.3e} rad/s "
-            f"guard band of participating mode {k} at "
-            f"{proj.frequencies[k]:.6e} rad/s",
-            mode_index=k, mode_frequency=proj.frequencies[k])
+            f"guard band of participating mode {k} at {freqs[k]:.6e} rad/s",
+            mode_index=k, mode_frequency=freqs[k])
 
     recoil = recoil_frequency(drive, constants)
-    weights = np.zeros_like(proj.frequencies)
+    weights = np.zeros_like(freqs)
     active = proj.participating
     weights[active] = (drive.rabi_frequency**2 * recoil
-                       / (mu**2 - proj.frequencies[active] ** 2))
+                       / (mu**2 - freqs[active] ** 2))
     j = proj.amplitudes.T @ (weights[:, None] * proj.amplitudes)
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
@@ -201,8 +201,8 @@ def calibrate_detuning(modes: NormalModes, drive: RamanDrive,
         raise ValueError("pair must name two distinct ions")
 
     proj = project_modes(modes, drive.delta_k_direction)
-    freqs = proj.frequencies[proj.participating]
-    omega_com = proj.frequencies[_com_mode_index(proj)]
+    freqs = modes.frequencies[proj.participating]
+    omega_com = modes.frequencies[_com_mode_index(proj)]
 
     if side == "above":
         higher = freqs[freqs > omega_com * (1 + 1e-12)]
@@ -221,11 +221,7 @@ def calibrate_detuning(modes: NormalModes, drive: RamanDrive,
             f"{omega_com:.6e} rad/s", achievable=None)
 
     def pair_coupling(mu):
-        probe = RamanDrive(rabi_frequency=drive.rabi_frequency,
-                           delta_k_magnitude=drive.delta_k_magnitude,
-                           detuning=mu,
-                           delta_k_direction=drive.delta_k_direction)
-        return coupling_matrix(modes, probe, constants,
+        return coupling_matrix(modes, replace(drive, detuning=mu), constants,
                                guard_band=0.0).couplings[i, j]
 
     f_near = pair_coupling(com_end)

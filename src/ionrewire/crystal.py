@@ -120,9 +120,9 @@ class ModeProjection:
 
     amplitudes[k, i] is the component of mode k on ion i along the direction;
     participating flags modes whose largest amplitude exceeds the cutoff.
+    Mode k's frequency is NormalModes.frequencies[k].
     """
 
-    frequencies: np.ndarray
     amplitudes: np.ndarray
     participating: np.ndarray
 
@@ -707,8 +707,4 @@ def project_modes(modes: NormalModes, direction: np.ndarray) -> ModeProjection:
     by_ion = modes.eigenvectors.reshape(n, 3, 3 * n)
     amplitudes = np.einsum("iak,a->ki", by_ion, direction)
     participating = np.max(np.abs(amplitudes), axis=1) >= PARTICIPATION_CUTOFF
-    return ModeProjection(
-        frequencies=modes.frequencies.copy(),
-        amplitudes=amplitudes,
-        participating=participating,
-    )
+    return ModeProjection(amplitudes=amplitudes, participating=participating)

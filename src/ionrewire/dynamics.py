@@ -140,10 +140,6 @@ class ObservableSeries:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "probabilities", probs)
 
-    def outcome_labels(self) -> list:
-        """Every outcome label (see outcome_label), in index order."""
-        return outcome_labels(self.n_spins)
-
     def outcome(self, bits: str) -> np.ndarray:
         """Probability series of one outcome, e.g. '11' for two spins up."""
         return self.probabilities[:, outcome_index(bits)]

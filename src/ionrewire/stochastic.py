@@ -83,12 +83,11 @@ class GroupSeries:
 
     survivors holds the surviving ions' labels in the protocol's graph.
     counts[t, outcome] accumulates intact shots only; n_total counts every
-    shot that started in this configuration (intact or not).
+    shot that started in this configuration (intact or not). Rows follow the
+    protocol's times.
     """
 
-    config: str
     survivors: np.ndarray
-    times: np.ndarray
     counts: np.ndarray
     n_total: np.ndarray
     n_intact: np.ndarray
@@ -108,21 +107,19 @@ class GroupSeries:
 class ShotRecords:
     """Protocol shots as columns, one entry per shot.
 
-    Shot `shot[r]` ran at time index `time_index[r]` and started in
-    configuration `configs[config[r]]` (a Q/S string). `outcome[r]` is the
+    Shot r ran at time index `time_index[r]` and started in configuration
+    `list(result.groups)[config[r]]` (a Q/S string). `outcome[r]` is the
     measured survivor pattern (bit i = i-th surviving ion up), and `intact[r]`
     says whether every shelved ion stayed shelved through the evolution.
     """
 
-    configs: tuple
-    shot: np.ndarray
     time_index: np.ndarray
     config: np.ndarray
     outcome: np.ndarray
     intact: np.ndarray
 
     def __len__(self) -> int:
-        return self.shot.size
+        return self.config.size
 
 
 @dataclass(frozen=True)
@@ -206,8 +203,9 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
     Shots are grouped by their verified initial configuration; the group
     counts that feed the empirical frequencies include intact shots only,
     mirroring the experimental post-selection. Group totals partition the
-    full shot budget. `groups` and `records.configs` list the configurations
-    in label order, Q before S, as `_distinct_rows` yields them.
+    full shot budget. `groups` lists the configurations in label order, Q
+    before S, as `_distinct_rows` yields them, and `records.config` indexes
+    that order.
 
     evolved, if given, is scan_evolution(graph, times, model=decoherence):
     the configuration with no shelved ion samples from it instead of
@@ -243,7 +241,6 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
 
     outcome = np.empty(total, dtype=np.int64)
     groups = {}
-    configs = []
     for c, mask_row in enumerate(shelved):
         mask = ShelveMask(tuple(mask_row))
         reduced = apply_mask(graph, mask)
@@ -269,18 +266,15 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
         outcome[rows] = found
 
         kept = rows[intact[rows]]
-        label = mask.to_string()
-        configs.append(label)
-        groups[label] = GroupSeries(
-            config=label, survivors=reduced.survivors, times=times,
+        groups[mask.to_string()] = GroupSeries(
+            survivors=reduced.survivors,
             counts=np.bincount(time_index[kept] * 2**k + outcome[kept],
                                minlength=times.size * 2**k
                                ).reshape(times.size, 2**k),
             n_total=np.bincount(time_index[rows], minlength=times.size),
             n_intact=np.bincount(time_index[kept], minlength=times.size))
 
-    records = ShotRecords(configs=tuple(configs), shot=np.arange(total),
-                          time_index=time_index, config=config,
+    records = ShotRecords(time_index=time_index, config=config,
                           outcome=outcome, intact=intact)
     return ProtocolResult(times=times, records=records, groups=groups)
 

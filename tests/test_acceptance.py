@@ -242,7 +242,7 @@ def test_criterion_5_crystal_oracle():
 
     modes = compute_normal_modes(CONSTANTS, TRAP, crystal)
     axial = project_modes(modes, XHAT)
-    freqs = axial.frequencies[axial.participating]
+    freqs = modes.frequencies[axial.participating]
     assert abs(freqs[0] - TRAP.omega_x) <= 1e-9 * TRAP.omega_x
     assert abs(freqs[1] - math.sqrt(3) * TRAP.omega_x) <= 1e-9 * TRAP.omega_x
 

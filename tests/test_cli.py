@@ -602,7 +602,38 @@ RULE_CASES = [
     *[(MINI_SCENARIO, {"drive.direction": d}, "$.drive.direction")
       for d in ([1e-300, 0.0, 0.0], [1e-200, 1e-200, 0.0], [1e-160, 0.0, 0.0],
                 [1e200, 0.0, 0.0], [10**160, 0, 0])],
+    # a count is a YAML integer: 2.0 is not one
+    (DECAY_SCENARIO, {"times.num": 16.0}, "$.times.num"),
+    # three ions, so that the case's id differs from the missing n_ions one
+    (MINI_SCENARIO, {"n_ions": 3.0, "mask.explicit": "QQQ"}, "$.n_ions"),
+    (MINI_SCENARIO, {"measurement.shots": 40.0}, "$.measurement.shots"),
+    (KAGOME_SCENARIO, {"mask.pattern.rows": 2.0}, "$.mask.pattern.rows"),
+    (SCAN_SCENARIO, {"scan.points_per_curve": 6.0}, "$.scan.points_per_curve"),
+    (MINI_SCENARIO, {"drive.calibration.pair": [0.0, 1.0]},
+     "$.drive.calibration.pair.0"),
+    # neither sampler has a qubit readout to flip
+    *[(base, {"measurement.spam_error": 0.3}, "$.measurement.spam_error")
+      for base in (DECAY_SCENARIO, SCAN_SCENARIO)],
 ]
+
+# (base, block): a block that the base's kind, or its mask source, never
+# reads; each value is one the block's schema accepts
+UNREAD_BLOCKS = [
+    *[(DECAY_SCENARIO, block) for block in (
+        "trap", "drive", "mask", "decoherence", "scan", "ion_mass_u")],
+    *[(SCAN_SCENARIO, block) for block in (
+        "trap", "drive", "mask", "n_ions", "times", "decoherence", "shelving",
+        "ion_mass_u")],
+    (MINI_SCENARIO, "scan"), (KAGOME_SCENARIO, "scan"),
+    (MINI_SCENARIO, "shelving"), (KAGOME_SCENARIO, "shelving"),
+    (KAGOME_SCENARIO, "ion_mass_u"),
+]
+UNREAD_VALUES = {
+    "trap": MINI_SCENARIO["trap"], "drive": MINI_SCENARIO["drive"],
+    "mask": MINI_SCENARIO["mask"], "decoherence": {"tau_d_s": 5.5e-3},
+    "scan": SCAN_SCENARIO["scan"], "ion_mass_u": 171.0, "n_ions": 2,
+    "times": DECAY_SCENARIO["times"], "shelving": {"tau_shelve_s": 55e-3},
+}
 
 
 class TestScenarioRules:
@@ -618,6 +649,18 @@ class TestScenarioRules:
         assert code == 2
         assert f"{field}:" in err
         assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "base,block", UNREAD_BLOCKS,
+        ids=[f"{base['name']}-{block}" for base, block in UNREAD_BLOCKS])
+    def test_unread_block_exits_2_naming_it(self, tmp_path, base, block):
+        path = write_scenario(tmp_path,
+                              dict(base, **{block: UNREAD_VALUES[block]}))
+        out = tmp_path / "out"
+        code, err = run_captured(["all", "--scenario", path, "--out", out])
+        assert code == 2
+        assert f"$.{block}: not read by this scenario" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind,field", [
@@ -816,9 +859,7 @@ INT64 = np.iinfo(np.int64)
 
 def _group_with_empty_bin():
     counts = np.array([[0, 0, 0, 0], [3, 0, 0, 1], [0, 0, 0, 0]])
-    return GroupSeries(config="QSQ", survivors=np.array([0, 2]),
-                       times=np.array([0.0, 1e-4, 2e-4]),
-                       counts=counts, n_total=np.array([2, 4, 0]),
+    return GroupSeries(survivors=np.array([0, 2]), counts=counts, n_total=np.array([2, 4, 0]),
                        n_intact=np.array([0, 4, 0]))
 
 
@@ -855,7 +896,7 @@ def _writer_cases():
         ("zero_survivors", series_header, series.columns),
         ("nan_frequency_row", ["time_s", "n_total", "n_intact"]
          + [f"c{j}" for j in range(4)] + [f"f{j}" for j in range(4)],
-         [group.times, group.n_total, group.n_intact, group.counts,
+         [np.array([0.0, 1e-4, 2e-4]), group.n_total, group.n_intact, group.counts,
           group.frequencies()]),
         ("row_wider_than_a_chunk",
          ["t", *[f"p{j}" for j in range(wide.shape[1])]],

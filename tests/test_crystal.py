@@ -585,7 +585,7 @@ class TestNormalModes:
         crystal = solve_equilibrium(constants, trap, 2, seed=7)
         modes = compute_normal_modes(constants, trap, crystal)
         proj = project_modes(modes, np.array([1.0, 0.0, 0.0]))
-        axial = proj.frequencies[proj.participating]
+        axial = modes.frequencies[proj.participating]
         assert axial.size == 2
         assert abs(axial[0] - trap.omega_x) < 1e-9 * trap.omega_x
         assert abs(axial[1] - np.sqrt(3) * trap.omega_x) < 1e-9 * trap.omega_x

@@ -356,7 +356,7 @@ class TestScan:
     def test_outcome_labels_and_lookup(self):
         j = InteractionGraph.uniform(2, TWO_PI * 750.0).couplings
         series = scan_evolution(graph_of(j), np.array([0.0]))
-        assert series.outcome_labels() == ["00", "10", "01", "11"]
+        assert outcome_labels(2) == ["00", "10", "01", "11"]
         assert series.outcome("00")[0] == 1.0
 
     @pytest.mark.parametrize("n", range(15))

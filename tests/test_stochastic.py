@@ -146,13 +146,13 @@ class TestBlockSamplers:
                                               measurement, 4242, deshelving,
                                               drive)
         records = result.records
-        got = [(records.configs[c], o, i) for c, o, i in zip(
+        configs = list(result.groups)
+        got = [(configs[c], o, i) for c, o, i in zip(
             records.config.tolist(), records.outcome.tolist(),
             records.intact.tolist())]
         assert got == expected
-        assert records.shot.tolist() == list(range(len(expected)))
-        assert list(result.groups) == list(records.configs) == sorted(
-            result.groups)
+        assert len(records) == len(expected)
+        assert configs == sorted(configs)
         if deshelve:
             assert not records.intact.all()
 
@@ -219,8 +219,8 @@ class TestProtocol:
                               shelving=ShelvingProcess(),
                               measurement=MeasurementModel(shots=200),
                               seed=23)
-        configs = list(result.records.configs)
-        assert list(result.groups) == configs == sorted(configs)
+        configs = list(result.groups)
+        assert configs == sorted(configs)
         assert len({config[:8] for config in configs}) < len(configs)
 
     def test_distinct_rows_come_in_label_order(self):
@@ -255,8 +255,8 @@ class TestProtocol:
                       drive_rabi=TWO_PI * 76e3)
         a = run_protocol(coupling, **kwargs)
         b = run_protocol(coupling, **kwargs)
-        assert a.records.configs == b.records.configs
-        for column in ("shot", "time_index", "config", "outcome", "intact"):
+        assert list(a.groups) == list(b.groups)
+        for column in ("time_index", "config", "outcome", "intact"):
             assert np.array_equal(getattr(a.records, column),
                                   getattr(b.records, column))
         for config in a.groups:
@@ -293,8 +293,8 @@ class TestProtocol:
         off = run_protocol(coupling, **kwargs)
         on = run_protocol(coupling, deshelving=DeshelvingModel(reference_tau=2e-3),
                           drive_rabi=TWO_PI * 76e3, **kwargs)
-        assert on.records.configs == off.records.configs
-        for column in ("shot", "time_index", "config", "outcome"):
+        assert list(on.groups) == list(off.groups)
+        for column in ("time_index", "config", "outcome"):
             assert np.array_equal(getattr(on.records, column),
                                   getattr(off.records, column))
         assert off.records.intact.all() and not on.records.intact.all()
@@ -366,8 +366,7 @@ class TestProtocol:
                          seed=0, deshelving=DeshelvingModel())
 
     def test_empty_bin_frequencies_are_nan(self):
-        series = GroupSeries(config="Q", survivors=np.array([0]),
-                             times=np.array([0.0, 1.0]),
+        series = GroupSeries(survivors=np.array([0]),
                              counts=np.array([[3, 1], [0, 0]]),
                              n_total=np.array([4, 0]),
                              n_intact=np.array([4, 0]))
@@ -418,14 +417,12 @@ class TestEvolvedSeries:
         assert "QQQ" in result.groups
         assert 3 not in scanned and len(scanned) == len(result.groups) - 1
         assert np.array_equal(evolved.probabilities, before)
-        assert result.records.configs == expected.records.configs
-        for column in ("shot", "time_index", "config", "outcome", "intact"):
+        for column in ("time_index", "config", "outcome", "intact"):
             assert np.array_equal(getattr(result.records, column),
                                   getattr(expected.records, column))
         assert list(result.groups) == list(expected.groups)
         for config, group in result.groups.items():
-            for field in ("survivors", "times", "counts", "n_total",
-                          "n_intact"):
+            for field in ("survivors", "counts", "n_total", "n_intact"):
                 assert np.array_equal(getattr(group, field),
                                       getattr(expected.groups[config], field))
 
