@@ -379,9 +379,6 @@ def _positions_artifact(ctx, out_dir, fmt):
 
 
 def _modes_artifact(ctx, out_dir, fmt):
-    if ctx.modes is None:
-        raise PipelineError("modes", ValueError(
-            "pattern scenarios use the idealized array; no physical modes"))
     n = ctx.modes.n_ions
     header = ["mode", "freq_hz"] + [
         f"b_ion{i}_{axis}" for i in range(n) for axis in "xyz"]
@@ -617,9 +614,17 @@ def _versions() -> dict:
     }
 
 
+def _sha256(path: Path) -> str:
+    """The SHA-256 of a file, read in 1 MiB blocks."""
+    digest = hashlib.sha256()
+    with path.open("rb") as file:
+        while block := file.read(2**20):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def _write_manifest(scenario: Scenario, out_dir: Path, outputs: list) -> str:
-    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-               for name in sorted(outputs)}
+    digests = {name: _sha256(out_dir / name) for name in sorted(outputs)}
     manifest = {
         "name": scenario.name,
         "kind": scenario.kind,
@@ -649,12 +654,17 @@ def _run_ising(command: str, ctx: IsingContext, out_dir: Path,
                fmt: str) -> list:
     """Walk ISING_STAGES in order. `all` runs every stage that applies and
     stops before `simulate` past the exact-evolution cap, `fit` runs the
-    protocol it fits, and any other subcommand runs its own stage."""
+    protocol it fits (and no fit with `fit: none`), and any other subcommand
+    runs its own stage."""
     fit = ctx.scenario.fit_kind() == "pair_couplings"
-    walk = ([stage for stage in ISING_STAGES
-             if (stage != "modes" or ctx.modes is not None)
-             and (stage != "fit" or fit)] if command == "all"
-            else ["protocol", "fit"] if command == "fit" else [command])
+    if command == "all":
+        walk = [stage for stage in ISING_STAGES
+                if (stage != "modes" or ctx.modes is not None)
+                and (stage != "fit" or fit)]
+    elif command == "fit":
+        walk = ["protocol", "fit"] if fit else ["protocol"]
+    else:
+        walk = [command]
     outputs = []
     survivors = ctx.graph.n_spins
     for stage in walk:
@@ -680,6 +690,10 @@ def run_command(command: str, scenario: Scenario, out_dir: Path,
     if kind != "ising" and command not in ("protocol", "fit", "all"):
         raise ScenarioError(
             f"subcommand '{command}' is not applicable to kind '{kind}'")
+    if command == "modes" and scenario.mask_source()[0] == "pattern":
+        raise ScenarioError("subcommand 'modes' is not applicable to a "
+                            "pattern scenario: its idealized array has no "
+                            "physical modes")
     if kind == "shelving_decay":
         outputs = _run_shelving_decay(scenario, out_dir, fmt)
     elif kind == "deshelving_scan":

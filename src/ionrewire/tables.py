@@ -1,20 +1,22 @@
 """Deterministic artifact writers: tables as CSV or JSON, and JSON payloads.
 
-Every table is formatted in chunks by `Table.chunks`. A table with many
-nonzero float cells, whose shortest-repr formatting is most of its cost, is
-split by rows between forked workers, one per usable CPU; the parts are
-joined in order, so the bytes do not depend on the split.
+A table with fewer than RENDER_FLOATS float cells is formatted one Python
+scalar at a time, in chunks, by `Table.chunks`. A larger one is rendered
+with numpy by `_Renderer`, in blocks of about BLOCK_CELLS cells. A float
+gets the text of Python's repr: its digits come from `_shortest`, a
+vectorized form of Ryu's shortest round-trip digits (Adams, PLDI 2018),
+and are laid out by repr's rules. An int gets its decimal digits, and a
+bool or a Coded value a text rendered once per table. Each block's CSV
+lines or JSON row objects are cut out of one byte array in which every cell
+has fixed-width fields. A table of mostly all-zero-bit cells is written as
+copies of its zero row, with the texts of its other cells spliced in. Both
+paths write the same bytes, in this process.
 """
 
-import io
 import json
 import math
-import os
-import shutil
-import signal
-import tempfile
-import warnings
 from dataclasses import dataclass
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -39,10 +41,19 @@ def _fmt_cell(value, fmt: str = "csv") -> str:
 # a chunk of a Table holds at most this many cells, or one row if wider
 CHUNK_CELLS = 2**16
 
-# a table with at least this many nonzero float cells is split between
-# forked workers, into at most one part per usable CPU, per row and per
-# SPLIT_VALUES of those cells (rounded up); 0 splits every table of 2+ rows
-SPLIT_VALUES = 2**16
+# a table with at least this many float cells is rendered in blocks by numpy
+RENDER_FLOATS = 2**12
+
+# a render block holds at most this many cells, or one row if wider
+BLOCK_CELLS = 2**14
+
+# _float_cells finds the digits of at most this many values at a time
+SHORTEST_VALUES = 2**12
+
+# a table with fewer than 1/SPLICE_SHARE of its cells outside the zero row
+# (see _Renderer) is rendered in blocks SPLICE_SHARE times larger, by
+# splicing the texts of those cells into copies of the zero row
+SPLICE_SHARE = 8
 
 
 @dataclass(frozen=True)
@@ -69,25 +80,22 @@ class Table:
         column = self.columns[0]
         return len(column.codes if isinstance(column, Coded) else column)
 
-    def float_values(self) -> int:
-        """The number of float cells whose bits are not all zero: the cells
-        that chunks formats one by one with repr."""
-        return sum(np.count_nonzero(column.view(f"u{column.itemsize}"))
-                   for column in self.columns
-                   if not isinstance(column, Coded) and column.dtype.kind == "f")
+    def float_cells(self) -> int:
+        """The number of cells in float columns."""
+        return len(self) * sum(column.shape[1] for column in self.columns
+                               if not isinstance(column, Coded)
+                               and column.dtype.kind == "f")
 
-    def chunks(self, fmt: str, start: int = 0, stop: int | None = None):
-        """The rows start to stop as tuples of cell texts (_fmt_cell in
-        format fmt), in chunks of consecutive rows with at most CHUNK_CELLS
-        cells."""
-        stop = len(self) if stop is None else stop
+    def chunks(self, fmt: str):
+        """The rows as tuples of cell texts (_fmt_cell in format fmt), in
+        chunks of consecutive rows with at most CHUNK_CELLS cells."""
         coded = {i: np.array([_fmt_cell(v, fmt) for v in column.values],
                              dtype=object)
                  for i, column in enumerate(self.columns)
                  if isinstance(column, Coded)}
         step = max(1, CHUNK_CELLS // self.width)
-        for first_row in range(start, stop, step):
-            rows = slice(first_row, min(first_row + step, stop))
+        for first_row in range(0, len(self), step):
+            rows = slice(first_row, min(first_row + step, len(self)))
             chunk = np.empty((rows.stop - first_row, self.width), dtype=object)
             first = 0
             for i, column in enumerate(self.columns):
@@ -113,93 +121,484 @@ class Table:
             yield zip(*[iter(chunk.ravel().tolist())] * self.width)
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where it cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+# --------------------------------------------------------------------------
+# shortest round-trip digits of float64, vectorized (Ryu's d2s)
+
+_LIMB = 27
+_LOW = (1 << _LIMB) - 1
+_MANTISSA = np.uint64(2**52 - 1)
+_SIGN = np.uint64(2**63)
+_INFINITY = np.uint64(0x7FF << 52)
 
 
-def _parts(rows: Table) -> int:
-    """How many parts write_table splits the table's rows into."""
-    cpus = _usable_cpus()
-    if cpus < 2:
-        return 1
-    values = rows.float_values()
-    if values < SPLIT_VALUES:
-        return 1
-    shares = -(-values // SPLIT_VALUES) if SPLIT_VALUES else len(rows)
-    return min(cpus, len(rows), shares)
+@cache
+def _pow5_limbs() -> np.ndarray:
+    """Ryu's 125-bit multipliers as five rows of 27-bit limbs, lowest first;
+    entries 0–341 are ⌊2^(b(q) + 124) / 5^q⌋ + 1 for binary exponents e2 ≥ 0,
+    entries 342– are 5^i with its top bit moved to bit 124 for e2 < 0, where
+    b(e) is the bit length of 5^e."""
+
+    def bits(e):
+        return ((e * 1217359) >> 19) + 1
+
+    inverse = [(1 << (bits(q) + 124)) // 5**q + 1 for q in range(342)]
+    direct = [(5**i << 125) >> bits(i) for i in range(326)]
+    return np.array([[(v >> (_LIMB * t)) & _LOW for v in inverse + direct]
+                     for t in range(5)], dtype=np.int64)
 
 
-def _write_part(out, rows: Table, fmt: str, row: str | None, start: int,
-                stop: int, lead: str):
-    """Write rows start to stop: CSV lines, or JSON row objects (the row
-    template filled in) joined by ",\\n", the first one led by `lead`."""
-    for chunk in rows.chunks(fmt, start, stop):
-        if fmt == "csv":
-            out.write("\n".join(map(",".join, chunk)) + "\n")
+def _shortest(bits: np.ndarray):
+    """(digits, exponent) with digits·10^exponent the shortest decimal that
+    reads back as each positive finite float64 of the bit patterns `bits`,
+    the nearest one to it where several are shortest: repr's digits. Every
+    product of Ryu's is taken exactly in int64 over 27-bit limbs."""
+    mantissa = (bits & _MANTISSA).view(np.int64)
+    biased = (bits >> np.uint64(52)).view(np.int64)
+    mv = (mantissa | ((biased != 0).astype(np.int64) << 52)) << 2
+    e2 = np.maximum(biased, 1) - 1077
+    accept = (mv & 4) == 0
+    mm_shift = (mantissa != 0) | (biased <= 1)
+    # Ryu's branch for e2 < 0 everywhere, then the one for e2 >= 0 where it
+    # applies; the product is shifted right by 108 + shift, shift in [10, 17]
+    down = e2 < 0
+    q = ((-e2 * 732923) >> 20) - (e2 < -1)
+    exponent = q + e2
+    row = 342 - e2 - q
+    shift = q - (((row - 342) * 1217359) >> 19) + 16
+    up = np.flatnonzero(~down)
+    if up.size:
+        e = e2[up]
+        q[up] = exponent[up] = row[up] = ((e * 78913) >> 18) - (e > 3)
+        shift[up] = q[up] - e + ((q[up] * 1217359) >> 19) + 17
+    b = [np.take(limb, row) for limb in _pow5_limbs()]
+    a0, a1 = mv & _LOW, mv >> _LIMB
+    c = [a0 * b[0], a0 * b[1] + a1 * b[0], a0 * b[2] + a1 * b[1],
+         a0 * b[3] + a1 * b[2], a0 * b[4] + a1 * b[3], a1 * b[4]]
+    rest = _LIMB - shift
+
+    def mul_shift(delta=None):
+        # ⌊(mv + delta)·multiplier / 2^(108 + shift)⌋
+        columns = c if delta is None else [
+            c[k] + delta * b[k] for k in range(5)] + c[5:]
+        carry = columns[0] >> _LIMB
+        for k in range(1, 4):
+            carry = (columns[k] + carry) >> _LIMB
+        t4 = columns[4] + carry
+        return ((t4 & _LOW) >> shift) + ((columns[5] + (t4 >> _LIMB)) << rest)
+
+    vr, vp, vm = mul_shift(), mul_shift(2), mul_shift(-1 - mm_shift)
+    vr_zeros = down & (q <= 1)
+    vm_zeros = vr_zeros & accept & mm_shift
+    vp -= vr_zeros & ~accept
+    vr_zeros |= down & (q < 63) & ((mv & ((1 << np.minimum(q, 62)) - 1)) == 0)
+    i = up[q[up] <= 21]
+    if i.size:
+        p5, m, accepted = 5 ** q[i], mv[i], accept[i]
+        fives = m % 5 == 0
+        vr_zeros[i] = fives & (m % p5 == 0)
+        vm_zeros[i] = ~fives & accepted & ((m - 1 - mm_shift[i]) % p5 == 0)
+        vp[i] -= ~fives & ~accepted & ((m + 2) % p5 == 0)
+
+    # drop the most digits that keep vp and vm apart, in steps of 16, 8, 4,
+    # 2 and 1 digits, keeping the last digit dropped from vr and, for the
+    # values with a trailing-zero flag, whether all digits dropped below it,
+    # and from vm, were zeros; a step that few values take works on those
+    last = np.zeros_like(vr)
+    flagged = np.flatnonzero(vr_zeros | vm_zeros)
+    for s in 16, 8, 4, 2, 1:
+        p, t = 10**s, 10**(s - 1)
+        high = vm // p
+        step = vp >= (high + 1) * p
+        taken = np.count_nonzero(step)
+        if not taken:
+            continue
+        f = flagged[step[flagged]]
+        dropped = vr[f] - vr[f] // p * p
+        vm_zeros[f] &= vm[f] == high[f] * p
+        vr_zeros[f] &= (last[f] == 0) & (dropped % t == 0)
+        if 4 * taken < len(step):
+            i = np.flatnonzero(step)
+            r = vr[i]
+            vr[i] = r // p
+            last[i] = (r - vr[i] * p) // t
+            vm[i] = high[i]
+            vp[i] //= p
+            exponent[i] += s
         else:
-            out.write(lead + ",\n".join(map(row.__mod__, chunk)))
-            lead = ",\n"
+            kept = vr // p
+            np.putmask(last, step, (vr - kept * p) // t)
+            np.putmask(vr, step, kept)
+            np.putmask(vm, step, high)
+            np.putmask(vp, step, vp // p)
+            exponent += step * s
+    i = np.flatnonzero(vm_zeros)
+    while i.size:
+        m = vm[i] // 10
+        i, m = i[vm[i] == m * 10], m[vm[i] == m * 10]
+        r = vr[i] // 10
+        vr_zeros[i] &= last[i] == 0
+        last[i] = vr[i] - r * 10
+        vr[i], vm[i] = r, m
+        exponent[i] += 1
+    # an exact half rounds to even
+    last[vr_zeros & (last == 5) & ((vr & 1) == 0)] = 4
+    digits = vr + (((vr == vm) & ~(accept & vm_zeros)) | (last >= 5))
+    return digits, exponent
 
 
-def _fork_part(part, rows: Table, fmt: str, row: str | None, start: int,
-               stop: int) -> int:
-    """Fork a worker that writes rows start to stop into the file `part`,
-    as a JSON part after the first, and exits; returns its pid."""
-    with warnings.catch_warnings():
-        # Python 3.12+ warns about a fork while other threads (BLAS) run;
-        # the worker only formats text and writes its own file
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid:
-        return pid
-    code = 1
-    try:
-        with io.TextIOWrapper(part, encoding="utf-8") as text:
-            _write_part(text, rows, fmt, row, start, stop, ",\n")
-        code = 0
-    finally:
-        # never return into the caller: no atexit handlers, no flushes
-        os._exit(code)
+# --------------------------------------------------------------------------
+# the block renderer
+
+# the fields of a cell's text, in order, as rows of an int64 array: a sign;
+# an integer part and the number of its last digits that show; the same for
+# a fraction part, after a point where it shows; a row of _exponents(); and
+# a slot, a text rendered once per table
+_NEG, _INT, _INT_LEN, _FRAC, _FRAC_LEN, _EXP, _SLOT = range(7)
+
+# the slots every table has, in _Renderer.texts order; Coded values follow
+_FALSE, _TRUE, _NAN, _INF, _MINUS_INF = range(1, 6)
+
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
 
 
-def _write_rows(out, out_dir: Path, name: str, rows: Table, fmt: str,
-                row: str | None):
-    """Write every row of the table, in _parts parts: the first here, each
-    later one by a forked worker into an anonymous file in out_dir, which is
-    appended once every worker has exited."""
-    parts = _parts(rows)
-    if parts < 2:
-        _write_part(out, rows, fmt, row, 0, len(rows), "")
+@cache
+def _shown(size: int, last: bool) -> np.ndarray:
+    """Row k: which bytes of a field of `size` bytes show its last (or
+    first) k bytes."""
+    count = np.arange(size)
+    return (count >= size - np.arange(size + 1)[:, None] if last
+            else count < np.arange(size + 1)[:, None])
+
+
+@cache
+def _quads() -> np.ndarray:
+    """The four ASCII digits of 0–9999, one uint32 each."""
+    return np.frombuffer(b"".join(b"%04d" % k for k in range(10000)),
+                         dtype=np.uint32)
+
+
+@cache
+def _exponents() -> tuple:
+    """repr's exponent suffixes ("e-05", "e+100") as rows of 8 bytes in
+    uint64, row e + 325 for the decimal exponent e, row 0 empty, and their
+    lengths."""
+    texts = [b""] + [b"e%+03d" % e for e in range(-324, 309)]
+    rows = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts),
+                         dtype=np.uint64)
+    return rows, np.array([len(t) for t in texts], dtype=np.int8)
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """The last `width` (at most 20) decimal digits of each uint64 value, as
+    ASCII bytes on a new last axis."""
+    quads = (width + 3) // 4
+    out = np.empty(values.shape + (quads,), dtype=np.uint32)
+    table = _quads()
+    for k in range(quads - 1, -1, -1):
+        high = values // 10000
+        out[..., k] = table[(values - high * 10000).astype(np.intp)]
+        values = high
+    return out.view(np.uint8)[..., 4 * quads - width:]
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """The (7, n) cell fields of n float64 values: repr's text, or a slot
+    for nan and inf."""
+    bits = values.view(np.uint64)
+    magnitude = bits & ~_SIGN
+    cells = np.zeros((7, len(bits)), dtype=np.int64)
+    cells[_NEG] = bits >> np.uint64(63)
+    # -0.0 and 0.0
+    cells[_INT_LEN] = cells[_FRAC_LEN] = 1
+    special = np.flatnonzero(magnitude >= _INFINITY)
+    if special.size:
+        cells[:, special] = 0
+        cells[_SLOT, special] = np.where(
+            magnitude[special] > _INFINITY, _NAN,
+            np.where(bits[special] >= _SIGN, _MINUS_INF, _INF))
+    # the finite nonzero magnitudes, 1 to _INFINITY - 1
+    i = np.flatnonzero(magnitude - np.uint64(1) < _INFINITY - np.uint64(1))
+    # Ryu in pieces of at most SHORTEST_VALUES, so that its temporaries
+    # stay small
+    digits, exponent = map(np.concatenate, zip(*[
+        _shortest(magnitude[i[k:k + SHORTEST_VALUES]])
+        for k in range(0, max(len(i), 1), SHORTEST_VALUES)]))
+    length = _lengths(digits)
+    point = exponent + length
+    # repr's rule: the exponent notation outside 1e-4 <= |x| < 1e16
+    sci = (point < -3) | (point > 16)
+    whole = point + sci * (1 - point)
+    fraction = length - whole
+    powers = _POW10[:19].view(np.int64)
+    down = powers[np.clip(fraction, 0, 18)]
+    high = digits // down
+    if len(i) == len(bits):
+        i = slice(None)
+    cells[_INT, i] = high * powers[np.clip(-fraction, 0, 18)]
+    cells[_INT_LEN, i] = np.maximum(whole, 1)
+    cells[_FRAC, i] = digits - high * down
+    cells[_FRAC_LEN, i] = np.maximum(fraction, 1 - sci)
+    cells[_EXP, i] = sci * (point + 324)
+    return cells
+
+
+def _lengths(values: np.ndarray) -> np.ndarray:
+    """The decimal digit counts of int64 or uint64 values, none negative."""
+    powers = _POW10[1:]
+    if values.dtype != np.uint64:
+        powers = powers[:18].view(np.int64)
+    return np.searchsorted(powers, values, side="right") + 1
+
+
+def _int_cells(values: np.ndarray) -> np.ndarray:
+    """The (7, n) cell fields of n int64 or uint64 values: a sign and the
+    decimal digits."""
+    cells = np.zeros((7, len(values)), dtype=np.int64)
+    magnitude = values.view(np.uint64)
+    if values.dtype.kind == "i":
+        cells[_NEG] = values < 0
+        # -(-2^63) wraps to -2^63, whose bits read as uint64 are 2^63
+        magnitude = np.where(values < 0, -values, values).view(np.uint64)
+    cells[_INT] = magnitude.view(np.int64)
+    cells[_INT_LEN] = _lengths(magnitude)
+    return cells
+
+
+class _Segment:
+    """Adjacent table columns rendered alike: array columns of one kind, or
+    one Coded column whose slots start at `slot`."""
+
+    def __init__(self, first: int, kind: str, slot: int = 0):
+        self.first, self.kind, self.slot = first, kind, slot
+        self.columns, self.width = [], 0
+
+    @property
+    def dtype(self):
+        return {"f": np.float64, "i": np.int64, "u": np.uint64, "b": bool,
+                "c": np.intp}[self.kind]
+
+    def values(self, rows: slice) -> np.ndarray:
+        """The (rows, width) values of a block of rows: float64, int64,
+        uint64 or bool, or a Coded column's codes."""
+        if self.kind == "c":
+            return self.columns[0].codes[rows][:, None].astype(np.intp)
+        return np.concatenate([c[rows] for c in self.columns], axis=1,
+                              dtype=self.dtype)
+
+    def slots(self, values: np.ndarray) -> np.ndarray:
+        """The (7, n) cell fields of n bool values or Coded codes."""
+        cells = np.zeros((7, len(values)), np.int64)
+        cells[_SLOT] = (np.where(values, _TRUE, _FALSE) if self.kind == "b"
+                        else self.slot + values)
+        return cells
+
+
+class _Renderer:
+    """Renders blocks of a table's rows. A cell whose bits are all zero (0,
+    0.0, false, or a Coded column's first value) is a cell of the zero row:
+    in a table of mostly such cells, only the others are formatted, and
+    their texts are spliced into copies of the zero row."""
+
+    def __init__(self, rows: Table, fmt: str, keys: list | None):
+        texts = [b"", b"false", b"true"]
+        texts += ([b"null"] * 3 if fmt == "json"
+                  else [b"nan", b"inf", b"-inf"])
+        self.segments, first = [], 0
+        for column in rows.columns:
+            if isinstance(column, Coded):
+                self.segments.append(_Segment(first, "c", len(texts)))
+                texts += [_fmt_cell(v, fmt).encode() for v in column.values]
+            elif (not self.segments
+                  or self.segments[-1].kind != column.dtype.kind):
+                self.segments.append(_Segment(first, column.dtype.kind))
+            segment = self.segments[-1]
+            segment.columns.append(column)
+            segment.width += 1 if isinstance(column, Coded) else column.shape[1]
+            first += 1 if isinstance(column, Coded) else column.shape[1]
+        self.width = rows.width
+        self.slot_len = np.array([len(t) for t in texts], dtype=np.int8)
+        size = -(-max(map(len, texts)) // 8) * 8
+        self.slots = np.frombuffer(b"".join(t.ljust(size, b"\0")
+                                            for t in texts),
+                                   dtype=np.uint64).reshape(len(texts), -1)
+        # CSV: a newline before a row's first cell, a comma before the others;
+        # JSON: the end of the row before, then each key
+        if keys is None:
+            pre = [b"\n"] + [b","] * (self.width - 1)
+        else:
+            pre = [f"\n  }},\n  {{\n    {keys[0]}: ".encode()]
+            pre += [f",\n    {key}: ".encode() for key in keys[1:]]
+        pre_len = np.array([len(p) for p in pre])
+        size = pre_len.max()
+        self.pre_shown = np.arange(size) >= size - pre_len[:, None]
+        self.pre = np.zeros(self.pre_shown.shape, np.uint8)
+        self.pre[self.pre_shown] = np.frombuffer(b"".join(pre), np.uint8)
+        outside = sum(int(np.count_nonzero(
+            column.codes if isinstance(column, Coded)
+            else column.view(f"u{column.itemsize}")))
+            for column in rows.columns)
+        self.sparse = outside * SPLICE_SHARE < len(rows) * self.width
+        self.step = max(1, BLOCK_CELLS * (SPLICE_SHARE if self.sparse else 1)
+                        // self.width)
+        if self.sparse:
+            # the zero row, and where each cell's text starts and ends in it
+            slab, shown, ends = self._dense([
+                np.zeros((1, segment.width), segment.dtype)
+                for segment in self.segments])
+            self.zero_row = slab[shown].tobytes()
+            lengths = np.concatenate([
+                shown[0, a:b].reshape(segment.width, -1).sum(axis=1)
+                for segment, a, b in zip(self.segments, ends, ends[1:])])
+            self.text_ends = np.cumsum(lengths)
+            self.text_starts = self.text_ends - lengths + pre_len
+
+    def _cells(self, values: list) -> list:
+        """The (7, n) cell fields of each segment's n values (1-D), with one
+        call of _float_cells and of _int_cells for all segments of a kind."""
+        cells = [None] * len(values)
+        for kind, function in ("f", _float_cells), ("i", _int_cells), \
+                ("u", _int_cells):
+            group = [k for k, s in enumerate(self.segments) if s.kind == kind]
+            if group:
+                both = function(np.concatenate([values[k] for k in group]))
+                ends = np.cumsum([0] + [len(values[k]) for k in group])
+                for k, a, b in zip(group, ends, ends[1:]):
+                    cells[k] = both[:, a:b]
+        return [c if c is not None else s.slots(v)
+                for s, c, v in zip(self.segments, cells, values)]
+
+    def _layout(self, cells: np.ndarray, pre: bool) -> list:
+        """The sizes of the fields of cells (7, ...) cell fields: the text
+        before the cell if pre, a sign, an integer part, a point, a fraction
+        part, an exponent and a slot."""
+        return [self.pre.shape[1] if pre else 0, int(cells[_NEG].any()),
+                int(cells[_INT_LEN].max(initial=0)),
+                int(cells[_FRAC_LEN].any()),
+                int(cells[_FRAC_LEN].max(initial=0)),
+                int(_exponents()[1][cells[_EXP]].max(initial=0)),
+                int(self.slot_len[cells[_SLOT]].max(initial=0))]
+
+    def _fill(self, cells: np.ndarray, sizes: list, first: int | None,
+              slab: np.ndarray, shown: np.ndarray):
+        """Lay out cells (7, ...) cell fields in slab (..., sum(sizes)) and
+        mark in shown the bytes of their texts, after the text before each
+        cell of table columns first, ... if first is not None."""
+        bounds = np.cumsum([0] + sizes).tolist()
+        pre, neg, whole, point, fraction, suffix, text = (
+            (slab[..., a:b], shown[..., a:b])
+            for a, b in zip(bounds, bounds[1:]))
+
+        def digits(field, values, length):
+            size = field[0].shape[-1]
+            if size:
+                field[0][:] = _digits(values.view(np.uint64), size)
+                field[1][:] = np.take(_shown(size, last=True), length, axis=0)
+
+        def chosen(field, rows, lengths, index):
+            size = field[0].shape[-1]
+            if size:
+                part = np.take(rows, index, axis=0).view(np.uint8)
+                field[0][:] = part.reshape(index.shape + (-1,))[..., :size]
+                field[1][:] = np.take(_shown(size, last=False),
+                                      lengths[index], axis=0)
+
+        if first is not None:
+            width = cells.shape[-1]
+            pre[0][:] = self.pre[first:first + width]
+            pre[1][:] = self.pre_shown[first:first + width]
+        neg[0][:] = ord("-")
+        np.not_equal(cells[_NEG, ..., None], 0, out=neg[1])
+        digits(whole, cells[_INT], cells[_INT_LEN])
+        point[0][:] = ord(".")
+        np.greater(cells[_FRAC_LEN, ..., None], 0, out=point[1])
+        digits(fraction, cells[_FRAC], cells[_FRAC_LEN])
+        chosen(suffix, *_exponents(), cells[_EXP])
+        chosen(text, self.slots, self.slot_len, cells[_SLOT])
+
+    def _dense(self, values: list):
+        """A block of rows laid out as (rows, bytes) arrays from each
+        segment's (rows, width) values: every cell's text after its `pre`,
+        and which bytes show; and where each segment's bytes start and end
+        in a row."""
+        cells = [c.reshape((7,) + v.shape) for c, v in zip(
+            self._cells([v.ravel() for v in values]), values)]
+        layouts = [self._layout(c, pre=True) for c in cells]
+        n = cells[0].shape[1]
+        ends = np.cumsum([0] + [c.shape[-1] * sum(sizes)
+                                for c, sizes in zip(cells, layouts)]).tolist()
+        slab = np.empty((n, ends[-1]), np.uint8)
+        shown = np.empty(slab.shape, bool)
+        for segment, c, sizes, a, b in zip(self.segments, cells, layouts,
+                                           ends, ends[1:]):
+            shape = (n, c.shape[-1], sum(sizes))
+            self._fill(c, sizes, segment.first, slab[:, a:b].reshape(shape),
+                       shown[:, a:b].reshape(shape))
+        return slab, shown, ends
+
+    def render(self, rows: slice):
+        """The bytes of a block of rows, each cell's text after its `pre`, as
+        bytes or a uint8 array."""
+        values = [segment.values(rows) for segment in self.segments]
+        if not self.sparse:
+            slab, shown, _ = self._dense(values)
+            return slab[shown]
+        # each cell outside the zero row: its place in the block and the
+        # length of its text
+        places, lengths, texts = [], [], []
+        outside = [np.flatnonzero(v.ravel().view(f"u{v.itemsize}"))
+                   for v in values]
+        for segment, i, cells in zip(self.segments, outside, self._cells(
+                [v.ravel()[i] for v, i in zip(values, outside)])):
+            sizes = self._layout(cells, pre=False)
+            slab = np.empty((len(i), sum(sizes)), np.uint8)
+            shown = np.empty(slab.shape, bool)
+            self._fill(cells, sizes, None, slab, shown)
+            texts.append(slab[shown].tobytes())
+            lengths.append(shown.sum(axis=1))
+            row, column = np.divmod(i, segment.width)
+            places.append(row * self.width + segment.first + column)
+        ends = np.cumsum(np.concatenate(lengths))
+        starts = ends - np.concatenate(lengths)
+        places = np.concatenate(places)
+        order = np.argsort(places)
+        row, column = np.divmod(places[order], self.width)
+        at = row * len(self.zero_row)
+        block, texts = self.zero_row * (rows.stop - rows.start), b"".join(texts)
+        pieces, last = [], 0
+        for start, end, first, stop in zip(
+                (at + self.text_starts[column]).tolist(),
+                (at + self.text_ends[column]).tolist(),
+                starts[order].tolist(), ends[order].tolist()):
+            pieces += block[last:start], texts[first:stop]
+            last = end
+        pieces.append(block[last:])
+        return b"".join(pieces)
+
+
+def _write_rows(out, rows: Table, fmt: str, keys: list | None):
+    """Write every row: CSV lines, each after a newline, or JSON row objects
+    without their closing brace, joined by that brace and ",\\n"."""
+    if rows.float_cells() < RENDER_FLOATS:
+        if fmt == "csv":
+            for chunk in rows.chunks(fmt):
+                out.write(("\n" + "\n".join(map(",".join, chunk))).encode())
+            return
+        row = "  {\n" + ",\n".join(f"    {key.replace('%', '%%')}: %s"
+                                    for key in keys)
+        lead = ""
+        for chunk in rows.chunks(fmt):
+            out.write((lead + "\n  },\n".join(map(row.__mod__, chunk)))
+                      .encode())
+            lead = "\n  },\n"
         return
-    bounds = [len(rows) * k // parts for k in range(parts + 1)]
-    # a worker gets a copy of out's buffer, which must hold nothing
-    out.flush()
-    files, pids = [], []
-    try:
-        for start, stop in zip(bounds[1:-1], bounds[2:]):
-            files.append(tempfile.TemporaryFile(dir=out_dir))
-            pids.append(_fork_part(files[-1], rows, fmt, row, start, stop))
-        _write_part(out, rows, fmt, row, 0, bounds[1], "")
-        while pids:
-            _, status = os.waitpid(pids[0], 0)
-            pids.pop(0)
-            code = os.waitstatus_to_exitcode(status)
-            if code:
-                raise RuntimeError(f"{name}: a table writer worker failed "
-                                   f"(exit status {code})")
-        out.flush()
-        for part in files:
-            part.seek(0)
-            shutil.copyfileobj(part, out.buffer)
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for part in files:
-            part.close()
+    renderer = _Renderer(rows, fmt, keys)
+    # the first JSON row closes no row before it
+    skip = 0 if fmt == "csv" else len("\n  },\n")
+    for first_row in range(0, len(rows), renderer.step):
+        block = renderer.render(
+            slice(first_row, min(first_row + renderer.step, len(rows))))
+        out.write(memoryview(block)[skip:])
+        skip = 0
 
 
 def write_table(out_dir: Path, stem: str, header: list, rows: Table,
@@ -208,20 +607,18 @@ def write_table(out_dir: Path, stem: str, header: list, rows: Table,
     line and one line per row; JSON is the indent=2 layout of a list of flat
     row objects, as json.dumps(indent=2) would write it."""
     name = f"{stem}.{fmt}"
-    with (out_dir / name).open("w", encoding="utf-8") as out:
+    with (out_dir / name).open("wb") as out:
         if fmt == "csv":
-            out.write(",".join(header) + "\n")
-            _write_rows(out, out_dir, name, rows, fmt, None)
+            out.write(",".join(header).encode())
+            _write_rows(out, rows, fmt, None)
+            out.write(b"\n")
         elif len(rows):
-            keys = (encode_basestring_ascii(key).replace("%", "%%")
-                    for key in header)
-            row = ("  {\n" + ",\n".join(f"    {key}: %s" for key in keys)
-                   + "\n  }")
-            out.write("[\n")
-            _write_rows(out, out_dir, name, rows, fmt, row)
-            out.write("\n]\n")
+            out.write(b"[\n")
+            _write_rows(out, rows, fmt,
+                        [encode_basestring_ascii(key) for key in header])
+            out.write(b"\n  }\n]\n")
         else:
-            out.write("[]\n")
+            out.write(b"[]\n")
     return name
 
 

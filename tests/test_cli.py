@@ -4,9 +4,7 @@ import io
 import itertools
 import json
 import math
-import os
 import tempfile
-import time
 import warnings
 from pathlib import Path
 
@@ -370,7 +368,9 @@ class TestPatternScenarios:
     def test_modes_not_applicable(self, tmp_path, capsys):
         payload = self.make_pattern_scenario("honeycomb", 3, 3)
         path = write_scenario(tmp_path, payload)
-        assert run_cli("modes", "--scenario", path, "--out", tmp_path / "o") == 1
+        assert run_cli("modes", "--scenario", path, "--out", tmp_path / "o") == 2
+        assert ("scenario error: subcommand 'modes' is not applicable"
+                in capsys.readouterr().err)
 
 
 class TestBundledScenarios:
@@ -453,7 +453,7 @@ BASES = {"ising": MINI_SCENARIO, "shelving_decay": DECAY_SCENARIO,
 
 def ising_listings(configs, pattern=False, fit_due=True):
     """The files each ising subcommand lists, in order, with --format csv;
-    None where it exits 1."""
+    None where it is rejected with exit 2 before any stage runs."""
     mask = ["mask.csv", "graph.csv"] + (["geometry.json"] if pattern else [])
     protocol = ["records.csv"] + [f"group_{c}.csv" for c in configs]
     return {
@@ -463,7 +463,7 @@ def ising_listings(configs, pattern=False, fit_due=True):
         "mask": mask,
         "simulate": ["series.csv"],
         "protocol": protocol,
-        "fit": protocol + ["fits.json"],
+        "fit": protocol + (["fits.json"] if fit_due else []),
         "all": (["positions.csv"] + ([] if pattern else ["modes.csv"])
                 + ["couplings.csv", "couplings.json"] + mask + ["series.csv"]
                 + protocol + (["fits.json"] if fit_due else [])
@@ -519,10 +519,12 @@ class TestOutputSets:
         out = tmp_path / "out"
         code = run_cli(command, "--scenario", path, "--out", out,
                        "--format", fmt)
-        listed = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        listed = captured.out.splitlines()
         expected = listings[command]
         if expected is None:
-            assert (code, listed, list(out.iterdir())) == (1, [], [])
+            assert (code, listed, list(out.iterdir())) == (2, [], [])
+            assert f"subcommand '{command}' is not applicable" in captured.err
             return
         if fmt == "json":
             # the couplings.json payload holds every pair, so JSON writes no
@@ -910,152 +912,116 @@ def _writer_cases():
 
 WRITER_CASES = _writer_cases()
 
-
-def count_forks(monkeypatch) -> list:
-    """Patch os.fork to log each call; returns the log."""
-    forks, fork = [], os.fork
-
-    def logged():
-        forks.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", logged)
-    return forks
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+# the module constants each table writer path runs with: Table.chunks with
+# the float-cell threshold above every case, or the numpy renderer with it
+# at 0; each with its default chunk or block size and with 5 cells, and the
+# renderer also with every table spliced into its zero row or laid out whole
+WRITER_PATHS = {
+    "chunks": {"RENDER_FLOATS": 2**62},
+    "chunks-5": {"RENDER_FLOATS": 2**62, "CHUNK_CELLS": 5},
+    "numpy": {"RENDER_FLOATS": 0},
+    "numpy-5": {"RENDER_FLOATS": 0, "BLOCK_CELLS": 5},
+    "numpy-spliced": {"RENDER_FLOATS": 0, "SPLICE_SHARE": 1},
+    "numpy-laid-out": {"RENDER_FLOATS": 0, "SPLICE_SHARE": 2**62},
+}
 
 
-def failing_in(monkeypatch, process: str):
-    """Make Table.chunks raise an OSError in the test's own process
-    ("parent") or in a forked writer worker ("worker"). When the parent
-    fails, the workers sleep for a minute, so only a kill ends them soon."""
-    parent, chunks = os.getpid(), tables.Table.chunks
-
-    def failing(self, fmt, start=0, stop=None):
-        if (os.getpid() == parent) == (process == "parent"):
-            raise OSError("no space left on device")
-        if process == "parent":
-            time.sleep(60)
-        return chunks(self, fmt, start, stop)
-
-    monkeypatch.setattr(tables.Table, "chunks", failing)
+def written_lines(tmp_path, values) -> list:
+    """The CSV lines of a one-column table of values, rendered by numpy."""
+    cli.write_table(tmp_path, "values", ["v"], cli.Table(values), "csv")
+    return (tmp_path / "values.csv").read_text().splitlines()[1:]
 
 
 class TestWriteTable:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("chunk_cells", [None, 5])
+    @pytest.mark.parametrize("path", list(WRITER_PATHS))
     @pytest.mark.parametrize("name,header,columns", WRITER_CASES,
                              ids=[case[0] for case in WRITER_CASES])
-    def test_matches_per_cell_writer(self, tmp_path, monkeypatch, fmt,
-                                     chunk_cells, name, header, columns):
-        """The same bytes serially and with the rows split between 2 or 3
-        forked workers; a table of under two rows is never split."""
-        if chunk_cells is not None:
-            monkeypatch.setattr(tables, "CHUNK_CELLS", chunk_cells)
+    def test_matches_per_cell_writer(self, tmp_path, monkeypatch, fmt, path,
+                                     name, header, columns):
+        for constant, value in WRITER_PATHS[path].items():
+            monkeypatch.setattr(tables, constant, value)
         table = cli.Table(*columns)
         rows = per_cell_rows(columns)
         assert len(table) == len(rows)
         assert all(len(row) == len(header) for row in rows)
-        expected = reference_text(header, rows, fmt).encode()
-        forks = count_forks(monkeypatch)
-        for cpus in (None, 2, 3):
-            if cpus is not None:
-                monkeypatch.setattr(tables, "SPLIT_VALUES", 0)
-                monkeypatch.setattr(tables, "_usable_cpus", lambda: cpus)
-            out_dir = tmp_path / str(cpus)
-            out_dir.mkdir()
-            forks.clear()
-            written = cli.write_table(out_dir, name, header, table, fmt)
-            assert written == f"{name}.{fmt}"
-            assert (out_dir / written).read_bytes() == expected
-            parts = 1 if cpus is None else max(1, min(cpus, len(rows)))
-            assert len(forks) == parts - 1
+        written = cli.write_table(tmp_path, name, header, table, fmt)
+        assert written == f"{name}.{fmt}"
+        assert (tmp_path / written).read_bytes() == \
+            reference_text(header, rows, fmt).encode()
 
-    @pytest.mark.parametrize("failing", [None, "worker", "parent"])
-    def test_no_worker_or_part_file_outlives_a_split_write(
-            self, tmp_path, monkeypatch, failing):
-        name, header, columns = WRITER_CASES[0]
-        monkeypatch.setattr(tables, "SPLIT_VALUES", 0)
-        monkeypatch.setattr(tables, "_usable_cpus", lambda: 3)
-        forks = count_forks(monkeypatch)
-        table = cli.Table(*columns)
-        started = time.monotonic()
-        if failing is None:
-            cli.write_table(tmp_path, name, header, table, "csv")
-        else:
-            failing_in(monkeypatch, failing)
-            # a worker's error is reported by its file; the parent's own
-            # error is raised as it is, after the sleeping workers are killed
-            raised = RuntimeError if failing == "worker" else OSError
-            match = f"{name}.csv" if failing == "worker" else "no space"
-            with pytest.raises(raised, match=match):
-                cli.write_table(tmp_path, name, header, table, "csv")
-        assert time.monotonic() - started < 30
-        assert len(forks) == 2
-        assert_no_child_left()
-        assert os.listdir(tmp_path) == [f"{name}.csv"]
-
-    def test_worker_failure_in_all_exits_1_naming_the_stage(
-            self, tmp_path, monkeypatch):
-        # MINI_SCENARIO's series table has 93 nonzero float cells and each
-        # other table at most 70, so only the series is split
-        monkeypatch.setattr(tables, "SPLIT_VALUES", 80)
-        monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
-        forks = count_forks(monkeypatch)
-        failing_in(monkeypatch, "worker")
-        out = tmp_path / "out"
-        code, err = run_captured(["all", "--scenario",
-                                  write_scenario(tmp_path, MINI_SCENARIO),
-                                  "--out", out])
-        assert code == 1
-        assert err == ("error in stage 'dynamics': series.csv: a table "
-                       "writer worker failed (exit status 1)\n")
-        assert len(forks) == 1
-        assert_no_child_left()
-        assert "series.csv" in os.listdir(out)
+    def test_float_renderer_matches_repr(self, tmp_path, monkeypatch):
+        """repr's text for random bit patterns of both signs (nan and inf
+        among them), subnormals, SPECIAL_FLOATS, dyadic and short decimal
+        values, integers near 2^53 and 10^16, and values whose shortest
+        digits end in zeros; str's for the int64 edges."""
+        monkeypatch.setattr(tables, "RENDER_FLOATS", 0)
+        rng = np.random.default_rng(23)
+        k = rng.integers(1, 2**40, 20_000)
+        floats = np.concatenate([
+            rng.integers(0, 2**64, 100_000, dtype=np.uint64,
+                         endpoint=False).view(np.float64),
+            rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(np.float64)
+            * rng.choice([-1.0, 1.0], 20_000),
+            SPECIAL_FLOATS,
+            k / 2.0 ** rng.integers(0, 80, k.size),
+            k / 10.0 ** rng.integers(0, 30, k.size),
+            2.0**53 + np.arange(-1000.0, 1000.0),
+            1e16 + 2.0 * np.arange(-1000.0, 1000.0),
+            [0.5, 1.0, 1e22, 1e21, 1e23, 123456789.0, 2.0**-1074 * 3]])
+        assert written_lines(tmp_path, floats) == list(map(repr,
+                                                           floats.tolist()))
+        ints = np.concatenate([
+            [INT64.min, INT64.min + 1, INT64.max, INT64.max - 1, 0, 1, -1,
+             2**53, 2**53 + 1, -(2**53) - 1],
+            *[[10**e - 1, 10**e, -(10**e)] for e in range(19)],
+            rng.integers(INT64.min, INT64.max, 10_000)]).astype(np.int64)
+        assert written_lines(tmp_path, ints) == list(map(str, ints.tolist()))
 
 
 WORKLOADS = Path(__file__).parent / "data" / "workloads"
 
 
-@pytest.mark.parametrize("scenario,split", [
-    *[(name, {}) for name in cli.BUNDLED_SCENARIOS],
-    *[(f"trap_sweep/{path.stem}", {})
+@pytest.mark.parametrize("scenario,rendered", [
+    *[(name, set()) for name in cli.BUNDLED_SCENARIOS],
+    *[(f"trap_sweep/{path.stem}",
+       {"modes"} if path.stem in {"trap8-3d-n22", "trap9-linear-n24",
+                                  "trap10-zigzag-n26", "trap11-3d-n28"}
+       else set())
       for path in sorted((WORKLOADS / "trap_sweep").glob("*.yaml"))],
-    ("lattice/decay-companion", {}),
-    ("lattice/pair-companion", {}),
-    ("lattice/lattice0-kagome-3x5", {}),
-    ("lattice/lattice1-honeycomb-3x5", {}),
-    ("lattice/lattice2-triangular-4x3", {"series": 123_123}),
-    ("lattice/lattice3-honeycomb-7x3", {"series": 491_763}),
+    ("lattice/decay-companion", set()),
+    ("lattice/pair-companion", set()),
+    *[(f"lattice/{name}", {"series", f"group_{'Q' * n}"}) for name, n in [
+        ("lattice0-kagome-3x5", 9), ("lattice1-honeycomb-3x5", 10),
+        ("lattice2-triangular-4x3", 12), ("lattice3-honeycomb-7x3", 14)]],
 ])
-def test_only_the_wide_series_tables_are_split(tmp_path, monkeypatch,
-                                               scenario, split):
-    """At 2 usable CPUs, `all` forks one writer worker per table of at
-    least SPLIT_VALUES nonzero float cells: only the 12- and 14-spin lattice
-    series tables of the committed traffic."""
-    monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
-    forks = count_forks(monkeypatch)
-    values = {}
-    write_table = cli.write_table
+def test_only_the_wide_tables_are_rendered_by_numpy(tmp_path, monkeypatch,
+                                                    scenario, rendered):
+    """`all` renders with numpy the tables of at least RENDER_FLOATS float
+    cells: of the committed traffic, the lattice series and group tables and
+    the modes of the 22- to 28-ion crystals."""
+    renderers, stems = [], set()
+    init, write_table = tables._Renderer.__init__, cli.write_table
+
+    def counted(self, *args):
+        renderers.append(None)
+        init(self, *args)
 
     def logged(out_dir, stem, header, rows, fmt):
-        values[stem] = rows.float_values()
-        return write_table(out_dir, stem, header, rows, fmt)
+        before = len(renderers)
+        name = write_table(out_dir, stem, header, rows, fmt)
+        if len(renderers) > before:
+            stems.add(stem)
+        return name
 
+    monkeypatch.setattr(tables._Renderer, "__init__", counted)
     monkeypatch.setattr(cli, "write_table", logged)
     if scenario not in cli.BUNDLED_SCENARIOS:
         scenario = WORKLOADS / f"{scenario}.yaml"
     code, err = run_captured(["all", "--scenario", scenario,
                               "--out", tmp_path / "out"])
     assert (code, err) == (0, "")
-    assert {stem: count for stem, count in values.items()
-            if count >= tables.SPLIT_VALUES} == split
-    assert len(forks) == len(split)
-    assert_no_child_left()
+    assert stems == rendered
 
 
 # table columns that hold text; every other cell is a number or a boolean
