@@ -44,10 +44,12 @@ CHUNK_CELLS = 2**16
 # a table with at least this many float cells is rendered in blocks by numpy
 RENDER_FLOATS = 2**12
 
-# a render block holds at most this many cells, or one row if wider
-BLOCK_CELLS = 2**14
+# a render block holds about this many cells: whole rows, or a piece of a
+# row if wider. With SHORTEST_VALUES, this keeps a block's numpy
+# temporaries under 2 MiB, less than a chunk of Python strings holds
+BLOCK_CELLS = 2**13
 
-# _float_cells finds the digits of at most this many values at a time
+# _float_cells finds the digits of about this many values at a time
 SHORTEST_VALUES = 2**12
 
 # a table with fewer than 1/SPLICE_SHARE of its cells outside the zero row
@@ -159,7 +161,9 @@ def _shortest(bits: np.ndarray):
     accept = (mv & 4) == 0
     mm_shift = (mantissa != 0) | (biased <= 1)
     # Ryu's branch for e2 < 0 everywhere, then the one for e2 >= 0 where it
-    # applies; the product is shifted right by 108 + shift, shift in [10, 17]
+    # applies (often nowhere: the values of a probability table are below 1,
+    # and a call skips about 20 array operations then); the product is
+    # shifted right by 108 + shift, shift in [10, 17]
     down = e2 < 0
     q = ((-e2 * 732923) >> 20) - (e2 < -1)
     exponent = q + e2
@@ -209,28 +213,18 @@ def _shortest(bits: np.ndarray):
         p, t = 10**s, 10**(s - 1)
         high = vm // p
         step = vp >= (high + 1) * p
-        taken = np.count_nonzero(step)
-        if not taken:
+        if not step.any():
             continue
         f = flagged[step[flagged]]
         dropped = vr[f] - vr[f] // p * p
         vm_zeros[f] &= vm[f] == high[f] * p
         vr_zeros[f] &= (last[f] == 0) & (dropped % t == 0)
-        if 4 * taken < len(step):
-            i = np.flatnonzero(step)
-            r = vr[i]
-            vr[i] = r // p
-            last[i] = (r - vr[i] * p) // t
-            vm[i] = high[i]
-            vp[i] //= p
-            exponent[i] += s
-        else:
-            kept = vr // p
-            np.putmask(last, step, (vr - kept * p) // t)
-            np.putmask(vr, step, kept)
-            np.putmask(vm, step, high)
-            np.putmask(vp, step, vp // p)
-            exponent += step * s
+        kept = vr // p
+        np.putmask(last, step, (vr - kept * p) // t)
+        np.putmask(vr, step, kept)
+        np.putmask(vm, step, high)
+        np.putmask(vp, step, vp // p)
+        exponent += step * s
     i = np.flatnonzero(vm_zeros)
     while i.size:
         m = vm[i] // 10
@@ -311,18 +305,17 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     # -0.0 and 0.0
     cells[_INT_LEN] = cells[_FRAC_LEN] = 1
     special = np.flatnonzero(magnitude >= _INFINITY)
-    if special.size:
-        cells[:, special] = 0
-        cells[_SLOT, special] = np.where(
-            magnitude[special] > _INFINITY, _NAN,
-            np.where(bits[special] >= _SIGN, _MINUS_INF, _INF))
+    cells[:, special] = 0
+    cells[_SLOT, special] = np.where(
+        magnitude[special] > _INFINITY, _NAN,
+        np.where(bits[special] >= _SIGN, _MINUS_INF, _INF))
     # the finite nonzero magnitudes, 1 to _INFINITY - 1
     i = np.flatnonzero(magnitude - np.uint64(1) < _INFINITY - np.uint64(1))
-    # Ryu in pieces of at most SHORTEST_VALUES, so that its temporaries
-    # stay small
+    # Ryu in equal pieces of about SHORTEST_VALUES values, so that its
+    # temporaries stay small
     digits, exponent = map(np.concatenate, zip(*[
-        _shortest(magnitude[i[k:k + SHORTEST_VALUES]])
-        for k in range(0, max(len(i), 1), SHORTEST_VALUES)]))
+        _shortest(magnitude[piece]) for piece in
+        np.array_split(i, max(1, round(len(i) / SHORTEST_VALUES)))]))
     length = _lengths(digits)
     point = exponent + length
     # repr's rule: the exponent notation outside 1e-4 <= |x| < 1e16
@@ -332,8 +325,6 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     powers = _POW10[:19].view(np.int64)
     down = powers[np.clip(fraction, 0, 18)]
     high = digits // down
-    if len(i) == len(bits):
-        i = slice(None)
     cells[_INT, i] = high * powers[np.clip(-fraction, 0, 18)]
     cells[_INT_LEN, i] = np.maximum(whole, 1)
     cells[_FRAC, i] = digits - high * down
@@ -377,13 +368,20 @@ class _Segment:
         return {"f": np.float64, "i": np.int64, "u": np.uint64, "b": bool,
                 "c": np.intp}[self.kind]
 
-    def values(self, rows: slice) -> np.ndarray:
-        """The (rows, width) values of a block of rows: float64, int64,
-        uint64 or bool, or a Coded column's codes."""
+    def values(self, rows: slice, columns: slice) -> np.ndarray:
+        """The values of a block of rows in those of the table columns
+        `columns` that are the segment's: float64, int64, uint64 or bool, or
+        a Coded column's codes."""
         if self.kind == "c":
             return self.columns[0].codes[rows][:, None].astype(np.intp)
-        return np.concatenate([c[rows] for c in self.columns], axis=1,
-                              dtype=self.dtype)
+        parts, first = [], self.first
+        for column in self.columns:
+            parts.append(column[rows, max(columns.start - first, 0):
+                                max(columns.stop - first, 0)])
+            first += column.shape[1]
+        if len(parts) == 1:
+            return parts[0].astype(self.dtype, copy=False)
+        return np.concatenate(parts, axis=1, dtype=self.dtype)
 
     def slots(self, values: np.ndarray) -> np.ndarray:
         """The (7, n) cell fields of n bool values or Coded codes."""
@@ -394,7 +392,7 @@ class _Segment:
 
 
 class _Renderer:
-    """Renders blocks of a table's rows. A cell whose bits are all zero (0,
+    """Renders blocks of a table's cells. A cell whose bits are all zero (0,
     0.0, false, or a Coded column's first value) is a cell of the zero row:
     in a table of mostly such cells, only the others are formatted, and
     their texts are spliced into copies of the zero row."""
@@ -403,19 +401,26 @@ class _Renderer:
         texts = [b"", b"false", b"true"]
         texts += ([b"null"] * 3 if fmt == "json"
                   else [b"nan", b"inf", b"-inf"])
+        self.width = rows.width
+        outside = sum(int(np.count_nonzero(
+            column.codes if isinstance(column, Coded)
+            else column.view(f"u{column.itemsize}")))
+            for column in rows.columns)
+        self.sparse = outside * SPLICE_SHARE < len(rows) * self.width
+        # a sparse table's columns stay apart, so that its blocks read them
+        # without a copy
         self.segments, first = [], 0
         for column in rows.columns:
             if isinstance(column, Coded):
                 self.segments.append(_Segment(first, "c", len(texts)))
                 texts += [_fmt_cell(v, fmt).encode() for v in column.values]
-            elif (not self.segments
+            elif (not self.segments or self.sparse
                   or self.segments[-1].kind != column.dtype.kind):
                 self.segments.append(_Segment(first, column.dtype.kind))
             segment = self.segments[-1]
             segment.columns.append(column)
             segment.width += 1 if isinstance(column, Coded) else column.shape[1]
             first += 1 if isinstance(column, Coded) else column.shape[1]
-        self.width = rows.width
         self.slot_len = np.array([len(t) for t in texts], dtype=np.int8)
         size = -(-max(map(len, texts)) // 8) * 8
         self.slots = np.frombuffer(b"".join(t.ljust(size, b"\0")
@@ -433,39 +438,49 @@ class _Renderer:
         self.pre_shown = np.arange(size) >= size - pre_len[:, None]
         self.pre = np.zeros(self.pre_shown.shape, np.uint8)
         self.pre[self.pre_shown] = np.frombuffer(b"".join(pre), np.uint8)
-        outside = sum(int(np.count_nonzero(
-            column.codes if isinstance(column, Coded)
-            else column.view(f"u{column.itemsize}")))
-            for column in rows.columns)
-        self.sparse = outside * SPLICE_SHARE < len(rows) * self.width
-        self.step = max(1, BLOCK_CELLS * (SPLICE_SHARE if self.sparse else 1)
-                        // self.width)
         if self.sparse:
-            # the zero row, and where each cell's text starts and ends in it
+            # the zero row, and where each cell (its `pre` first) and its
+            # text start in it, and where they end
             slab, shown, ends = self._dense([
-                np.zeros((1, segment.width), segment.dtype)
+                (segment, segment.first,
+                 np.zeros((1, segment.width), segment.dtype))
                 for segment in self.segments])
             self.zero_row = slab[shown].tobytes()
             lengths = np.concatenate([
                 shown[0, a:b].reshape(segment.width, -1).sum(axis=1)
                 for segment, a, b in zip(self.segments, ends, ends[1:])])
             self.text_ends = np.cumsum(lengths)
-            self.text_starts = self.text_ends - lengths + pre_len
+            self.cell_starts = self.text_ends - lengths
+            self.text_starts = self.cell_starts + pre_len
 
-    def _cells(self, values: list) -> list:
-        """The (7, n) cell fields of each segment's n values (1-D), with one
-        call of _float_cells and of _int_cells for all segments of a kind."""
-        cells = [None] * len(values)
+    def blocks(self, count: int):
+        """The (rows, columns) slices of the blocks of a table of count rows,
+        in order: runs of whole rows of about BLOCK_CELLS cells (SPLICE_SHARE
+        times as many if sparse), or where a row is wider, equal pieces of
+        one row of about that many."""
+        size = BLOCK_CELLS * (SPLICE_SHARE if self.sparse else 1)
+        step = max(1, round(size / self.width))
+        piece = -(-self.width // max(1, round(self.width / size)))
+        for first_row in range(0, count, step):
+            rows = slice(first_row, min(first_row + step, count))
+            for first in range(0, self.width, piece):
+                yield rows, slice(first, min(first + piece, self.width))
+
+    def _cells(self, parts: list) -> list:
+        """The (7, n) cell fields of the n values (1-D) of each (segment,
+        values) of parts, with one call of _float_cells and of _int_cells for
+        all parts of a kind."""
+        cells = [None] * len(parts)
         for kind, function in ("f", _float_cells), ("i", _int_cells), \
                 ("u", _int_cells):
-            group = [k for k, s in enumerate(self.segments) if s.kind == kind]
+            group = [k for k, (s, _) in enumerate(parts) if s.kind == kind]
             if group:
-                both = function(np.concatenate([values[k] for k in group]))
-                ends = np.cumsum([0] + [len(values[k]) for k in group])
+                both = function(np.concatenate([parts[k][1] for k in group]))
+                ends = np.cumsum([0] + [len(parts[k][1]) for k in group])
                 for k, a, b in zip(group, ends, ends[1:]):
                     cells[k] = both[:, a:b]
         return [c if c is not None else s.slots(v)
-                for s, c, v in zip(self.segments, cells, values)]
+                for (s, v), c in zip(parts, cells)]
 
     def _layout(self, cells: np.ndarray, pre: bool) -> list:
         """The sizes of the fields of cells (7, ...) cell fields: the text
@@ -515,64 +530,68 @@ class _Renderer:
         chosen(suffix, *_exponents(), cells[_EXP])
         chosen(text, self.slots, self.slot_len, cells[_SLOT])
 
-    def _dense(self, values: list):
-        """A block of rows laid out as (rows, bytes) arrays from each
-        segment's (rows, width) values: every cell's text after its `pre`,
-        and which bytes show; and where each segment's bytes start and end
-        in a row."""
-        cells = [c.reshape((7,) + v.shape) for c, v in zip(
-            self._cells([v.ravel() for v in values]), values)]
+    def _dense(self, parts: list):
+        """A block laid out as (rows, bytes) arrays from the (segment, first
+        table column, (rows, columns) values) of parts: every cell's text
+        after its `pre`, and which bytes show; and where each part's bytes
+        start and end in a row."""
+        cells = [c.reshape((7,) + v.shape) for c, (_, _, v) in zip(
+            self._cells([(s, v.ravel()) for s, _, v in parts]), parts)]
         layouts = [self._layout(c, pre=True) for c in cells]
         n = cells[0].shape[1]
         ends = np.cumsum([0] + [c.shape[-1] * sum(sizes)
                                 for c, sizes in zip(cells, layouts)]).tolist()
         slab = np.empty((n, ends[-1]), np.uint8)
         shown = np.empty(slab.shape, bool)
-        for segment, c, sizes, a, b in zip(self.segments, cells, layouts,
-                                           ends, ends[1:]):
+        for (_, first, _), c, sizes, a, b in zip(parts, cells, layouts,
+                                                 ends, ends[1:]):
             shape = (n, c.shape[-1], sum(sizes))
-            self._fill(c, sizes, segment.first, slab[:, a:b].reshape(shape),
+            self._fill(c, sizes, first, slab[:, a:b].reshape(shape),
                        shown[:, a:b].reshape(shape))
         return slab, shown, ends
 
-    def render(self, rows: slice):
-        """The bytes of a block of rows, each cell's text after its `pre`, as
-        bytes or a uint8 array."""
-        values = [segment.values(rows) for segment in self.segments]
+    def render(self, rows: slice, columns: slice) -> list:
+        """The bytes of a block, the table columns `columns` of a run of
+        rows, each cell's text after its `pre`, as a list of pieces (bytes
+        or uint8 arrays) to write in turn."""
+        lo, hi = columns.start, columns.stop
+        parts = [(s, max(s.first, lo), s.values(rows, columns))
+                 for s in self.segments
+                 if s.first < hi and lo < s.first + s.width]
         if not self.sparse:
-            slab, shown, _ = self._dense(values)
-            return slab[shown]
-        # each cell outside the zero row: its place in the block and the
-        # length of its text
-        places, lengths, texts = [], [], []
+            slab, shown, _ = self._dense(parts)
+            return [slab[shown]]
+        # the cells outside the zero row, in order: their places in the block
+        # and their texts, laid out alike
         outside = [np.flatnonzero(v.ravel().view(f"u{v.itemsize}"))
-                   for v in values]
-        for segment, i, cells in zip(self.segments, outside, self._cells(
-                [v.ravel()[i] for v, i in zip(values, outside)])):
-            sizes = self._layout(cells, pre=False)
-            slab = np.empty((len(i), sum(sizes)), np.uint8)
-            shown = np.empty(slab.shape, bool)
-            self._fill(cells, sizes, None, slab, shown)
-            texts.append(slab[shown].tobytes())
-            lengths.append(shown.sum(axis=1))
-            row, column = np.divmod(i, segment.width)
-            places.append(row * self.width + segment.first + column)
-        ends = np.cumsum(np.concatenate(lengths))
-        starts = ends - np.concatenate(lengths)
-        places = np.concatenate(places)
+                   for _, _, v in parts]
+        places = np.concatenate([
+            i // v.shape[1] * (hi - lo) + i % v.shape[1] + first - lo
+            for (_, first, v), i in zip(parts, outside)])
         order = np.argsort(places)
-        row, column = np.divmod(places[order], self.width)
-        at = row * len(self.zero_row)
-        block, texts = self.zero_row * (rows.stop - rows.start), b"".join(texts)
-        pieces, last = [], 0
-        for start, end, first, stop in zip(
-                (at + self.text_starts[column]).tolist(),
-                (at + self.text_ends[column]).tolist(),
-                starts[order].tolist(), ends[order].tolist()):
+        cells = np.concatenate(self._cells(
+            [(s, v.ravel()[i]) for (s, _, v), i in zip(parts, outside)]),
+            axis=1)[:, order]
+        sizes = self._layout(cells, pre=False)
+        slab = np.empty((cells.shape[1], sum(sizes)), np.uint8)
+        shown = np.empty(slab.shape, bool)
+        self._fill(cells, sizes, None, slab, shown)
+        texts, stops = slab[shown].tobytes(), np.cumsum(shown.sum(axis=1))
+        # copies of the zero row's text of these columns, one per row, with
+        # the texts of those cells in place of theirs
+        row, column = np.divmod(places[order], hi - lo)
+        column += lo
+        zero = self.zero_row[self.cell_starts[lo]:self.text_ends[hi - 1]]
+        at = row * len(zero) - self.cell_starts[lo]
+        block = zero * (rows.stop - rows.start)
+        pieces, last, first = [], 0, 0
+        for start, end, stop in zip((at + self.text_starts[column]).tolist(),
+                                    (at + self.text_ends[column]).tolist(),
+                                    stops.tolist()):
             pieces += block[last:start], texts[first:stop]
-            last = end
+            last, first = end, stop
         pieces.append(block[last:])
-        return b"".join(pieces)
+        return pieces
 
 
 def _write_rows(out, rows: Table, fmt: str, keys: list | None):
@@ -594,10 +613,10 @@ def _write_rows(out, rows: Table, fmt: str, keys: list | None):
     renderer = _Renderer(rows, fmt, keys)
     # the first JSON row closes no row before it
     skip = 0 if fmt == "csv" else len("\n  },\n")
-    for first_row in range(0, len(rows), renderer.step):
-        block = renderer.render(
-            slice(first_row, min(first_row + renderer.step, len(rows))))
-        out.write(memoryview(block)[skip:])
+    for block in renderer.blocks(len(rows)):
+        pieces = renderer.render(*block)
+        pieces[0] = memoryview(pieces[0])[skip:]
+        out.writelines(pieces)
         skip = 0
 
 

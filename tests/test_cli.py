@@ -914,13 +914,18 @@ WRITER_CASES = _writer_cases()
 
 # the module constants each table writer path runs with: Table.chunks with
 # the float-cell threshold above every case, or the numpy renderer with it
-# at 0; each with its default chunk or block size and with 5 cells, and the
-# renderer also with every table spliced into its zero row or laid out whole
+# at 0; each with its default chunk or block size and with a small one, and
+# the renderer also with every table spliced into its zero row or laid out
+# whole. A small chunk is 5 cells; a small block is 5 cells, or a 256th of a
+# table's cells where that is more (a function of the table's cell count),
+# so that the largest cases cross a few hundred block boundaries, rows split
+# into pieces among them, rather than one per row
 WRITER_PATHS = {
     "chunks": {"RENDER_FLOATS": 2**62},
     "chunks-5": {"RENDER_FLOATS": 2**62, "CHUNK_CELLS": 5},
     "numpy": {"RENDER_FLOATS": 0},
-    "numpy-5": {"RENDER_FLOATS": 0, "BLOCK_CELLS": 5},
+    "numpy-small": {"RENDER_FLOATS": 0,
+                    "BLOCK_CELLS": lambda cells: max(5, cells // 256)},
     "numpy-spliced": {"RENDER_FLOATS": 0, "SPLICE_SHARE": 1},
     "numpy-laid-out": {"RENDER_FLOATS": 0, "SPLICE_SHARE": 2**62},
 }
@@ -939,9 +944,11 @@ class TestWriteTable:
                              ids=[case[0] for case in WRITER_CASES])
     def test_matches_per_cell_writer(self, tmp_path, monkeypatch, fmt, path,
                                      name, header, columns):
-        for constant, value in WRITER_PATHS[path].items():
-            monkeypatch.setattr(tables, constant, value)
         table = cli.Table(*columns)
+        for constant, value in WRITER_PATHS[path].items():
+            if callable(value):
+                value = value(len(table) * table.width)
+            monkeypatch.setattr(tables, constant, value)
         rows = per_cell_rows(columns)
         assert len(table) == len(rows)
         assert all(len(row) == len(header) for row in rows)
