@@ -682,10 +682,6 @@ def _run_ising(command: str, ctx: IsingContext, out_dir: Path,
 def run_command(command: str, scenario: Scenario, out_dir: Path,
                 fmt: str) -> list:
     """Execute one subcommand; returns the list of files written."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise ScenarioError(f"--out {out_dir}: cannot create: {err.strerror}") from err
     kind = scenario.kind
     if kind != "ising" and command not in ("protocol", "fit", "all"):
         raise ScenarioError(
@@ -694,6 +690,10 @@ def run_command(command: str, scenario: Scenario, out_dir: Path,
         raise ScenarioError("subcommand 'modes' is not applicable to a "
                             "pattern scenario: its idealized array has no "
                             "physical modes")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ScenarioError(f"--out {out_dir}: cannot create: {err.strerror}") from err
     if kind == "shelving_decay":
         outputs = _run_shelving_decay(scenario, out_dir, fmt)
     elif kind == "deshelving_scan":

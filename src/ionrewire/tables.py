@@ -1,22 +1,27 @@
 """Deterministic artifact writers: tables as CSV or JSON, and JSON payloads.
 
-A table with fewer than RENDER_FLOATS float cells is formatted one Python
-scalar at a time, in chunks, by `Table.chunks`. A larger one is rendered
-with numpy by `_Renderer`, in blocks of about BLOCK_CELLS cells. A float
-gets the text of Python's repr: its digits come from `_shortest`, a
-vectorized form of Ryu's shortest round-trip digits (Adams, PLDI 2018),
-and are laid out by repr's rules. An int gets its decimal digits, and a
-bool or a Coded value a text rendered once per table. Each block's CSV
-lines or JSON row objects are cut out of one byte array in which every cell
-has fixed-width fields. A table of mostly all-zero-bit cells is written as
-copies of its zero row, with the texts of its other cells spliced in. Both
-paths write the same bytes, in this process.
+Each table is written by one of three writers, all with the same bytes:
+
+- `Table.chunks` formats one Python scalar at a time, in chunks. It takes a
+  table with fewer than RENDER_FLOATS float cells, and a table with a column
+  that is not a float64 or int64 array.
+- `_splice_rows` takes the other tables with fewer than 1/SPLICE_SHARE of
+  their cells outside their zero row, the row of all-zero-bit cells. It
+  makes the zero row's text once and writes each row as that text, with the
+  texts of the row's other cells spliced in.
+- `_Renderer` renders the rest, dense float and int tables, with numpy in
+  blocks of about BLOCK_CELLS cells. A float gets the text of Python's repr:
+  its digits come from `_shortest`, a vectorized form of Ryu's shortest
+  round-trip digits (Adams, PLDI 2018), and are laid out by repr's rules. An
+  int gets its decimal digits. Each block's CSV lines or JSON row objects are
+  cut out of one byte array in which every cell has fixed-width fields.
 """
 
 import json
 import math
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate, chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -52,9 +57,8 @@ BLOCK_CELLS = 2**13
 # _float_cells finds the digits of about this many values at a time
 SHORTEST_VALUES = 2**12
 
-# a table with fewer than 1/SPLICE_SHARE of its cells outside the zero row
-# (see _Renderer) is rendered in blocks SPLICE_SHARE times larger, by
-# splicing the texts of those cells into copies of the zero row
+# a table with fewer than 1/SPLICE_SHARE of its cells outside its zero row
+# is written by _splice_rows, not rendered
 SPLICE_SHARE = 8
 
 
@@ -246,11 +250,11 @@ def _shortest(bits: np.ndarray):
 # the fields of a cell's text, in order, as rows of an int64 array: a sign;
 # an integer part and the number of its last digits that show; the same for
 # a fraction part, after a point where it shows; a row of _exponents(); and
-# a slot, a text rendered once per table
+# a slot, the text of nan, inf or -inf
 _NEG, _INT, _INT_LEN, _FRAC, _FRAC_LEN, _EXP, _SLOT = range(7)
 
-# the slots every table has, in _Renderer.texts order; Coded values follow
-_FALSE, _TRUE, _NAN, _INF, _MINUS_INF = range(1, 6)
+# the slots after the empty one, in _Renderer.slots order
+_NAN, _INF, _MINUS_INF = range(1, 4)
 
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 
@@ -342,162 +346,89 @@ def _lengths(values: np.ndarray) -> np.ndarray:
 
 
 def _int_cells(values: np.ndarray) -> np.ndarray:
-    """The (7, n) cell fields of n int64 or uint64 values: a sign and the
-    decimal digits."""
+    """The (7, n) cell fields of n int64 values: a sign and the decimal
+    digits."""
     cells = np.zeros((7, len(values)), dtype=np.int64)
-    magnitude = values.view(np.uint64)
-    if values.dtype.kind == "i":
-        cells[_NEG] = values < 0
-        # -(-2^63) wraps to -2^63, whose bits read as uint64 are 2^63
-        magnitude = np.where(values < 0, -values, values).view(np.uint64)
+    cells[_NEG] = values < 0
+    # -(-2^63) wraps to -2^63, whose bits read as uint64 are 2^63
+    magnitude = np.where(values < 0, -values, values).view(np.uint64)
     cells[_INT] = magnitude.view(np.int64)
     cells[_INT_LEN] = _lengths(magnitude)
     return cells
 
 
 class _Segment:
-    """Adjacent table columns rendered alike: array columns of one kind, or
-    one Coded column whose slots start at `slot`."""
+    """Adjacent table columns of one kind, float64 ("f") or int64 ("i"),
+    rendered alike."""
 
-    def __init__(self, first: int, kind: str, slot: int = 0):
-        self.first, self.kind, self.slot = first, kind, slot
+    def __init__(self, first: int, kind: str):
+        self.first, self.kind = first, kind
         self.columns, self.width = [], 0
-
-    @property
-    def dtype(self):
-        return {"f": np.float64, "i": np.int64, "u": np.uint64, "b": bool,
-                "c": np.intp}[self.kind]
 
     def values(self, rows: slice, columns: slice) -> np.ndarray:
         """The values of a block of rows in those of the table columns
-        `columns` that are the segment's: float64, int64, uint64 or bool, or
-        a Coded column's codes."""
-        if self.kind == "c":
-            return self.columns[0].codes[rows][:, None].astype(np.intp)
+        `columns` that are the segment's."""
         parts, first = [], self.first
         for column in self.columns:
             parts.append(column[rows, max(columns.start - first, 0):
                                 max(columns.stop - first, 0)])
             first += column.shape[1]
-        if len(parts) == 1:
-            return parts[0].astype(self.dtype, copy=False)
-        return np.concatenate(parts, axis=1, dtype=self.dtype)
-
-    def slots(self, values: np.ndarray) -> np.ndarray:
-        """The (7, n) cell fields of n bool values or Coded codes."""
-        cells = np.zeros((7, len(values)), np.int64)
-        cells[_SLOT] = (np.where(values, _TRUE, _FALSE) if self.kind == "b"
-                        else self.slot + values)
-        return cells
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 class _Renderer:
-    """Renders blocks of a table's cells. A cell whose bits are all zero (0,
-    0.0, false, or a Coded column's first value) is a cell of the zero row:
-    in a table of mostly such cells, only the others are formatted, and
-    their texts are spliced into copies of the zero row."""
+    """Renders blocks of a table of float64 and int64 columns."""
 
     def __init__(self, rows: Table, fmt: str, keys: list | None):
-        texts = [b"", b"false", b"true"]
-        texts += ([b"null"] * 3 if fmt == "json"
-                  else [b"nan", b"inf", b"-inf"])
         self.width = rows.width
-        outside = sum(int(np.count_nonzero(
-            column.codes if isinstance(column, Coded)
-            else column.view(f"u{column.itemsize}")))
-            for column in rows.columns)
-        self.sparse = outside * SPLICE_SHARE < len(rows) * self.width
-        # a sparse table's columns stay apart, so that its blocks read them
-        # without a copy
         self.segments, first = [], 0
         for column in rows.columns:
-            if isinstance(column, Coded):
-                self.segments.append(_Segment(first, "c", len(texts)))
-                texts += [_fmt_cell(v, fmt).encode() for v in column.values]
-            elif (not self.segments or self.sparse
-                  or self.segments[-1].kind != column.dtype.kind):
-                self.segments.append(_Segment(first, column.dtype.kind))
-            segment = self.segments[-1]
-            segment.columns.append(column)
-            segment.width += 1 if isinstance(column, Coded) else column.shape[1]
-            first += 1 if isinstance(column, Coded) else column.shape[1]
+            kind = column.dtype.kind
+            if not self.segments or self.segments[-1].kind != kind:
+                self.segments.append(_Segment(first, kind))
+            self.segments[-1].columns.append(column)
+            self.segments[-1].width += column.shape[1]
+            first += column.shape[1]
+        # each slot's text, in the 8 bytes of one uint64
+        texts = [b""] + ([b"null"] * 3 if fmt == "json"
+                         else [b"nan", b"inf", b"-inf"])
         self.slot_len = np.array([len(t) for t in texts], dtype=np.int8)
-        size = -(-max(map(len, texts)) // 8) * 8
-        self.slots = np.frombuffer(b"".join(t.ljust(size, b"\0")
-                                            for t in texts),
-                                   dtype=np.uint64).reshape(len(texts), -1)
-        # CSV: a newline before a row's first cell, a comma before the others;
-        # JSON: the end of the row before, then each key
-        if keys is None:
-            pre = [b"\n"] + [b","] * (self.width - 1)
-        else:
-            pre = [f"\n  }},\n  {{\n    {keys[0]}: ".encode()]
-            pre += [f",\n    {key}: ".encode() for key in keys[1:]]
+        self.slots = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts),
+                                   dtype=np.uint64)[:, None]
+        pre = [p.encode() for p in _pre(self.width, keys)]
         pre_len = np.array([len(p) for p in pre])
         size = pre_len.max()
         self.pre_shown = np.arange(size) >= size - pre_len[:, None]
         self.pre = np.zeros(self.pre_shown.shape, np.uint8)
         self.pre[self.pre_shown] = np.frombuffer(b"".join(pre), np.uint8)
-        if self.sparse:
-            # the zero row, and where each cell (its `pre` first) and its
-            # text start in it, and where they end
-            slab, shown, ends = self._dense([
-                (segment, segment.first,
-                 np.zeros((1, segment.width), segment.dtype))
-                for segment in self.segments])
-            self.zero_row = slab[shown].tobytes()
-            lengths = np.concatenate([
-                shown[0, a:b].reshape(segment.width, -1).sum(axis=1)
-                for segment, a, b in zip(self.segments, ends, ends[1:])])
-            self.text_ends = np.cumsum(lengths)
-            self.cell_starts = self.text_ends - lengths
-            self.text_starts = self.cell_starts + pre_len
 
     def blocks(self, count: int):
         """The (rows, columns) slices of the blocks of a table of count rows,
-        in order: runs of whole rows of about BLOCK_CELLS cells (SPLICE_SHARE
-        times as many if sparse), or where a row is wider, equal pieces of
-        one row of about that many."""
-        size = BLOCK_CELLS * (SPLICE_SHARE if self.sparse else 1)
-        step = max(1, round(size / self.width))
-        piece = -(-self.width // max(1, round(self.width / size)))
+        in order: runs of whole rows of about BLOCK_CELLS cells, or where a
+        row is wider, equal pieces of one row of about that many."""
+        step = max(1, round(BLOCK_CELLS / self.width))
+        piece = -(-self.width // max(1, round(self.width / BLOCK_CELLS)))
         for first_row in range(0, count, step):
             rows = slice(first_row, min(first_row + step, count))
             for first in range(0, self.width, piece):
                 yield rows, slice(first, min(first + piece, self.width))
 
-    def _cells(self, parts: list) -> list:
-        """The (7, n) cell fields of the n values (1-D) of each (segment,
-        values) of parts, with one call of _float_cells and of _int_cells for
-        all parts of a kind."""
-        cells = [None] * len(parts)
-        for kind, function in ("f", _float_cells), ("i", _int_cells), \
-                ("u", _int_cells):
-            group = [k for k, (s, _) in enumerate(parts) if s.kind == kind]
-            if group:
-                both = function(np.concatenate([parts[k][1] for k in group]))
-                ends = np.cumsum([0] + [len(parts[k][1]) for k in group])
-                for k, a, b in zip(group, ends, ends[1:]):
-                    cells[k] = both[:, a:b]
-        return [c if c is not None else s.slots(v)
-                for (s, v), c in zip(parts, cells)]
-
-    def _layout(self, cells: np.ndarray, pre: bool) -> list:
+    def _layout(self, cells: np.ndarray) -> list:
         """The sizes of the fields of cells (7, ...) cell fields: the text
-        before the cell if pre, a sign, an integer part, a point, a fraction
-        part, an exponent and a slot."""
-        return [self.pre.shape[1] if pre else 0, int(cells[_NEG].any()),
+        before the cell, a sign, an integer part, a point, a fraction part,
+        an exponent and a slot."""
+        return [self.pre.shape[1], int(cells[_NEG].any()),
                 int(cells[_INT_LEN].max(initial=0)),
                 int(cells[_FRAC_LEN].any()),
                 int(cells[_FRAC_LEN].max(initial=0)),
                 int(_exponents()[1][cells[_EXP]].max(initial=0)),
                 int(self.slot_len[cells[_SLOT]].max(initial=0))]
 
-    def _fill(self, cells: np.ndarray, sizes: list, first: int | None,
+    def _fill(self, cells: np.ndarray, sizes: list, first: int,
               slab: np.ndarray, shown: np.ndarray):
-        """Lay out cells (7, ...) cell fields in slab (..., sum(sizes)) and
-        mark in shown the bytes of their texts, after the text before each
-        cell of table columns first, ... if first is not None."""
+        """Lay out cells (7, ...) cell fields, each after the text before its
+        table column (first, ...), in slab (..., sum(sizes)), and mark in
+        shown the bytes of their texts."""
         bounds = np.cumsum([0] + sizes).tolist()
         pre, neg, whole, point, fraction, suffix, text = (
             (slab[..., a:b], shown[..., a:b])
@@ -517,10 +448,9 @@ class _Renderer:
                 field[1][:] = np.take(_shown(size, last=False),
                                       lengths[index], axis=0)
 
-        if first is not None:
-            width = cells.shape[-1]
-            pre[0][:] = self.pre[first:first + width]
-            pre[1][:] = self.pre_shown[first:first + width]
+        width = cells.shape[-1]
+        pre[0][:] = self.pre[first:first + width]
+        pre[1][:] = self.pre_shown[first:first + width]
         neg[0][:] = ord("-")
         np.not_equal(cells[_NEG, ..., None], 0, out=neg[1])
         digits(whole, cells[_INT], cells[_INT_LEN])
@@ -530,74 +460,104 @@ class _Renderer:
         chosen(suffix, *_exponents(), cells[_EXP])
         chosen(text, self.slots, self.slot_len, cells[_SLOT])
 
-    def _dense(self, parts: list):
-        """A block laid out as (rows, bytes) arrays from the (segment, first
-        table column, (rows, columns) values) of parts: every cell's text
-        after its `pre`, and which bytes show; and where each part's bytes
-        start and end in a row."""
-        cells = [c.reshape((7,) + v.shape) for c, (_, _, v) in zip(
-            self._cells([(s, v.ravel()) for s, _, v in parts]), parts)]
-        layouts = [self._layout(c, pre=True) for c in cells]
-        n = cells[0].shape[1]
+    def render(self, rows: slice, columns: slice) -> np.ndarray:
+        """The bytes of a block, the table columns `columns` of a run of
+        rows, each cell's text after its `pre`. The block is laid out as
+        (rows, bytes) arrays, each segment's cells in fields of one size,
+        with a mask of the bytes that show."""
+        lo, hi = columns.start, columns.stop
+        parts = [(max(s.first, lo), s.values(rows, columns),
+                  _float_cells if s.kind == "f" else _int_cells)
+                 for s in self.segments
+                 if s.first < hi and lo < s.first + s.width]
+        cells = [function(v.ravel()).reshape((7,) + v.shape)
+                 for _, v, function in parts]
+        layouts = list(map(self._layout, cells))
+        n = rows.stop - rows.start
         ends = np.cumsum([0] + [c.shape[-1] * sum(sizes)
                                 for c, sizes in zip(cells, layouts)]).tolist()
         slab = np.empty((n, ends[-1]), np.uint8)
         shown = np.empty(slab.shape, bool)
-        for (_, first, _), c, sizes, a, b in zip(parts, cells, layouts,
+        for (first, _, _), c, sizes, a, b in zip(parts, cells, layouts,
                                                  ends, ends[1:]):
             shape = (n, c.shape[-1], sum(sizes))
             self._fill(c, sizes, first, slab[:, a:b].reshape(shape),
                        shown[:, a:b].reshape(shape))
-        return slab, shown, ends
+        return slab[shown]
 
-    def render(self, rows: slice, columns: slice) -> list:
-        """The bytes of a block, the table columns `columns` of a run of
-        rows, each cell's text after its `pre`, as a list of pieces (bytes
-        or uint8 arrays) to write in turn."""
-        lo, hi = columns.start, columns.stop
-        parts = [(s, max(s.first, lo), s.values(rows, columns))
-                 for s in self.segments
-                 if s.first < hi and lo < s.first + s.width]
-        if not self.sparse:
-            slab, shown, _ = self._dense(parts)
-            return [slab[shown]]
-        # the cells outside the zero row, in order: their places in the block
-        # and their texts, laid out alike
-        outside = [np.flatnonzero(v.ravel().view(f"u{v.itemsize}"))
-                   for _, _, v in parts]
-        places = np.concatenate([
-            i // v.shape[1] * (hi - lo) + i % v.shape[1] + first - lo
-            for (_, first, v), i in zip(parts, outside)])
+
+# --------------------------------------------------------------------------
+# the writers
+
+
+def _pre(width: int, keys: list | None) -> list:
+    """The text written before each cell of a row: in CSV, a newline before
+    the first and a comma before the others; in JSON, the end of the row
+    before, then each key."""
+    if keys is None:
+        return ["\n"] + [","] * (width - 1)
+    return ([f"\n  }},\n  {{\n    {keys[0]}: "]
+            + [f",\n    {key}: " for key in keys[1:]])
+
+
+def _splice_rows(out, rows: Table, fmt: str, keys: list | None):
+    """Write every row as _write_rows does, as the text of the zero row (the
+    row of all-zero-bit cells, made once) with the texts of the row's other
+    cells, each from _fmt_cell, in place of its own."""
+    zeros = [text for column in rows.columns
+             for text in [_fmt_cell(column.dtype.type(0).item())]
+             * column.shape[1]]
+    pre = _pre(rows.width, keys)
+    zero_row = memoryview("".join(chain.from_iterable(zip(pre, zeros)))
+                          .encode())
+    # where each cell's text starts and ends in the zero row
+    pre_len, zero_len = (np.fromiter(map(len, texts), np.int64, rows.width)
+                         for texts in (pre, zeros))
+    ends = np.cumsum(pre_len + zero_len)
+    starts = ends - zero_len
+    firsts = list(accumulate((c.shape[1] for c in rows.columns), initial=0))
+    # the first JSON row closes no row before it
+    skip = 0 if keys is None else len("\n  },\n")
+    step = max(1, CHUNK_CELLS // rows.width)
+    for first_row in range(0, len(rows), step):
+        chunk = slice(first_row, min(first_row + step, len(rows)))
+        # the cells outside the zero row, column by column: their places in
+        # the chunk and their texts
+        places, texts = [], []
+        for first, column in zip(firsts, rows.columns):
+            values = column[chunk].ravel()
+            i = np.flatnonzero(values.view(np.uint64))
+            row, col = np.divmod(i, column.shape[1])
+            places.append(row * rows.width + first + col)
+            texts += map(str.encode, map(_fmt_cell, values[i].tolist(),
+                                         repeat(fmt)))
+        places = np.concatenate(places)
         order = np.argsort(places)
-        cells = np.concatenate(self._cells(
-            [(s, v.ravel()[i]) for (s, _, v), i in zip(parts, outside)]),
-            axis=1)[:, order]
-        sizes = self._layout(cells, pre=False)
-        slab = np.empty((cells.shape[1], sum(sizes)), np.uint8)
-        shown = np.empty(slab.shape, bool)
-        self._fill(cells, sizes, None, slab, shown)
-        texts, stops = slab[shown].tobytes(), np.cumsum(shown.sum(axis=1))
-        # copies of the zero row's text of these columns, one per row, with
-        # the texts of those cells in place of theirs
-        row, column = np.divmod(places[order], hi - lo)
-        column += lo
-        zero = self.zero_row[self.cell_starts[lo]:self.text_ends[hi - 1]]
-        at = row * len(zero) - self.cell_starts[lo]
-        block = zero * (rows.stop - rows.start)
-        pieces, last, first = [], 0, 0
-        for start, end, stop in zip((at + self.text_starts[column]).tolist(),
-                                    (at + self.text_ends[column]).tolist(),
-                                    stops.tolist()):
-            pieces += block[last:start], texts[first:stop]
-            last, first = end, stop
-        pieces.append(block[last:])
-        return pieces
+        row, col = np.divmod(places[order], rows.width)
+        # each row's cells, in order: a text and where the text it replaces
+        # starts and ends in the zero row
+        cells = zip([texts[k] for k in order.tolist()], starts[col].tolist(),
+                    ends[col].tolist())
+        counts = np.bincount(row, minlength=chunk.stop - first_row)
+        pieces = []
+        for count in counts.tolist():
+            last = 0
+            for text, start, end in islice(cells, count):
+                pieces += zero_row[last:start], text
+                last = end
+            pieces.append(zero_row[last:])
+        pieces[0] = pieces[0][skip:]
+        skip = 0
+        out.writelines(pieces)
 
 
 def _write_rows(out, rows: Table, fmt: str, keys: list | None):
     """Write every row: CSV lines, each after a newline, or JSON row objects
     without their closing brace, joined by that brace and ",\\n"."""
-    if rows.float_cells() < RENDER_FLOATS:
+    if rows.float_cells() < RENDER_FLOATS or any(
+            isinstance(column, Coded)
+            or column.dtype not in (np.float64, np.int64)
+            for column in rows.columns):
         if fmt == "csv":
             for chunk in rows.chunks(fmt):
                 out.write(("\n" + "\n".join(map(",".join, chunk))).encode())
@@ -610,13 +570,16 @@ def _write_rows(out, rows: Table, fmt: str, keys: list | None):
                       .encode())
             lead = "\n  },\n"
         return
+    outside = sum(int(np.count_nonzero(column.view(np.uint64)))
+                  for column in rows.columns)
+    if outside * SPLICE_SHARE < len(rows) * rows.width:
+        _splice_rows(out, rows, fmt, keys)
+        return
     renderer = _Renderer(rows, fmt, keys)
     # the first JSON row closes no row before it
     skip = 0 if fmt == "csv" else len("\n  },\n")
     for block in renderer.blocks(len(rows)):
-        pieces = renderer.render(*block)
-        pieces[0] = memoryview(pieces[0])[skip:]
-        out.writelines(pieces)
+        out.write(memoryview(renderer.render(*block))[skip:])
         skip = 0
 
 

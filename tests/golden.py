@@ -48,17 +48,18 @@ WORKLOAD_CASES = [("all", f"{workload}/{path.stem}", fmt)
 
 
 def run_case(command: str, scenario: str, fmt: str, out_dir: Path) -> dict:
-    """Exit code and data-file digests of one subcommand run."""
+    """Exit code and data-file digests of one subcommand run; a rejected
+    run makes no output directory and writes no files."""
     if scenario not in BUNDLED_SCENARIOS:
         scenario = str(WORKLOADS / f"{scenario}.yaml")
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = main([command, "--scenario", scenario, "--out", str(out_dir),
                      "--format", fmt])
+    files = sorted(out_dir.iterdir()) if out_dir.exists() else []
     return {"exit": code,
             "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                      for p in sorted(out_dir.iterdir())
-                      if p.name != "manifest.json"}}
+                      for p in files if p.name != "manifest.json"}}
 
 
 def run_cases(work_dir: Path, cases=CASES) -> dict:

@@ -106,6 +106,7 @@ class TestValidation:
         assert run_cli("solve-crystal", "--scenario", "fig_op",
                        "--out", tmp_path / "o") == 2
         assert "not applicable" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_zero_drive_direction_rejected(self, tmp_path, capsys):
         drive = dict(MINI_SCENARIO["drive"], direction=[0.0, 0.0, 0.0])
@@ -523,7 +524,7 @@ class TestOutputSets:
         listed = captured.out.splitlines()
         expected = listings[command]
         if expected is None:
-            assert (code, listed, list(out.iterdir())) == (2, [], [])
+            assert (code, listed, out.exists()) == (2, [], False)
             assert f"subcommand '{command}' is not applicable" in captured.err
             return
         if fmt == "json":
@@ -912,14 +913,18 @@ def _writer_cases():
 
 WRITER_CASES = _writer_cases()
 
-# the module constants each table writer path runs with: Table.chunks with
-# the float-cell threshold above every case, or the numpy renderer with it
-# at 0; each with its default chunk or block size and with a small one, and
-# the renderer also with every table spliced into its zero row or laid out
-# whole. A small chunk is 5 cells; a small block is 5 cells, or a 256th of a
-# table's cells where that is more (a function of the table's cell count),
-# so that the largest cases cross a few hundred block boundaries, rows split
-# into pieces among them, rather than one per row
+# the module constants each table writer path runs with. "chunks" and
+# "chunks-5" send every case to Table.chunks, with its default chunk size
+# and with one of 5 cells. The others set the float-cell threshold to 0, so
+# that every case of only float64 and int64 columns leaves Table.chunks; a
+# case with a Coded or bool column goes to it on every path. Of those,
+# "numpy" splices or renders each case as `all` would; "numpy-small" does
+# too, with a render block of 5 cells, or a 256th of a table's cells where
+# that is more (a function of the table's cell count), so that the largest
+# cases cross a few hundred block boundaries, rows split into pieces among
+# them, rather than one per row; "numpy-spliced" sends each case with a
+# zero-bit cell to _splice_rows, and "numpy-laid-out" each case with a
+# nonzero-bit cell to the numpy renderer
 WRITER_PATHS = {
     "chunks": {"RENDER_FLOATS": 2**62},
     "chunks-5": {"RENDER_FLOATS": 2**62, "CHUNK_CELLS": 5},
@@ -990,45 +995,56 @@ WORKLOADS = Path(__file__).parent / "data" / "workloads"
 
 
 @pytest.mark.parametrize("scenario,rendered", [
-    *[(name, set()) for name in cli.BUNDLED_SCENARIOS],
+    *[(name, {}) for name in cli.BUNDLED_SCENARIOS],
     *[(f"trap_sweep/{path.stem}",
-       {"modes"} if path.stem in {"trap8-3d-n22", "trap9-linear-n24",
-                                  "trap10-zigzag-n26", "trap11-3d-n28"}
-       else set())
+       {"modes": "render"} if path.stem in {"trap8-3d-n22", "trap9-linear-n24",
+                                            "trap10-zigzag-n26",
+                                            "trap11-3d-n28"}
+       else {})
       for path in sorted((WORKLOADS / "trap_sweep").glob("*.yaml"))],
-    ("lattice/decay-companion", set()),
-    ("lattice/pair-companion", set()),
-    *[(f"lattice/{name}", {"series", f"group_{'Q' * n}"}) for name, n in [
-        ("lattice0-kagome-3x5", 9), ("lattice1-honeycomb-3x5", 10),
-        ("lattice2-triangular-4x3", 12), ("lattice3-honeycomb-7x3", 14)]],
+    ("lattice/decay-companion", {}),
+    ("lattice/pair-companion", {}),
+    *[(f"lattice/{name}", {"series": "render", f"group_{'Q' * n}": "splice"})
+      for name, n in [
+          ("lattice0-kagome-3x5", 9), ("lattice1-honeycomb-3x5", 10),
+          ("lattice2-triangular-4x3", 12), ("lattice3-honeycomb-7x3", 14)]],
 ])
 def test_only_the_wide_tables_are_rendered_by_numpy(tmp_path, monkeypatch,
                                                     scenario, rendered):
-    """`all` renders with numpy the tables of at least RENDER_FLOATS float
-    cells: of the committed traffic, the lattice series and group tables and
-    the modes of the 22- to 28-ion crystals."""
-    renderers, stems = [], set()
-    init, write_table = tables._Renderer.__init__, cli.write_table
+    """`all` writes each table with one writer: of the committed traffic,
+    the lattice group tables are spliced into their zero row, the lattice
+    series and the modes of the 22- to 28-ion crystals are rendered with
+    numpy, and every other table goes to Table.chunks."""
+    writers, calls = {}, []
+    write_table = cli.write_table
 
-    def counted(self, *args):
-        renderers.append(None)
-        init(self, *args)
+    def watched(writer, function):
+        def call(*args, **kwargs):
+            calls.append(writer)
+            return function(*args, **kwargs)
+        return call
 
     def logged(out_dir, stem, header, rows, fmt):
-        before = len(renderers)
+        calls.clear()
         name = write_table(out_dir, stem, header, rows, fmt)
-        if len(renderers) > before:
-            stems.add(stem)
+        writers[stem] = calls.copy()
         return name
 
-    monkeypatch.setattr(tables._Renderer, "__init__", counted)
+    monkeypatch.setattr(tables, "_splice_rows",
+                        watched("splice", tables._splice_rows))
+    monkeypatch.setattr(tables._Renderer, "__init__",
+                        watched("render", tables._Renderer.__init__))
+    monkeypatch.setattr(tables.Table, "chunks",
+                        watched("chunks", tables.Table.chunks))
     monkeypatch.setattr(cli, "write_table", logged)
     if scenario not in cli.BUNDLED_SCENARIOS:
         scenario = WORKLOADS / f"{scenario}.yaml"
     code, err = run_captured(["all", "--scenario", scenario,
                               "--out", tmp_path / "out"])
     assert (code, err) == (0, "")
-    assert stems == rendered
+    assert rendered.keys() <= writers.keys()
+    assert writers == {stem: [rendered.get(stem, "chunks")]
+                       for stem in writers}
 
 
 # table columns that hold text; every other cell is a number or a boolean
