@@ -9,19 +9,21 @@ Each table is written by one of three writers, all with the same bytes:
   their cells outside their zero row, the row of all-zero-bit cells. It
   makes the zero row's text once and writes each row as that text, with the
   texts of the row's other cells spliced in.
-- `_Renderer` renders the rest, dense float and int tables, with numpy in
-  blocks of about BLOCK_CELLS cells. A float gets the text of Python's repr:
-  its digits come from `_shortest`, a vectorized form of Ryu's shortest
-  round-trip digits (Adams, PLDI 2018), and are laid out by repr's rules. An
-  int gets its decimal digits. Each block's CSV lines or JSON row objects are
-  cut out of one byte array in which every cell has fixed-width fields.
+- `_Renderer` renders the rest, dense float and int tables, if all their
+  cells are finite, with numpy in blocks of about BLOCK_CELLS cells. A float
+  gets the text of Python's repr: its digits come from `_shortest`, a
+  vectorized form of Ryu's shortest round-trip digits (Adams, PLDI 2018),
+  and are laid out by repr's rules. An int gets its decimal digits. Each
+  block's CSV lines or JSON row objects are cut out of one byte array in
+  which every cell has the same fixed-width fields. A dense table with a
+  nan or inf goes to `Table.chunks`.
 """
 
 import json
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, groupby, islice, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -134,7 +136,6 @@ _LIMB = 27
 _LOW = (1 << _LIMB) - 1
 _MANTISSA = np.uint64(2**52 - 1)
 _SIGN = np.uint64(2**63)
-_INFINITY = np.uint64(0x7FF << 52)
 
 
 @cache
@@ -249,12 +250,8 @@ def _shortest(bits: np.ndarray):
 
 # the fields of a cell's text, in order, as rows of an int64 array: a sign;
 # an integer part and the number of its last digits that show; the same for
-# a fraction part, after a point where it shows; a row of _exponents(); and
-# a slot, the text of nan, inf or -inf
-_NEG, _INT, _INT_LEN, _FRAC, _FRAC_LEN, _EXP, _SLOT = range(7)
-
-# the slots after the empty one, in _Renderer.slots order
-_NAN, _INF, _MINUS_INF = range(1, 4)
+# a fraction part, after a point where it shows; and a row of _exponents()
+_NEG, _INT, _INT_LEN, _FRAC, _FRAC_LEN, _EXP = range(6)
 
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 
@@ -300,21 +297,14 @@ def _digits(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
-    """The (7, n) cell fields of n float64 values: repr's text, or a slot
-    for nan and inf."""
+    """The (6, n) cell fields of n finite float64 values: repr's text."""
     bits = values.view(np.uint64)
     magnitude = bits & ~_SIGN
-    cells = np.zeros((7, len(bits)), dtype=np.int64)
+    cells = np.zeros((6, len(bits)), dtype=np.int64)
     cells[_NEG] = bits >> np.uint64(63)
     # -0.0 and 0.0
     cells[_INT_LEN] = cells[_FRAC_LEN] = 1
-    special = np.flatnonzero(magnitude >= _INFINITY)
-    cells[:, special] = 0
-    cells[_SLOT, special] = np.where(
-        magnitude[special] > _INFINITY, _NAN,
-        np.where(bits[special] >= _SIGN, _MINUS_INF, _INF))
-    # the finite nonzero magnitudes, 1 to _INFINITY - 1
-    i = np.flatnonzero(magnitude - np.uint64(1) < _INFINITY - np.uint64(1))
+    i = np.flatnonzero(magnitude)
     # Ryu in equal pieces of about SHORTEST_VALUES values, so that its
     # temporaries stay small
     digits, exponent = map(np.concatenate, zip(*[
@@ -346,9 +336,9 @@ def _lengths(values: np.ndarray) -> np.ndarray:
 
 
 def _int_cells(values: np.ndarray) -> np.ndarray:
-    """The (7, n) cell fields of n int64 values: a sign and the decimal
+    """The (6, n) cell fields of n int64 values: a sign and the decimal
     digits."""
-    cells = np.zeros((7, len(values)), dtype=np.int64)
+    cells = np.zeros((6, len(values)), dtype=np.int64)
     cells[_NEG] = values < 0
     # -(-2^63) wraps to -2^63, whose bits read as uint64 are 2^63
     magnitude = np.where(values < 0, -values, values).view(np.uint64)
@@ -357,45 +347,15 @@ def _int_cells(values: np.ndarray) -> np.ndarray:
     return cells
 
 
-class _Segment:
-    """Adjacent table columns of one kind, float64 ("f") or int64 ("i"),
-    rendered alike."""
-
-    def __init__(self, first: int, kind: str):
-        self.first, self.kind = first, kind
-        self.columns, self.width = [], 0
-
-    def values(self, rows: slice, columns: slice) -> np.ndarray:
-        """The values of a block of rows in those of the table columns
-        `columns` that are the segment's."""
-        parts, first = [], self.first
-        for column in self.columns:
-            parts.append(column[rows, max(columns.start - first, 0):
-                                max(columns.stop - first, 0)])
-            first += column.shape[1]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-
-
 class _Renderer:
-    """Renders blocks of a table of float64 and int64 columns."""
+    """Renders blocks of a table of finite float64 and int64 columns."""
 
-    def __init__(self, rows: Table, fmt: str, keys: list | None):
-        self.width = rows.width
-        self.segments, first = [], 0
-        for column in rows.columns:
-            kind = column.dtype.kind
-            if not self.segments or self.segments[-1].kind != kind:
-                self.segments.append(_Segment(first, kind))
-            self.segments[-1].columns.append(column)
-            self.segments[-1].width += column.shape[1]
-            first += column.shape[1]
-        # each slot's text, in the 8 bytes of one uint64
-        texts = [b""] + ([b"null"] * 3 if fmt == "json"
-                         else [b"nan", b"inf", b"-inf"])
-        self.slot_len = np.array([len(t) for t in texts], dtype=np.int8)
-        self.slots = np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts),
-                                   dtype=np.uint64)[:, None]
-        pre = [p.encode() for p in _pre(self.width, keys)]
+    def __init__(self, rows: Table, pre: list):
+        self.width, self.columns = rows.width, rows.columns
+        # the table column where each column starts
+        self.firsts = list(accumulate((c.shape[1] for c in self.columns),
+                                      initial=0))
+        pre = [p.encode() for p in pre]
         pre_len = np.array([len(p) for p in pre])
         size = pre_len.max()
         self.pre_shown = np.arange(size) >= size - pre_len[:, None]
@@ -414,23 +374,22 @@ class _Renderer:
                 yield rows, slice(first, min(first + piece, self.width))
 
     def _layout(self, cells: np.ndarray) -> list:
-        """The sizes of the fields of cells (7, ...) cell fields: the text
-        before the cell, a sign, an integer part, a point, a fraction part,
-        an exponent and a slot."""
+        """The sizes of the fields of cells (6, ...) cell fields: the text
+        before the cell, a sign, an integer part, a point, a fraction part
+        and an exponent."""
         return [self.pre.shape[1], int(cells[_NEG].any()),
                 int(cells[_INT_LEN].max(initial=0)),
                 int(cells[_FRAC_LEN].any()),
                 int(cells[_FRAC_LEN].max(initial=0)),
-                int(_exponents()[1][cells[_EXP]].max(initial=0)),
-                int(self.slot_len[cells[_SLOT]].max(initial=0))]
+                int(_exponents()[1][cells[_EXP]].max(initial=0))]
 
     def _fill(self, cells: np.ndarray, sizes: list, first: int,
               slab: np.ndarray, shown: np.ndarray):
-        """Lay out cells (7, ...) cell fields, each after the text before its
+        """Lay out cells (6, ...) cell fields, each after the text before its
         table column (first, ...), in slab (..., sum(sizes)), and mark in
         shown the bytes of their texts."""
         bounds = np.cumsum([0] + sizes).tolist()
-        pre, neg, whole, point, fraction, suffix, text = (
+        pre, neg, whole, point, fraction, suffix = (
             (slab[..., a:b], shown[..., a:b])
             for a, b in zip(bounds, bounds[1:]))
 
@@ -439,14 +398,6 @@ class _Renderer:
             if size:
                 field[0][:] = _digits(values.view(np.uint64), size)
                 field[1][:] = np.take(_shown(size, last=True), length, axis=0)
-
-        def chosen(field, rows, lengths, index):
-            size = field[0].shape[-1]
-            if size:
-                part = np.take(rows, index, axis=0).view(np.uint8)
-                field[0][:] = part.reshape(index.shape + (-1,))[..., :size]
-                field[1][:] = np.take(_shown(size, last=False),
-                                      lengths[index], axis=0)
 
         width = cells.shape[-1]
         pre[0][:] = self.pre[first:first + width]
@@ -457,32 +408,33 @@ class _Renderer:
         point[0][:] = ord(".")
         np.greater(cells[_FRAC_LEN, ..., None], 0, out=point[1])
         digits(fraction, cells[_FRAC], cells[_FRAC_LEN])
-        chosen(suffix, *_exponents(), cells[_EXP])
-        chosen(text, self.slots, self.slot_len, cells[_SLOT])
+        size = suffix[0].shape[-1]
+        if size:
+            texts, lengths = _exponents()
+            index = cells[_EXP]
+            text = np.take(texts, index).view(np.uint8)
+            suffix[0][:] = text.reshape(index.shape + (-1,))[..., :size]
+            suffix[1][:] = np.take(_shown(size, last=False), lengths[index],
+                                   axis=0)
 
     def render(self, rows: slice, columns: slice) -> np.ndarray:
         """The bytes of a block, the table columns `columns` of a run of
-        rows, each cell's text after its `pre`. The block is laid out as
-        (rows, bytes) arrays, each segment's cells in fields of one size,
-        with a mask of the bytes that show."""
+        rows, each cell's text after its `pre`. The block is laid out as a
+        (rows, cells, bytes) array, every cell in the same fields, with a
+        mask of the bytes that show."""
         lo, hi = columns.start, columns.stop
-        parts = [(max(s.first, lo), s.values(rows, columns),
-                  _float_cells if s.kind == "f" else _int_cells)
-                 for s in self.segments
-                 if s.first < hi and lo < s.first + s.width]
-        cells = [function(v.ravel()).reshape((7,) + v.shape)
-                 for _, v, function in parts]
-        layouts = list(map(self._layout, cells))
-        n = rows.stop - rows.start
-        ends = np.cumsum([0] + [c.shape[-1] * sum(sizes)
-                                for c, sizes in zip(cells, layouts)]).tolist()
-        slab = np.empty((n, ends[-1]), np.uint8)
+        pieces = [column[rows, max(lo - first, 0):max(hi - first, 0)]
+                  for first, column in zip(self.firsts, self.columns)]
+        # the cell fields of each run of adjacent pieces of one dtype
+        runs = [np.concatenate(list(run), axis=1) for _, run in groupby(
+            (piece for piece in pieces if piece.size), lambda p: p.dtype)]
+        cells = np.concatenate([
+            (_float_cells if v.dtype == np.float64 else _int_cells)(
+                v.ravel()).reshape((6,) + v.shape) for v in runs], axis=-1)
+        sizes = self._layout(cells)
+        slab = np.empty(cells.shape[1:] + (sum(sizes),), np.uint8)
         shown = np.empty(slab.shape, bool)
-        for (first, _, _), c, sizes, a, b in zip(parts, cells, layouts,
-                                                 ends, ends[1:]):
-            shape = (n, c.shape[-1], sum(sizes))
-            self._fill(c, sizes, first, slab[:, a:b].reshape(shape),
-                       shown[:, a:b].reshape(shape))
+        self._fill(cells, sizes, lo, slab, shown)
         return slab[shown]
 
 
@@ -490,24 +442,24 @@ class _Renderer:
 # the writers
 
 
-def _pre(width: int, keys: list | None) -> list:
+def _pre(header: list, fmt: str) -> list:
     """The text written before each cell of a row: in CSV, a newline before
     the first and a comma before the others; in JSON, the end of the row
-    before, then each key."""
-    if keys is None:
-        return ["\n"] + [","] * (width - 1)
-    return ([f"\n  }},\n  {{\n    {keys[0]}: "]
-            + [f",\n    {key}: " for key in keys[1:]])
+    before, then each key of header, quoted."""
+    if fmt == "csv":
+        return ["\n"] + [","] * (len(header) - 1)
+    keys = map(encode_basestring_ascii, header)
+    return ([f"\n  }},\n  {{\n    {next(keys)}: "]
+            + [f",\n    {key}: " for key in keys])
 
 
-def _splice_rows(out, rows: Table, fmt: str, keys: list | None):
+def _splice_rows(out, rows: Table, fmt: str, pre: list, skip: int):
     """Write every row as _write_rows does, as the text of the zero row (the
     row of all-zero-bit cells, made once) with the texts of the row's other
     cells, each from _fmt_cell, in place of its own."""
     zeros = [text for column in rows.columns
              for text in [_fmt_cell(column.dtype.type(0).item())]
              * column.shape[1]]
-    pre = _pre(rows.width, keys)
     zero_row = memoryview("".join(chain.from_iterable(zip(pre, zeros)))
                           .encode())
     # where each cell's text starts and ends in the zero row
@@ -516,8 +468,6 @@ def _splice_rows(out, rows: Table, fmt: str, keys: list | None):
     ends = np.cumsum(pre_len + zero_len)
     starts = ends - zero_len
     firsts = list(accumulate((c.shape[1] for c in rows.columns), initial=0))
-    # the first JSON row closes no row before it
-    skip = 0 if keys is None else len("\n  },\n")
     step = max(1, CHUNK_CELLS // rows.width)
     for first_row in range(0, len(rows), step):
         chunk = slice(first_row, min(first_row + step, len(rows)))
@@ -551,35 +501,34 @@ def _splice_rows(out, rows: Table, fmt: str, keys: list | None):
         out.writelines(pieces)
 
 
-def _write_rows(out, rows: Table, fmt: str, keys: list | None):
+def _write_rows(out, rows: Table, fmt: str, pre: list):
     """Write every row: CSV lines, each after a newline, or JSON row objects
-    without their closing brace, joined by that brace and ",\\n"."""
-    if rows.float_cells() < RENDER_FLOATS or any(
-            isinstance(column, Coded)
-            or column.dtype not in (np.float64, np.int64)
-            for column in rows.columns):
-        if fmt == "csv":
-            for chunk in rows.chunks(fmt):
-                out.write(("\n" + "\n".join(map(",".join, chunk))).encode())
-            return
-        row = "  {\n" + ",\n".join(f"    {key.replace('%', '%%')}: %s"
-                                    for key in keys)
-        lead = ""
-        for chunk in rows.chunks(fmt):
-            out.write((lead + "\n  },\n".join(map(row.__mod__, chunk)))
-                      .encode())
-            lead = "\n  },\n"
-        return
-    outside = sum(int(np.count_nonzero(column.view(np.uint64)))
-                  for column in rows.columns)
-    if outside * SPLICE_SHARE < len(rows) * rows.width:
-        _splice_rows(out, rows, fmt, keys)
-        return
-    renderer = _Renderer(rows, fmt, keys)
+    without their closing brace, joined by that brace and ",\\n"; pre is
+    _pre's text before each cell."""
     # the first JSON row closes no row before it
     skip = 0 if fmt == "csv" else len("\n  },\n")
-    for block in renderer.blocks(len(rows)):
-        out.write(memoryview(renderer.render(*block))[skip:])
+    if rows.float_cells() >= RENDER_FLOATS and all(
+            not isinstance(column, Coded)
+            and column.dtype in (np.float64, np.int64)
+            for column in rows.columns):
+        outside = sum(int(np.count_nonzero(column.view(np.uint64)))
+                      for column in rows.columns)
+        if outside * SPLICE_SHARE < len(rows) * rows.width:
+            _splice_rows(out, rows, fmt, pre, skip)
+            return
+        if all(np.isfinite(column).all() for column in rows.columns):
+            renderer = _Renderer(rows, pre)
+            for block in renderer.blocks(len(rows)):
+                out.write(memoryview(renderer.render(*block))[skip:])
+                skip = 0
+            return
+    if fmt == "csv":
+        for chunk in rows.chunks(fmt):
+            out.write(("\n" + "\n".join(map(",".join, chunk))).encode())
+        return
+    row = "".join(text.replace("%", "%%") + "%s" for text in pre)
+    for chunk in rows.chunks(fmt):
+        out.write(memoryview("".join(map(row.__mod__, chunk)).encode())[skip:])
         skip = 0
 
 
@@ -592,12 +541,11 @@ def write_table(out_dir: Path, stem: str, header: list, rows: Table,
     with (out_dir / name).open("wb") as out:
         if fmt == "csv":
             out.write(",".join(header).encode())
-            _write_rows(out, rows, fmt, None)
+            _write_rows(out, rows, fmt, _pre(header, fmt))
             out.write(b"\n")
         elif len(rows):
             out.write(b"[\n")
-            _write_rows(out, rows, fmt,
-                        [encode_basestring_ascii(key) for key in header])
+            _write_rows(out, rows, fmt, _pre(header, fmt))
             out.write(b"\n  }\n]\n")
         else:
             out.write(b"[]\n")

@@ -896,6 +896,12 @@ def _writer_cases():
             cli.Coded([0.5, math.inf, math.nan], np.array([1, 0, 2])),
             np.array([True, False, True]),
             np.array([1e-05, math.inf, -math.inf]), np.array([-3, 0, 7])]),
+        ("mixed_runs", ["i", "x", *[f"k{j}" for j in range(3)], "y0", "y1"], [
+            np.array([-7, 0, 2**62, 5]), np.array([0.25, -1e-300, 3.0, 1e22]),
+            np.array([[1, -2, 3], [0, 40, -500], [INT64.max, INT64.min, 9],
+                      [12, 13, 14]]),
+            np.array([[1.5, -0.0], [2e-5, 1e16], [0.1, 123456789.0],
+                      [-2.5, 5e-324]])]),
         ("zero_survivors", series_header, series.columns),
         ("nan_frequency_row", ["time_s", "n_total", "n_intact"]
          + [f"c{j}" for j in range(4)] + [f"f{j}" for j in range(4)],
@@ -916,15 +922,16 @@ WRITER_CASES = _writer_cases()
 # the module constants each table writer path runs with. "chunks" and
 # "chunks-5" send every case to Table.chunks, with its default chunk size
 # and with one of 5 cells. The others set the float-cell threshold to 0, so
-# that every case of only float64 and int64 columns leaves Table.chunks; a
-# case with a Coded or bool column goes to it on every path. Of those,
-# "numpy" splices or renders each case as `all` would; "numpy-small" does
-# too, with a render block of 5 cells, or a 256th of a table's cells where
-# that is more (a function of the table's cell count), so that the largest
-# cases cross a few hundred block boundaries, rows split into pieces among
-# them, rather than one per row; "numpy-spliced" sends each case with a
-# zero-bit cell to _splice_rows, and "numpy-laid-out" each case with a
-# nonzero-bit cell to the numpy renderer
+# that every case of only float64 and int64 columns is spliced or, if its
+# cells are all finite, rendered; a case with a Coded or bool column, or an
+# unspliced one with a nan or inf, goes to Table.chunks on every path. Of
+# those, "numpy" splices or renders each case as `all` would; "numpy-small"
+# does too, with a render block of 5 cells, or a 256th of a table's cells
+# where that is more (a function of the table's cell count), so that the
+# largest cases cross a few hundred block boundaries, rows split into pieces
+# among them, rather than one per row; "numpy-spliced" sends each case with
+# a zero-bit cell to _splice_rows, and "numpy-laid-out" each finite case
+# with a nonzero-bit cell to the numpy renderer
 WRITER_PATHS = {
     "chunks": {"RENDER_FLOATS": 2**62},
     "chunks-5": {"RENDER_FLOATS": 2**62, "CHUNK_CELLS": 5},
@@ -940,6 +947,26 @@ def written_lines(tmp_path, values) -> list:
     """The CSV lines of a one-column table of values, rendered by numpy."""
     cli.write_table(tmp_path, "values", ["v"], cli.Table(values), "csv")
     return (tmp_path / "values.csv").read_text().splitlines()[1:]
+
+
+def watch_writers(monkeypatch) -> list:
+    """A list to which each table writer that runs from now on appends its
+    name: "splice", "render" or "chunks"."""
+    calls = []
+
+    def watched(writer, function):
+        def call(*args, **kwargs):
+            calls.append(writer)
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(tables, "_splice_rows",
+                        watched("splice", tables._splice_rows))
+    monkeypatch.setattr(tables._Renderer, "__init__",
+                        watched("render", tables._Renderer.__init__))
+    monkeypatch.setattr(tables.Table, "chunks",
+                        watched("chunks", tables.Table.chunks))
+    return calls
 
 
 class TestWriteTable:
@@ -963,11 +990,12 @@ class TestWriteTable:
             reference_text(header, rows, fmt).encode()
 
     def test_float_renderer_matches_repr(self, tmp_path, monkeypatch):
-        """repr's text for random bit patterns of both signs (nan and inf
-        among them), subnormals, SPECIAL_FLOATS, dyadic and short decimal
-        values, integers near 2^53 and 10^16, and values whose shortest
-        digits end in zeros; str's for the int64 edges."""
+        """The numpy renderer writes repr's text for the finite ones of
+        random bit patterns of both signs, subnormals, SPECIAL_FLOATS, dyadic
+        and short decimal values, integers near 2^53 and 10^16, and values
+        whose shortest digits end in zeros; str's for the int64 edges."""
         monkeypatch.setattr(tables, "RENDER_FLOATS", 0)
+        writers = watch_writers(monkeypatch)
         rng = np.random.default_rng(23)
         k = rng.integers(1, 2**40, 20_000)
         floats = np.concatenate([
@@ -981,6 +1009,7 @@ class TestWriteTable:
             2.0**53 + np.arange(-1000.0, 1000.0),
             1e16 + 2.0 * np.arange(-1000.0, 1000.0),
             [0.5, 1.0, 1e22, 1e21, 1e23, 123456789.0, 2.0**-1074 * 3]])
+        floats = floats[np.isfinite(floats)]
         assert written_lines(tmp_path, floats) == list(map(repr,
                                                            floats.tolist()))
         ints = np.concatenate([
@@ -989,6 +1018,26 @@ class TestWriteTable:
             *[[10**e - 1, 10**e, -(10**e)] for e in range(19)],
             rng.integers(INT64.min, INT64.max, 10_000)]).astype(np.int64)
         assert written_lines(tmp_path, ints) == list(map(str, ints.tolist()))
+        assert writers == ["render", "render"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("value,writer", [
+    (-2.5, "render"), (math.nan, "chunks"), (-math.inf, "chunks")])
+def test_only_finite_dense_tables_are_rendered(tmp_path, monkeypatch, fmt,
+                                               value, writer):
+    """A dense float table of RENDER_FLOATS cells is rendered by numpy if
+    all its cells are finite and goes to Table.chunks with a nan or -inf in
+    it; each writes the per-cell writer's bytes."""
+    writers = watch_writers(monkeypatch)
+    values = np.random.default_rng(7).random((tables.RENDER_FLOATS // 4, 4))
+    values[3, 2] = value
+    header = ["a", "b", "c", "d"]
+    written = cli.write_table(tmp_path, "dense", header, cli.Table(values),
+                              fmt)
+    assert writers == [writer]
+    assert (tmp_path / written).read_bytes() == \
+        reference_text(header, values.tolist(), fmt).encode()
 
 
 WORKLOADS = Path(__file__).parent / "data" / "workloads"
@@ -1015,14 +1064,8 @@ def test_only_the_wide_tables_are_rendered_by_numpy(tmp_path, monkeypatch,
     the lattice group tables are spliced into their zero row, the lattice
     series and the modes of the 22- to 28-ion crystals are rendered with
     numpy, and every other table goes to Table.chunks."""
-    writers, calls = {}, []
+    writers, calls = {}, watch_writers(monkeypatch)
     write_table = cli.write_table
-
-    def watched(writer, function):
-        def call(*args, **kwargs):
-            calls.append(writer)
-            return function(*args, **kwargs)
-        return call
 
     def logged(out_dir, stem, header, rows, fmt):
         calls.clear()
@@ -1030,12 +1073,6 @@ def test_only_the_wide_tables_are_rendered_by_numpy(tmp_path, monkeypatch,
         writers[stem] = calls.copy()
         return name
 
-    monkeypatch.setattr(tables, "_splice_rows",
-                        watched("splice", tables._splice_rows))
-    monkeypatch.setattr(tables._Renderer, "__init__",
-                        watched("render", tables._Renderer.__init__))
-    monkeypatch.setattr(tables.Table, "chunks",
-                        watched("chunks", tables.Table.chunks))
     monkeypatch.setattr(cli, "write_table", logged)
     if scenario not in cli.BUNDLED_SCENARIOS:
         scenario = WORKLOADS / f"{scenario}.yaml"
