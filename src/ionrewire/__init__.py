@@ -34,10 +34,8 @@ from .lattice import (
     verify_geometry,
 )
 from .dynamics import (
-    SpinState,
     DecoherenceModel,
     ObservableSeries,
-    evolve_ising,
     scan_evolution,
 )
 from .stochastic import (
@@ -79,10 +77,8 @@ __all__ = [
     "honeycomb_mask",
     "kagome_mask",
     "verify_geometry",
-    "SpinState",
     "DecoherenceModel",
     "ObservableSeries",
-    "evolve_ising",
     "scan_evolution",
     "ShelvingProcess",
     "DeshelvingModel",

@@ -32,7 +32,7 @@ import scipy
 import yaml
 
 from . import __version__
-from .constants import PhysicalConstants
+from .constants import ATOMIC_MASS, PhysicalConstants
 from .coupling import (
     InteractionGraph,
     RamanDrive,
@@ -197,7 +197,8 @@ def _check_finite(node, where: str = "$"):
 
 def _cross_validate(raw: dict):
     """The rules the schema cannot state: finite numbers, the sizes that must
-    match n_ions, and a drive direction that can be normalized."""
+    match n_ions, an ion mass in kg that is a normal float, and a drive
+    direction that can be normalized."""
     _check_finite(raw)
     if raw["kind"] != "ising":
         return
@@ -216,6 +217,12 @@ def _cross_validate(raw: dict):
     if max(pair, default=-1) >= n:
         raise ScenarioError(
             f"$.drive.calibration.pair: invalid pair {pair} for n_ions={n}")
+    # the crystal's length scale divides by the ion mass in kg
+    mass_u = raw.get("ion_mass_u")
+    if mass_u is not None and mass_u * ATOMIC_MASS < sys.float_info.min:
+        raise ScenarioError(
+            "$.ion_mass_u: its value in kg underflows to a subnormal float or "
+            "0, so no crystal can be solved")
     # the direction is divided by its norm, which needs a normal squared norm
     squared = sum(x * x for x in raw["drive"].get("direction", [1.0]))
     if not sys.float_info.min <= squared <= sys.float_info.max:
@@ -329,10 +336,7 @@ def build_ising_context(scenario: Scenario) -> IsingContext:
 
     with _stage("coupling"):
         drive_raw = raw["drive"]
-        if "delta_k_rad_per_m" in drive_raw:
-            delta_k = drive_raw["delta_k_rad_per_m"]
-        else:
-            delta_k = perpendicular_delta_k(drive_raw.get("wavelength_m", 355e-9))
+        delta_k = perpendicular_delta_k(drive_raw.get("wavelength_m", 355e-9))
         direction = np.asarray(drive_raw.get("direction", [1.0, 0.0, 0.0]),
                                dtype=float)
         direction = direction / np.linalg.norm(direction)

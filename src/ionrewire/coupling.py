@@ -121,20 +121,6 @@ class InteractionGraph:
     def n_spins(self) -> int:
         return int(self.survivors.size)
 
-    @classmethod
-    def uniform(cls, n: int, strength: float) -> "InteractionGraph":
-        j = np.full((n, n), float(strength))
-        np.fill_diagonal(j, 0.0)
-        return cls(survivors=np.arange(n), couplings=j)
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: dict) -> "InteractionGraph":
-        """Build from {(i, j): value} with i < j; missing pairs are zero."""
-        j = np.zeros((n, n))
-        for (a, b), value in pairs.items():
-            j[a, b] = j[b, a] = float(value)
-        return cls(survivors=np.arange(n), couplings=j)
-
 
 def recoil_frequency(drive: RamanDrive, constants: PhysicalConstants) -> float:
     """R = hbar dk^2 / (2 m) in rad/s."""

@@ -13,15 +13,15 @@ states with s_(n-1) = +1:
 - the last butterfly stage takes the top index bit, so it adds u to +-u: each
   output is u + u on an even number of up spins and +0 on an odd number;
 - so the half-length transform, doubled, gives every even-parity outcome.
-The dephased rows are real. Numpy divides a complex number by a real one as
-a multiplication by its reciprocal, so they are multiplied by 1 / sqrt(2^n),
-which keeps the bits of the complex rows they replace. evolve_ising takes any
-SpinState and transforms all 2^n entries; it is the oracle for the tests.
+_even_parity runs that sequence for both: rows times 1 / sqrt(2^n), the
+transform, u + u, times 1 / sqrt(2^n) again. Numpy divides a complex number
+by a real one as a multiplication by its reciprocal, so the multiply keeps
+the bits of a division by sqrt(2^n).
 
 One kernel, _walsh_hadamard, transforms the rows of a block of time points
-(evolve_ising, scan_evolution) or energy levels (dephased_limit). A block of
-at most 128 KiB (BLOCK_ELEMENTS = 2^13 complex or 2^14 real entries, and a
-work buffer as big) stays in cache; on a 2-core x86 host it beat 2^12 (more
+(scan_evolution) or energy levels (dephased_limit). A block of at most
+128 KiB (BLOCK_ELEMENTS = 2^13 complex or 2^14 real entries, and a work
+buffer as big) stays in cache; on a 2-core x86 host it beat 2^12 (more
 numpy calls per row) and 2^14 (30% slower at n = 12) in total
 scan_evolution time over n = 9-14.
 
@@ -73,47 +73,15 @@ def outcome_index(label: str) -> int:
 
 
 @dataclass(frozen=True)
-class SpinState:
-    """Pure state over 2^n z-basis amplitudes, normalized to 1e-12."""
-
-    n_spins: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n_spins,):
-            raise ValueError("amplitude vector length must be 2**n_spins")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm!r} is not 1 within 1e-12")
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def all_down(cls, n_spins: int) -> "SpinState":
-        amps = np.zeros(2**n_spins, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_spins=n_spins, amplitudes=amps)
-
-    @classmethod
-    def from_bits(cls, bits: str) -> "SpinState":
-        """Product state of an outcome label (see outcome_label)."""
-        amps = np.zeros(2**len(bits), dtype=complex)
-        amps[outcome_index(bits)] = 1.0
-        return cls(n_spins=len(bits), amplitudes=amps)
-
-
-@dataclass(frozen=True)
 class DecoherenceModel:
-    """Exponential contrast envelope with time constant tau_d (seconds).
+    """Exponential contrast envelope with a finite time constant tau_d
+    (seconds); an undamped evolution takes no model."""
 
-    tau_d = inf disables damping.
-    """
-
-    tau_d: float = math.inf
+    tau_d: float
 
     def __post_init__(self):
-        if not self.tau_d > 0:
-            raise ValueError("tau_d must be positive (or inf to disable)")
+        if not 0.0 < self.tau_d < math.inf:
+            raise ValueError("tau_d must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -212,20 +180,13 @@ def _check_cap(n: int) -> None:
             f"{n} spins exceeds the exact-evolution cap of {SIZE_CAP}")
 
 
-def evolve_ising(graph: InteractionGraph, t: float, initial: SpinState) -> SpinState:
-    """Exact |psi(t)> = exp(-iHt) |psi(0)> for the graph's Ising couplings."""
-    n = graph.n_spins
-    _check_cap(n)
-    if initial.n_spins != n:
-        raise ValueError(
-            f"state has {initial.n_spins} spins, graph has {n} survivors")
-    norm = math.sqrt(2**n)
-    psi_x = np.divide(_walsh_hadamard(initial.amplitudes[None, :].copy()), norm)
-    energies, level = np.unique(ising_energies(graph.couplings),
-                                return_inverse=True)
-    phases = np.exp(-1j * np.array([[t]], dtype=float) * energies)[:, level]
-    amps = np.divide(_walsh_hadamard(np.multiply(psi_x, phases, out=phases)), norm)
-    return SpinState(n_spins=n, amplitudes=amps[0])
+def _even_parity(rows: np.ndarray, n: int) -> np.ndarray:
+    """Amplitudes of the even-parity outcomes, in _even_columns(n) order, of
+    x-basis rows over the 2^(n-1) states with s_(n-1) = +1: the rows, scaled
+    in place by 1 / sqrt(2^n), transformed, doubled and scaled again."""
+    scale = 1.0 / math.sqrt(2**n)
+    u = _walsh_hadamard(np.multiply(scale, rows, out=rows))
+    return np.multiply(np.add(u, u, out=u), scale, out=u)
 
 
 def dephased_limit(graph: InteractionGraph) -> np.ndarray:
@@ -254,11 +215,8 @@ def dephased_limit(graph: InteractionGraph) -> np.ndarray:
         rows = min(step, keys.size - first)
         cols = np.flatnonzero((level >= first) & (level < first + rows))
         block = np.zeros((rows, half))
-        block[level[cols] - first, cols] = 1.0 / math.sqrt(2**n)
-        u = _walsh_hadamard(block)
-        # a multiply, not a divide: the bits of numpy's complex / real
-        np.multiply(np.add(u, u, out=u), 1.0 / math.sqrt(2**n), out=u)
-        for row in np.abs(u) ** 2:
+        block[level[cols] - first, cols] = 1.0
+        for row in np.abs(_even_parity(block, n)) ** 2:
             limit += row
     full = np.zeros(2**n)
     full[_even_columns(n)] = limit
@@ -279,10 +237,8 @@ def _coherent_scan(couplings: np.ndarray, times: np.ndarray) -> np.ndarray:
     for first in range(0, times.size, step):
         block = times[first:first + step, None]
         phases = np.exp(-1j * block * energies)[:, level]
-        u = _walsh_hadamard(np.multiply(1.0 / math.sqrt(2**n), phases, out=phases))
-        amps = np.divide(np.add(u, u, out=u), math.sqrt(2**n), out=u)
         p = probs[first:first + step]
-        p[:, _even_columns(n)] = np.square(np.abs(amps))
+        p[:, _even_columns(n)] = np.square(np.abs(_even_parity(phases, n)))
         p /= p.sum(axis=1, keepdims=True)
     return probs
 
@@ -291,8 +247,8 @@ def scan_evolution(graph: InteractionGraph, times,
                    model: DecoherenceModel | None = None) -> ObservableSeries:
     """Outcome probabilities from all spins down over a time grid.
 
-    Each row is bit-identical to evolve_ising from SpinState.all_down at its
-    time. With a finite model.tau_d each row is damped toward the dephased
+    Each row has the bits of the full 2^n-entry transform of the all-down
+    state at its time. With a model each row is damped toward the dephased
     limit:
 
         p(t) -> p_inf + (p(t) - p_inf) exp(-t / tau_d)
@@ -303,7 +259,7 @@ def scan_evolution(graph: InteractionGraph, times,
     # no spins: the one, empty outcome is certain
     probs = (_coherent_scan(graph.couplings, times) if n
              else np.ones((times.size, 1)))
-    if model is not None and math.isfinite(model.tau_d):
+    if model is not None:
         p_inf = dephased_limit(graph)
         probs = p_inf + (probs - p_inf) * np.exp(-times / model.tau_d)[:, None]
     return ObservableSeries(n_spins=n, times=times, probabilities=probs)

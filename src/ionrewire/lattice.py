@@ -44,11 +44,6 @@ class ShelveMask:
     def all_qubits(cls, n: int) -> "ShelveMask":
         return cls((False,) * n)
 
-    @classmethod
-    def shelve(cls, n: int, indices) -> "ShelveMask":
-        chosen = set(indices)
-        return cls(tuple(i in chosen for i in range(n)))
-
     def to_string(self) -> str:
         return "".join(SHELVED if s else QUBIT for s in self.shelved)
 
@@ -58,10 +53,6 @@ class ShelveMask:
     @property
     def survivors(self) -> np.ndarray:
         return np.array([i for i, s in enumerate(self.shelved) if not s], dtype=int)
-
-    @property
-    def shelved_indices(self) -> np.ndarray:
-        return np.array([i for i, s in enumerate(self.shelved) if s], dtype=int)
 
 
 @dataclass(frozen=True)

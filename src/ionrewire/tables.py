@@ -518,6 +518,7 @@ def _write_rows(out, rows: Table, fmt: str, pre: list):
             return
         if all(np.isfinite(column).all() for column in rows.columns):
             renderer = _Renderer(rows, pre)
+            del pre  # the renderer holds its own copy
             for block in renderer.blocks(len(rows)):
                 out.write(memoryview(renderer.render(*block))[skip:])
                 skip = 0

@@ -2,16 +2,92 @@
 
 None of these runs in the pipeline: each states a result the long way
 (full-size matrices, explicit loops) so that the fast library code has an
-independent oracle.
+independent oracle. evolve_ising evolves any SpinState over all 2^n entries;
+scan_evolution, which starts from all spins down and transforms the
+even-parity half, is checked bit for bit against it.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ionrewire.dynamics import SpinState, scan_evolution
+from ionrewire.coupling import InteractionGraph
+from ionrewire.dynamics import (
+    _check_cap,
+    _walsh_hadamard,
+    ising_energies,
+    outcome_index,
+    scan_evolution,
+)
 from ionrewire.lattice import ShelveMask, apply_mask
 from ionrewire.stochastic import ShelvingProcess
+
+
+def graph_of(j) -> InteractionGraph:
+    """Graph over ions 0..n-1 with the (n, n) coupling matrix j."""
+    return InteractionGraph(survivors=np.arange(j.shape[0]), couplings=j)
+
+
+def uniform_graph(n: int, strength: float) -> InteractionGraph:
+    """Every pair of n ions coupled at `strength`."""
+    j = np.full((n, n), float(strength))
+    np.fill_diagonal(j, 0.0)
+    return graph_of(j)
+
+
+def graph_of_pairs(n: int, pairs: dict) -> InteractionGraph:
+    """Graph from {(i, j): value} with i < j; missing pairs are zero."""
+    j = np.zeros((n, n))
+    for (a, b), value in pairs.items():
+        j[a, b] = j[b, a] = float(value)
+    return graph_of(j)
+
+
+@dataclass(frozen=True)
+class SpinState:
+    """Pure state over 2^n z-basis amplitudes, normalized to 1e-12."""
+
+    n_spins: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if amps.shape != (2**self.n_spins,):
+            raise ValueError("amplitude vector length must be 2**n_spins")
+        norm = np.linalg.norm(amps)
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError(f"state norm {norm!r} is not 1 within 1e-12")
+        object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def all_down(cls, n_spins: int) -> "SpinState":
+        amps = np.zeros(2**n_spins, dtype=complex)
+        amps[0] = 1.0
+        return cls(n_spins=n_spins, amplitudes=amps)
+
+    @classmethod
+    def from_bits(cls, bits: str) -> "SpinState":
+        """Product state of an outcome label (see outcome_label)."""
+        amps = np.zeros(2**len(bits), dtype=complex)
+        amps[outcome_index(bits)] = 1.0
+        return cls(n_spins=len(bits), amplitudes=amps)
+
+
+def evolve_ising(graph: InteractionGraph, t: float, initial: SpinState) -> SpinState:
+    """Exact |psi(t)> = exp(-iHt) |psi(0)> for the graph's Ising couplings."""
+    n = graph.n_spins
+    _check_cap(n)
+    if initial.n_spins != n:
+        raise ValueError(
+            f"state has {initial.n_spins} spins, graph has {n} survivors")
+    norm = math.sqrt(2**n)
+    psi_x = np.divide(_walsh_hadamard(initial.amplitudes[None, :].copy()), norm)
+    energies, level = np.unique(ising_energies(graph.couplings),
+                                return_inverse=True)
+    phases = np.exp(-1j * np.array([[t]], dtype=float) * energies)[:, level]
+    amps = np.divide(_walsh_hadamard(np.multiply(psi_x, phases, out=phases)), norm)
+    return SpinState(n_spins=n, amplitudes=amps[0])
 
 
 def pair_geometry(pos: np.ndarray):
@@ -123,7 +199,7 @@ def reference_protocol(coupling, beam_time, times, measurement, seed,
             if returns is not None:
                 p_return = 1.0 - math.exp(-t / deshelving.tau_g(drive_rabi))
                 returned = returns[r] < p_return
-                intact = not returned[mask.shelved_indices].any()
+                intact = not returned[np.flatnonzero(mask.shelved)].any()
             rows.append((config, outcome, intact))
     return rows
 
@@ -138,7 +214,7 @@ def reference_shelving_decay(n_ions, times, process, shots, seed) -> list:
     for ti, t in enumerate(times):
         masks = [shelve_by(uniforms[ti * shots + s], float(t), process)
                  for s in range(shots)]
-        counts.append(sum(n_ions - m.shelved_indices.size for m in masks))
+        counts.append(sum(n_ions - sum(m.shelved) for m in masks))
     return counts
 
 
@@ -171,7 +247,7 @@ def mask_union(first: ShelveMask, second: ShelveMask) -> ShelveMask:
 def zero_shelved_couplings(j: np.ndarray, mask: ShelveMask) -> np.ndarray:
     """Full-size coupling matrix with every coupling to a shelved ion zeroed."""
     out = np.asarray(j, dtype=float).copy()
-    idx = mask.shelved_indices
+    idx = np.flatnonzero(mask.shelved)
     out[idx, :] = 0.0
     out[:, idx] = 0.0
     return out

@@ -26,18 +26,11 @@ from ionrewire import (
 )
 from ionrewire.cli import BUNDLED_SCENARIOS, load_scenario, run_command
 from ionrewire.coupling import (
-    InteractionGraph,
     RamanDrive,
     calibrate_detuning,
     coupling_matrix,
 )
-from ionrewire.dynamics import (
-    DecoherenceModel,
-    SpinState,
-    dephased_limit,
-    evolve_ising,
-    scan_evolution,
-)
+from ionrewire.dynamics import DecoherenceModel, dephased_limit, scan_evolution
 from ionrewire.estimator import fit_exponential, fit_pair_coupling, fit_power_law
 from ionrewire.lattice import (
     ShelveMask,
@@ -55,9 +48,14 @@ from ionrewire.stochastic import (
     sample_shelving_decay,
 )
 from oracles import (
+    SpinState,
     embed_survivor_state,
+    evolve_ising,
+    graph_of,
+    graph_of_pairs,
     populations,
     survivor_marginal,
+    uniform_graph,
     zero_shelved_couplings,
 )
 
@@ -65,10 +63,6 @@ TWO_PI = 2 * np.pi
 CONSTANTS = PhysicalConstants()
 TRAP = TrapConfig.from_hz(0.978e6, 1.748e6, 1.798e6)
 XHAT = np.array([1.0, 0.0, 0.0])
-
-
-def graph_of(j):
-    return InteractionGraph(survivors=np.arange(j.shape[0]), couplings=j)
 
 
 def test_criterion_1_two_ion_dynamics():
@@ -155,7 +149,7 @@ def test_criterion_3_three_ion_reconstruction():
     start = time.perf_counter()
     planted = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
                (1, 2): TWO_PI * 480.0}
-    coupling = InteractionGraph.from_pairs(3, planted)
+    coupling = graph_of_pairs(3, planted)
     times = np.linspace(0.0, 3e-3, 41)
     model = DecoherenceModel(tau_d=5.5e-3)
     shots = 120
@@ -182,7 +176,7 @@ def test_criterion_3_three_ion_reconstruction():
 
     # re-inserted fitted couplings reproduce the three-spin distribution
     full = apply_mask(coupling, ShelveMask.all_qubits(3))
-    refit = apply_mask(InteractionGraph.from_pairs(3, first_fits),
+    refit = apply_mask(graph_of_pairs(3, first_fits),
                        ShelveMask.all_qubits(3))
     p_planted = scan_evolution(full, times).probabilities
     p_fitted = scan_evolution(refit, times).probabilities
@@ -220,11 +214,16 @@ def test_criterion_4_exact_evolution_oracle():
                 for op in reversed(ops[:-1]):
                     term = np.kron(term, op)
                 h = h + j[a, b] * term
-        oracle = scipy.linalg.expm(-1j * t * h) @ amps
+        propagator = scipy.linalg.expm(-1j * t * h)
+        oracle = propagator @ amps
 
         fast = evolve_ising(graph_of(j), t,
                             SpinState(n_spins=n, amplitudes=amps)).amplitudes
         worst = max(worst, float(np.max(np.abs(fast - oracle))))
+        # the library's path: from all spins down, the even-parity half only
+        scanned = scan_evolution(graph_of(j), [t]).probabilities[0]
+        worst = max(worst, float(np.max(np.abs(
+            scanned - np.abs(propagator[:, 0]) ** 2))))
     assert worst <= 1e-10
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -305,7 +304,7 @@ def test_criterion_7_shelving_statistics():
     # configuration frequencies at p = 1/2, n = 3, over 1e5 shots
     beam_time = 55e-3 * math.log(2.0)
     samples = 100_000
-    result = run_protocol(InteractionGraph.uniform(3, TWO_PI * 450.0),
+    result = run_protocol(uniform_graph(3, TWO_PI * 450.0),
                           beam_time=beam_time, times=np.array([0.0]),
                           shelving=process,
                           measurement=MeasurementModel(shots=samples,

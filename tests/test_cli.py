@@ -108,6 +108,17 @@ class TestValidation:
         assert "not applicable" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # 1e-300 u is 0 kg in float64, and 1e-290 u a subnormal number of kg
+    @pytest.mark.parametrize("mass_u", [1e-300, 1e-290])
+    def test_underflowing_ion_mass_rejected(self, tmp_path, capsys, mass_u):
+        path = write_scenario(tmp_path, dict(MINI_SCENARIO, ion_mass_u=mass_u))
+        out = tmp_path / "out"
+        assert run_cli("all", "--scenario", path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "$.ion_mass_u" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_zero_drive_direction_rejected(self, tmp_path, capsys):
         drive = dict(MINI_SCENARIO["drive"], direction=[0.0, 0.0, 0.0])
         path = write_scenario(tmp_path, dict(MINI_SCENARIO, drive=drive))
@@ -594,6 +605,8 @@ RULE_CASES = [
     (SCAN_SCENARIO, {"scan.rabi_freqs_hz": [76e3, 152e3]},
      "$.scan.rabi_freqs_hz"),
     (MINI_SCENARIO, {"drive.direction": [0.0, 0.0, 0.0]}, "$.drive.direction"),
+    # the drive's wavelength_m is the one spelling of its wave vector
+    (MINI_SCENARIO, {"drive.delta_k_rad_per_m": 2.5e7}, "$.drive"),
     # a zero drive calibrates nothing and returns no shelved ion
     (MINI_SCENARIO, {"drive.rabi_freq_hz": 0.0, "mask": {"beam_time_s": 0.02}},
      "$.drive.rabi_freq_hz"),

@@ -209,11 +209,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             InteractionGraph(survivors=[0, 1], couplings=j)
 
-    def test_from_pairs(self):
-        m = InteractionGraph.from_pairs(3, {(0, 1): 2.0, (1, 2): 3.0})
-        assert (m.couplings[1, 0] == 2.0 and m.couplings[2, 1] == 3.0
-                and m.couplings[0, 2] == 0.0)
-
     def test_negative_rabi_rejected(self):
         with pytest.raises(ValueError):
             RamanDrive(rabi_frequency=-1.0, delta_k_magnitude=1.0, detuning=0.0)

@@ -1,7 +1,9 @@
 import ast
 import itertools
 import math
+import re
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +31,7 @@ from ionrewire.stochastic import (
 
 TWO_PI = 2 * np.pi
 SOURCE = Path(stochastic.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestShelfSurvival:
@@ -81,7 +84,7 @@ class TestSampleShelving:
         shelf_counts = np.zeros(4, dtype=int)
         for _ in range(samples):
             mask = oracles.sample_shelving(3, beam_time, process, rng)
-            shelf_counts[len(mask.shelved_indices)] += 1
+            shelf_counts[sum(mask.shelved)] += 1
         expected = samples * np.array([1, 3, 3, 1]) / 8.0
         sigma = np.sqrt(samples * (np.array([1, 3, 3, 1]) / 8.0)
                         * (1 - np.array([1, 3, 3, 1]) / 8.0))
@@ -133,7 +136,7 @@ class TestBlockSamplers:
     def test_protocol_matches_per_shot_reference(self, spam, deshelve):
         pairs = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
                  (1, 2): TWO_PI * 480.0}
-        coupling = InteractionGraph.from_pairs(3, pairs)
+        coupling = oracles.graph_of_pairs(3, pairs)
         times = np.linspace(0.0, 1e-3, 5)
         measurement = MeasurementModel(shots=60, spam_error=spam)
         deshelving = DeshelvingModel(reference_tau=2e-3) if deshelve else None
@@ -185,12 +188,12 @@ class TestBlockSamplers:
 
 
 def uniform_triangle_coupling(j=TWO_PI * 450.0):
-    return InteractionGraph.uniform(3, j)
+    return oracles.uniform_graph(3, j)
 
 
 class TestProtocol:
     def test_no_shelving_single_group_matches_dynamics(self):
-        coupling = InteractionGraph.uniform(2, TWO_PI * 750.0)
+        coupling = oracles.uniform_graph(2, TWO_PI * 750.0)
         times = np.array([0.4e-3])
         shots = 100_000
         result = run_protocol(coupling, beam_time=0.0, times=times,
@@ -214,7 +217,7 @@ class TestProtocol:
     def test_groups_come_in_label_order(self, n):
         # past 8 ions a configuration packs into two bytes, and the sampled
         # configurations include some that share their first byte
-        result = run_protocol(InteractionGraph.uniform(n, TWO_PI * 450.0),
+        result = run_protocol(oracles.uniform_graph(n, TWO_PI * 450.0),
                               beam_time=38e-3, times=np.array([0.0, 1e-3]),
                               shelving=ShelvingProcess(),
                               measurement=MeasurementModel(shots=200),
@@ -285,7 +288,7 @@ class TestProtocol:
     def test_deshelving_changes_only_which_shots_are_intact(self):
         pairs = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
                  (1, 2): TWO_PI * 480.0}
-        coupling = InteractionGraph.from_pairs(3, pairs)
+        coupling = oracles.graph_of_pairs(3, pairs)
         kwargs = dict(beam_time=40e-3, times=np.linspace(0.0, 1e-3, 5),
                       shelving=ShelvingProcess(),
                       measurement=MeasurementModel(shots=60, spam_error=0.3),
@@ -320,7 +323,7 @@ class TestProtocol:
     def test_group_survivors_keep_the_graph_labels(self):
         pairs = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
                  (1, 2): TWO_PI * 480.0}
-        graph = apply_mask(InteractionGraph.from_pairs(3, pairs),
+        graph = apply_mask(oracles.graph_of_pairs(3, pairs),
                            group_mask("SQQ"))
         result = run_protocol(graph, beam_time=28e-3, times=np.array([1e-3]),
                               shelving=ShelvingProcess(),
@@ -341,7 +344,7 @@ class TestProtocol:
     def test_single_shelved_group_shows_pair_oscillation(self):
         pairs = {(0, 1): TWO_PI * 460.0, (0, 2): TWO_PI * 430.0,
                  (1, 2): TWO_PI * 480.0}
-        coupling = InteractionGraph.from_pairs(3, pairs)
+        coupling = oracles.graph_of_pairs(3, pairs)
         j12 = pairs[(0, 1)]
         times = np.array([0.2e-3, 0.5e-3, 0.9e-3])
         shots = 4000
@@ -396,7 +399,7 @@ class TestEvolvedSeries:
     @pytest.mark.parametrize("deshelve", [False, True])
     def test_reused_series_gives_the_same_shots(self, monkeypatch,
                                                 decoherence, deshelve):
-        graph = InteractionGraph.from_pairs(3, self.PAIRS)
+        graph = oracles.graph_of_pairs(3, self.PAIRS)
         kwargs = dict(decoherence=decoherence)
         if deshelve:
             kwargs.update(deshelving=DeshelvingModel(reference_tau=2e-3),
@@ -428,7 +431,7 @@ class TestEvolvedSeries:
 
     @pytest.mark.parametrize("mismatch", ["times", "spins"])
     def test_mismatched_series_rejected(self, mismatch):
-        graph = InteractionGraph.from_pairs(3, self.PAIRS)
+        graph = oracles.graph_of_pairs(3, self.PAIRS)
         if mismatch == "times":
             evolved = scan_evolution(graph, self.TIMES[:-1])
         else:
@@ -531,9 +534,9 @@ def takes_a_start_state(arg):
                                     "SpinState" in ast.unparse(arg.annotation))
 
 
-def test_only_evolve_ising_takes_a_start_state():
-    # scan_evolution, dephased_limit and every caller start from all spins
-    # down; evolve_ising keeps general states as the oracle of the tests
+def test_no_function_takes_a_start_state():
+    # every evolution in the pipeline starts from all spins down; the
+    # general-state evolver is the tests' oracle (oracles.evolve_ising)
     takers = set()
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -545,7 +548,7 @@ def test_only_evolve_ising_takes_a_start_state():
                     *filter(None, (params.vararg, params.kwarg))]
             if any(takes_a_start_state(arg) for arg in args):
                 takers.add((path.name, getattr(node, "name", "<lambda>")))
-    assert takers == {("dynamics.py", "evolve_ising")}
+    assert takers == set()
 
 
 def is_private(name):
@@ -567,3 +570,38 @@ def test_no_module_imports_another_packages_private_module():
             else:
                 continue
             assert not any(map(is_private, names)), f"{where}: {names}"
+
+
+def name_uses(node) -> Counter:
+    """How often each name appears under node, as a Name or an attribute."""
+    return Counter(item.id if isinstance(item, ast.Name) else item.attr
+                   for item in ast.walk(node)
+                   if isinstance(item, (ast.Name, ast.Attribute)))
+
+
+def test_public_api_is_used_by_the_package_or_the_quick_start():
+    # a public function, class or method that only the tests call belongs in
+    # tests/oracles.py; the re-exports of __init__.py are not uses
+    trees = [ast.parse(path.read_text()) for path in sorted(SOURCE.glob("*.py"))
+             if path.name != "__init__.py"]
+    uses = sum(map(name_uses, trees), Counter())
+    quick_start = README.read_text().split("## Library quick start", 1)[1]
+    shown = name_uses(ast.parse(
+        re.search(r"```python\n(.*?)```", quick_start, re.S).group(1)))
+    unused = []
+    for tree in trees:
+        for top in tree.body:
+            if (not isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    or top.name.startswith("_")):
+                continue
+            members = [(top.name, top)]
+            if isinstance(top, ast.ClassDef):
+                members += [(f"{top.name}.{item.name}", item)
+                            for item in top.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")]
+            for qualname, node in members:
+                outside = uses[node.name] - name_uses(node)[node.name]
+                if not outside and not shown[node.name]:
+                    unused.append(qualname)
+    assert not unused, f"used by neither src/ nor the quick start: {unused}"
