@@ -21,19 +21,20 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
 from importlib import metadata, resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
-from .constants import ATOMIC_MASS, PhysicalConstants
+from .constants import ATOMIC_MASS, YB171_MASS_U, PhysicalConstants
 from .coupling import (
+    WAVELENGTH,
+    X_DIRECTION,
     InteractionGraph,
     RamanDrive,
     calibrate_detuning,
@@ -67,6 +68,8 @@ from .lattice import (
     verify_geometry,
 )
 from .stochastic import (
+    SPAM_ERROR,
+    TAU_SHELVE,
     DeshelvingModel,
     MeasurementModel,
     ProtocolResult,
@@ -141,7 +144,8 @@ class Scenario:
         return int(self.raw["seed"])
 
     def constants(self) -> PhysicalConstants:
-        return PhysicalConstants.for_mass_u(self.raw.get("ion_mass_u", 171.0))
+        mass_u = self.raw.get("ion_mass_u", YB171_MASS_U)
+        return PhysicalConstants.for_mass_u(mass_u)
 
     def trap(self) -> TrapConfig:
         t = self.raw["trap"]
@@ -158,12 +162,12 @@ class Scenario:
         return next(iter(self.raw["mask"].items()))
 
     def decoherence(self) -> DecoherenceModel | None:
-        tau = self.raw.get("decoherence", {}).get("tau_d_s")
-        return None if tau is None else DecoherenceModel(tau_d=tau)
+        d = self.raw.get("decoherence")
+        return None if d is None else DecoherenceModel(tau_d=d["tau_d_s"])
 
     def shelving(self) -> ShelvingProcess:
-        return ShelvingProcess(
-            tau_shelve=self.raw.get("shelving", {}).get("tau_shelve_s", 55e-3))
+        s = self.raw.get("shelving", {})
+        return ShelvingProcess(tau_shelve=s.get("tau_shelve_s", TAU_SHELVE))
 
     def deshelving(self) -> DeshelvingModel | None:
         d = self.raw.get("deshelving", {})
@@ -177,7 +181,7 @@ class Scenario:
     def measurement(self) -> MeasurementModel:
         m = self.raw.get("measurement", {})
         return MeasurementModel(shots=m.get("shots", 100),
-                                spam_error=m.get("spam_error", 0.04))
+                                spam_error=m.get("spam_error", SPAM_ERROR))
 
     def fit_kind(self) -> str:
         defaults = {"ising": "pair_couplings", "shelving_decay": "exponential",
@@ -224,7 +228,7 @@ def _cross_validate(raw: dict):
             "$.ion_mass_u: its value in kg underflows to a subnormal float or "
             "0, so no crystal can be solved")
     # the direction is divided by its norm, which needs a normal squared norm
-    squared = sum(x * x for x in raw["drive"].get("direction", [1.0]))
+    squared = sum(x * x for x in raw["drive"].get("direction", X_DIRECTION))
     if not sys.float_info.min <= squared <= sys.float_info.max:
         raise ScenarioError(
             "$.drive.direction: its squared norm under- or overflows, so it "
@@ -287,13 +291,13 @@ class IsingContext:
     crystal: object | None
     modes: object | None
     array: object | None
-    coupling: InteractionGraph   # every ion
-    graph: InteractionGraph      # apply_mask(coupling, mask)
+    coupling: InteractionGraph | None   # every ion; None for crystal stages
+    graph: InteractionGraph | None      # apply_mask(coupling, mask)
     drive: RamanDrive | None
-    mask: ShelveMask             # all qubits for the probabilistic source
+    mask: ShelveMask | None      # all qubits for the probabilistic source
     beam_time: float             # 0 unless the source is beam_time_s
-    series: ObservableSeries | None = None
-    result: ProtocolResult | None = None
+    series: ObservableSeries | None = field(default=None, init=False)
+    result: ProtocolResult | None = field(default=None, init=False)
 
 
 @contextmanager
@@ -308,7 +312,7 @@ def _stage(name):
         raise PipelineError(name, err) from err
 
 
-def build_ising_context(scenario: Scenario) -> IsingContext:
+def build_ising_context(scenario: Scenario, command: str) -> IsingContext:
     raw = scenario.raw
     constants = scenario.constants()
     key, value = scenario.mask_source()
@@ -333,11 +337,15 @@ def build_ising_context(scenario: Scenario) -> IsingContext:
         trap = scenario.trap()
         crystal = solve_equilibrium(constants, trap, n, seed=scenario.seed)
         modes = compute_normal_modes(constants, trap, crystal)
+    if command in ("solve-crystal", "modes"):  # they read no drive
+        return IsingContext(scenario=scenario, crystal=crystal, modes=modes,
+                            array=None, coupling=None, graph=None, drive=None,
+                            mask=None, beam_time=0.0)
 
     with _stage("coupling"):
         drive_raw = raw["drive"]
-        delta_k = perpendicular_delta_k(drive_raw.get("wavelength_m", 355e-9))
-        direction = np.asarray(drive_raw.get("direction", [1.0, 0.0, 0.0]),
+        delta_k = perpendicular_delta_k(drive_raw.get("wavelength_m", WAVELENGTH))
+        direction = np.asarray(drive_raw.get("direction", X_DIRECTION),
                                dtype=float)
         direction = direction / np.linalg.norm(direction)
         drive = RamanDrive(rabi_frequency=TWO_PI * drive_raw["rabi_freq_hz"],
@@ -614,7 +622,7 @@ def _versions() -> dict:
         "numpy": np.__version__,
         "python": sys.version.split()[0],
         "pyyaml": yaml.__version__,
-        "scipy": scipy.__version__,
+        "scipy": metadata.version("scipy"),
     }
 
 
@@ -670,9 +678,9 @@ def _run_ising(command: str, ctx: IsingContext, out_dir: Path,
     else:
         walk = [command]
     outputs = []
-    survivors = ctx.graph.n_spins
     for stage in walk:
-        if command == "all" and stage == "simulate" and survivors > SIZE_CAP:
+        if command == "all" and stage == "simulate" and (
+                survivors := ctx.graph.n_spins) > SIZE_CAP:
             skipped = "dynamics, stochastic" + (", estimator" if fit else "")
             print(f"skipped stages {skipped}: {survivors} survivors exceed the "
                   f"exact-evolution cap of {SIZE_CAP}", file=sys.stderr)
@@ -703,7 +711,8 @@ def run_command(command: str, scenario: Scenario, out_dir: Path,
     elif kind == "deshelving_scan":
         outputs = _run_deshelving_scan(scenario, out_dir, fmt)
     else:
-        outputs = _run_ising(command, build_ising_context(scenario), out_dir, fmt)
+        outputs = _run_ising(command, build_ising_context(scenario, command),
+                             out_dir, fmt)
     if command == "all":
         with _stage("manifest"):
             outputs.append(_write_manifest(scenario, out_dir, outputs))

@@ -11,25 +11,21 @@ ELEMENTARY_CHARGE = 1.602176634e-19       # C, exact
 VACUUM_PERMITTIVITY = 8.8541878188e-12    # F/m
 REDUCED_PLANCK = 1.0545718176461565e-34   # J s, h / 2 pi with h exact
 ATOMIC_MASS = 1.66053906892e-27           # kg
+YB171_MASS_U = 171.0                      # u, the ion of the paper's protocol
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Charge, permittivity, hbar and ion mass, all in SI units.
+    """Mass in kg of a singly charged ion, Yb-171 by default.
 
-    Defaults describe a singly charged ion of mass 171 u (Yb-171).
+    Charge, permittivity and hbar are the module constants above.
     """
 
-    elementary_charge: float = ELEMENTARY_CHARGE
-    vacuum_permittivity: float = VACUUM_PERMITTIVITY
-    reduced_planck: float = REDUCED_PLANCK
-    ion_mass: float = 171.0 * ATOMIC_MASS
+    ion_mass: float = YB171_MASS_U * ATOMIC_MASS
 
     def __post_init__(self):
-        for name in ("elementary_charge", "vacuum_permittivity",
-                     "reduced_planck", "ion_mass"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        if not self.ion_mass > 0.0:
+            raise ValueError("ion_mass must be strictly positive")
 
     @classmethod
     def for_mass_u(cls, mass_u: float) -> "PhysicalConstants":

@@ -14,15 +14,17 @@ returns one over the whole crystal, and lattice.apply_mask maps one to the
 graph of the ions a shelving mask leaves.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
 
-from .constants import PhysicalConstants
+from .constants import REDUCED_PLANCK, PhysicalConstants
 from .crystal import NormalModes, project_modes
 
 DEFAULT_GUARD_BAND = 2.0 * np.pi * 100.0
+WAVELENGTH = 355e-9             # m, the paper's Raman beams
+X_DIRECTION = (1.0, 0.0, 0.0)   # their default wave-vector difference
 
 
 class ResonanceError(ValueError):
@@ -37,12 +39,12 @@ class ResonanceError(ValueError):
 class CalibrationError(ValueError):
     """The requested coupling is outside the achievable range."""
 
-    def __init__(self, message, achievable=None):
+    def __init__(self, message, achievable):
         super().__init__(message)
         self.achievable = achievable
 
 
-def perpendicular_delta_k(wavelength: float = 355e-9) -> float:
+def perpendicular_delta_k(wavelength: float) -> float:
     """|dk| for two beams crossing at 90 degrees: sqrt(2) * 2 pi / lambda."""
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
@@ -61,8 +63,7 @@ class RamanDrive:
     rabi_frequency: float
     delta_k_magnitude: float
     detuning: float
-    delta_k_direction: np.ndarray = field(
-        default_factory=lambda: np.array([1.0, 0.0, 0.0]))
+    delta_k_direction: np.ndarray
 
     def __post_init__(self):
         if self.rabi_frequency < 0:
@@ -75,14 +76,11 @@ class RamanDrive:
         object.__setattr__(self, "delta_k_direction", direction)
 
     @classmethod
-    def perpendicular_beams(cls, rabi_frequency, detuning,
-                            wavelength: float = 355e-9,
-                            direction=(1.0, 0.0, 0.0)) -> "RamanDrive":
-        """Default beam geometry: two beams at 90 degrees."""
+    def perpendicular_beams(cls, rabi_frequency, detuning) -> "RamanDrive":
+        """Two WAVELENGTH beams at 90 degrees, dk along X_DIRECTION."""
         return cls(rabi_frequency=rabi_frequency,
-                   delta_k_magnitude=perpendicular_delta_k(wavelength),
-                   detuning=detuning,
-                   delta_k_direction=np.asarray(direction, dtype=float))
+                   delta_k_magnitude=perpendicular_delta_k(WAVELENGTH),
+                   detuning=detuning, delta_k_direction=X_DIRECTION)
 
 
 @dataclass(frozen=True)
@@ -124,7 +122,7 @@ class InteractionGraph:
 
 def recoil_frequency(drive: RamanDrive, constants: PhysicalConstants) -> float:
     """R = hbar dk^2 / (2 m) in rad/s."""
-    return (constants.reduced_planck * drive.delta_k_magnitude**2
+    return (REDUCED_PLANCK * drive.delta_k_magnitude**2
             / (2.0 * constants.ion_mass))
 
 
@@ -168,7 +166,7 @@ def _com_mode_index(proj) -> int:
 
 def calibrate_detuning(modes: NormalModes, drive: RamanDrive,
                        constants: PhysicalConstants, target: float,
-                       pair: tuple, side: str = "above") -> float:
+                       pair: tuple, side: str) -> float:
     """Find the detuning that realizes a target pair coupling.
 
     Searches the window between the center-of-mass mode (along the drive

@@ -43,12 +43,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .constants import PhysicalConstants
+from .constants import ELEMENTARY_CHARGE, VACUUM_PERMITTIVITY, PhysicalConstants
 
 # modes whose frequencies differ by at most this fraction form one cluster
 DEGENERACY_RTOL = 1e-9
 # a mode participates along a direction if some ion's amplitude reaches this
 PARTICIPATION_CUTOFF = 1e-9
+# solve_equilibrium's restarts, BFGS iterations each, dimensionless gradient tol
+RESTARTS = 8
+MAX_ITERATIONS = 2000
+GRADIENT_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -129,8 +133,8 @@ class ModeProjection:
 
 def length_scale(constants: PhysicalConstants, trap: TrapConfig) -> float:
     """Coulomb length l = (e^2 / (4 pi eps0 m wx^2))^(1/3) in meters."""
-    e = constants.elementary_charge
-    coulomb = e * e / (4.0 * np.pi * constants.vacuum_permittivity)
+    coulomb = (ELEMENTARY_CHARGE * ELEMENTARY_CHARGE
+               / (4.0 * np.pi * VACUUM_PERMITTIVITY))
     return (coulomb / (constants.ion_mass * trap.omega_x**2)) ** (1.0 / 3.0)
 
 
@@ -565,14 +569,13 @@ def _canonical_order(pos: np.ndarray) -> np.ndarray:
 
 
 def solve_equilibrium(constants: PhysicalConstants, trap: TrapConfig, n: int,
-                      seed: int, restarts: int = 8, max_iterations: int = 2000,
-                      gradient_tol: float = 1e-10) -> IonCrystal:
+                      seed: int) -> IonCrystal:
     """Find the minimum-energy ion configuration by multi-start minimization.
 
-    Runs `restarts` quasi-Newton searches from seeded random initial
+    Runs RESTARTS quasi-Newton searches from seeded random initial
     configurations, polishes each with Newton steps, and keeps the
     lowest-energy converged result (ties go to the lowest restart index).
-    `gradient_tol` applies to the dimensionless gradient 2-norm.
+    GRADIENT_TOL applies to the dimensionless gradient 2-norm.
 
     Raises ConvergenceError (carrying the best residual force in newtons)
     if no restart converges.
@@ -586,23 +589,21 @@ def solve_equilibrium(constants: PhysicalConstants, trap: TrapConfig, n: int,
 
     rng = np.random.default_rng(seed)
     spread = 0.75 * max(n, 2) ** (1.0 / 3.0)
-    inits = rng.normal(scale=spread, size=(restarts, 3 * n))
+    inits = rng.normal(scale=spread, size=(RESTARTS, 3 * n))
 
     best = None
     best_gnorm = np.inf
     for x0 in inits:
-        x, fun, g, _, _ = _bfgs(x0, alphas, 0.1 * gradient_tol,
-                                max_iterations)
-        u, energy, gnorm = _newton_polish(x, fun, g, alphas,
-                                          0.1 * gradient_tol)
+        x, fun, g, _, _ = _bfgs(x0, alphas, 0.1 * GRADIENT_TOL, MAX_ITERATIONS)
+        u, energy, gnorm = _newton_polish(x, fun, g, alphas, 0.1 * GRADIENT_TOL)
         best_gnorm = min(best_gnorm, gnorm)
-        if gnorm <= gradient_tol and (best is None or energy < best[0]):
+        if gnorm <= GRADIENT_TOL and (best is None or energy < best[0]):
             best = (energy, u)
 
     if best is None:
         raise ConvergenceError(
             f"equilibrium search failed for n={n}: best residual "
-            f"{best_gnorm:.3e} (dimensionless) exceeds {gradient_tol:.1e}",
+            f"{best_gnorm:.3e} (dimensionless) exceeds {GRADIENT_TOL:.1e}",
             best_residual=best_gnorm * force_unit)
 
     energy, u = best

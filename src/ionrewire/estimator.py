@@ -42,27 +42,25 @@ def binomial_sigma(values, shots):
     return np.sqrt(variance)
 
 
-def _clean_series(times, values, shots=None):
+def _clean_series(times, values):
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
     if times.shape != values.shape:
         raise ValueError("times and values must have matching shapes")
     keep = np.isfinite(values)
-    if shots is None:
-        return times[keep], values[keep], None
-    shots_arr = np.broadcast_to(np.asarray(shots, dtype=float), values.shape)
-    return times[keep], values[keep], shots_arr[keep]
+    return times[keep], values[keep], keep
 
 
-def fit_pair_coupling(times, values, shots=None) -> FitResult:
+def fit_pair_coupling(times, values, shots) -> FitResult:
     """Recover (J, tau_d, p_inf) from a P(up,up)-style oscillation.
 
     Needs MIN_PAIR_POINTS strictly increasing points spanning roughly half an
-    oscillation. shots (a scalar or per-point array) switches on
+    oscillation. shots (a scalar or per-point array) sets the
     inverse-binomial-variance weights. Raises FitError for constant series or
     if no start converges.
     """
-    times, values, shots = _clean_series(times, values, shots)
+    times, values, keep = _clean_series(times, values)
+    shots = np.broadcast_to(np.asarray(shots, dtype=float), keep.shape)[keep]
     if times.size < MIN_PAIR_POINTS:
         raise ValueError(f"need at least {MIN_PAIR_POINTS} finite time points")
     # the FFT seed takes its frequency grid from the median time step
@@ -81,7 +79,7 @@ def fit_pair_coupling(times, values, shots=None) -> FitResult:
                  for k in (-1, 0, 1)]
 
     span = times.max() - times.min()
-    sigma = binomial_sigma(values, shots) if shots is not None else None
+    sigma = binomial_sigma(values, shots)
     p_inf0 = float(np.clip(values.mean(), 0.05, 0.95))
     bounds = ([0.0, 1e-3 * span, 0.0], [np.inf, np.inf, 1.0])
 
@@ -91,12 +89,10 @@ def fit_pair_coupling(times, values, shots=None) -> FitResult:
             popt, pcov = scipy.optimize.curve_fit(
                 pair_coupling_model, times, values,
                 p0=[j0, 2.0 * span, p_inf0], sigma=sigma,
-                absolute_sigma=shots is not None, bounds=bounds, maxfev=20000)
+                absolute_sigma=True, bounds=bounds, maxfev=20000)
         except (RuntimeError, scipy.optimize.OptimizeWarning):
             continue
-        resid = (pair_coupling_model(times, *popt) - values)
-        if sigma is not None:
-            resid = resid / sigma
+        resid = (pair_coupling_model(times, *popt) - values) / sigma
         cost = float(np.linalg.norm(resid))
         if best is None or cost < best[0]:
             best = (cost, popt, pcov)
@@ -112,7 +108,7 @@ def fit_pair_coupling(times, values, shots=None) -> FitResult:
     )
 
 
-def fit_exponential(times, values, model: str = "decay") -> FitResult:
+def fit_exponential(times, values, model: str) -> FitResult:
     """One-parameter fit of exp(-t/tau) ('decay') or 1 - exp(-t/tau)
     ('inverse'); returns tau in the units of times."""
     if model not in ("decay", "inverse"):

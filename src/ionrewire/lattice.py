@@ -13,7 +13,7 @@ honeycomb lattice (interior degree 3); removing one site per 2 x 2 cell
 leaves a kagome lattice (interior degree 4).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,7 +119,7 @@ def kagome_mask(array: TriangularArray) -> ShelveMask:
 
 
 def power_law_coupling(array: TriangularArray, strength: float,
-                       exponent: float = 3.0) -> InteractionGraph:
+                       exponent: float) -> InteractionGraph:
     """Synthetic distance-decaying couplings on the array, rad/s at spacing 1."""
     coords = array.coordinates
     n = coords.shape[0]
@@ -141,7 +141,7 @@ class GeometryReport:
     interior_degrees: dict
     boundary_degrees: dict
     violations: tuple
-    degree_histogram: dict = field(default_factory=dict)
+    degree_histogram: dict
 
 
 def _surviving_neighbors(graph: InteractionGraph,
@@ -153,31 +153,23 @@ def _surviving_neighbors(graph: InteractionGraph,
             for a, b in array.adjacency if a in pos and b in pos]
 
 
-def default_adjacency_threshold(graph: InteractionGraph,
-                                array: TriangularArray) -> float:
-    """Half the median |J| over surviving nearest-neighbor pairs."""
-    values = [j for _, _, j in _surviving_neighbors(graph, array)]
-    if not values:
-        return 0.0
-    return 0.5 * float(np.median(values))
-
-
 def verify_geometry(graph: InteractionGraph, array: TriangularArray,
-                    pattern: str, threshold: float | None = None) -> GeometryReport:
+                    pattern: str) -> GeometryReport:
     """Check interior survivor degrees against a target pattern.
 
     Graph edges are surviving nearest-neighbor array pairs with |J| at or
-    above the threshold (default: half the median nearest-neighbor |J|).
-    Boundary sites are reported but excluded from pass/fail.
+    above half the median |J| over those pairs. Boundary sites are reported
+    but excluded from pass/fail.
     """
     if pattern not in _PATTERN_DEGREE:
         raise ValueError(f"unknown pattern {pattern!r}; "
                          f"expected one of {sorted(_PATTERN_DEGREE)}")
-    if threshold is None:
-        threshold = default_adjacency_threshold(graph, array)
+    neighbors = _surviving_neighbors(graph, array)
+    threshold = (0.5 * float(np.median([j for _, _, j in neighbors]))
+                 if neighbors else 0.0)
 
     degree = {label: 0 for label in graph.survivors.tolist()}
-    for a, b, j in _surviving_neighbors(graph, array):
+    for a, b, j in neighbors:
         if j >= threshold:
             degree[a] += 1
             degree[b] += 1

@@ -28,13 +28,15 @@ from .lattice import ShelveMask, apply_mask
 
 # the stream of `sample_shelving`, apart from the block samplers' stream 0
 MASK_STREAM = 2**48
+TAU_SHELVE = 55e-3   # s, the paper's optical-pumping time constant
+SPAM_ERROR = 0.04    # the paper's readout flip probability
 
 
 @dataclass(frozen=True)
 class ShelvingProcess:
     """Exponential depopulation of the ground manifold under optical pumping."""
 
-    tau_shelve: float = 55e-3
+    tau_shelve: float = TAU_SHELVE
 
     def __post_init__(self):
         if not self.tau_shelve > 0:
@@ -48,9 +50,9 @@ class DeshelvingModel:
     tau_g(omega) = reference_tau * (reference_rabi / omega) ** exponent
     """
 
-    reference_rabi: float = 2 * math.pi * 76e3
-    reference_tau: float = 0.5
-    exponent: float = 2.0
+    reference_rabi: float
+    reference_tau: float
+    exponent: float
 
     def __post_init__(self):
         for name in ("reference_rabi", "reference_tau", "exponent"):
@@ -68,7 +70,7 @@ class MeasurementModel:
     """Shot count and symmetric per-qubit readout flip probability."""
 
     shots: int
-    spam_error: float = 0.04
+    spam_error: float = SPAM_ERROR
 
     def __post_init__(self):
         if self.shots < 1:
@@ -178,8 +180,8 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
                  shelving: ShelvingProcess, measurement: MeasurementModel,
                  seed: int, deshelving: DeshelvingModel | None = None,
                  drive_rabi: float | None = None,
-                 decoherence: DecoherenceModel | None = None,
-                 evolved: ObservableSeries | None = None) -> ProtocolResult:
+                 decoherence: DecoherenceModel | None = None, *,
+                 evolved: ObservableSeries | None) -> ProtocolResult:
     """Full pulse-sequence simulation over a time grid.
 
     Per shot: sample which ions the pumping pulse shelved (the first
@@ -207,9 +209,9 @@ def run_protocol(graph: InteractionGraph, beam_time: float, times,
     before S, as `_distinct_rows` yields them, and `records.config` indexes
     that order.
 
-    evolved, if given, is scan_evolution(graph, times, model=decoherence):
-    the configuration with no shelved ion samples from it instead of
-    evolving the graph again. It is read, never changed.
+    evolved, if not None, is scan_evolution(graph, times,
+    model=decoherence): the configuration with no shelved ion samples from it
+    instead of evolving the graph again. It is read, never changed.
     """
     times = np.asarray(times, dtype=float)
     n = graph.n_spins

@@ -25,6 +25,7 @@ from ionrewire import (
     project_modes,
 )
 from ionrewire.cli import BUNDLED_SCENARIOS, load_scenario, run_command
+from ionrewire.constants import ELEMENTARY_CHARGE, VACUUM_PERMITTIVITY
 from ionrewire.coupling import (
     RamanDrive,
     calibrate_detuning,
@@ -234,8 +235,8 @@ def test_criterion_4_exact_evolution_oracle():
 def test_criterion_5_crystal_oracle():
     crystal = solve_equilibrium(CONSTANTS, TRAP, 2, seed=7)
     d = np.linalg.norm(crystal.positions[1] - crystal.positions[0])
-    e = CONSTANTS.elementary_charge
-    d_exact = (e**2 / (2 * np.pi * CONSTANTS.vacuum_permittivity
+    e = ELEMENTARY_CHARGE
+    d_exact = (e**2 / (2 * np.pi * VACUUM_PERMITTIVITY
                        * CONSTANTS.ion_mass * TRAP.omega_x**2)) ** (1 / 3)
     assert abs(d - d_exact) / d_exact <= 1e-9
 
@@ -258,7 +259,8 @@ def test_criterion_6_deshelving_law():
     from ionrewire.stochastic import DeshelvingModel
 
     start = time.perf_counter()
-    model = DeshelvingModel()  # 500 ms at 2 pi x 76 kHz, exponent 2
+    model = DeshelvingModel(reference_rabi=TWO_PI * 76e3, reference_tau=0.5,
+                            exponent=2.0)
     rabi_hz = np.array([38e3, 76e3, 152e3, 304e3, 608e3])
     shots = 120
     estimates = []
@@ -309,7 +311,7 @@ def test_criterion_7_shelving_statistics():
                           shelving=process,
                           measurement=MeasurementModel(shots=samples,
                                                        spam_error=0.0),
-                          seed=7600)
+                          seed=7600, evolved=None)
     counts = np.zeros(4, dtype=int)
     for config, group in result.groups.items():
         counts[config.count("S")] += group.n_total[0]
@@ -325,7 +327,8 @@ def test_criterion_7_shelving_statistics():
 def test_criterion_8_lattice_patterns():
     start = time.perf_counter()
     array = triangular_array(12, 12)
-    coupling = power_law_coupling(array, strength=TWO_PI * 1.0)
+    coupling = power_law_coupling(array, strength=TWO_PI * 1.0,
+                                  exponent=3.0)
     for mask_fn, pattern, degree in ((honeycomb_mask, "honeycomb", 3),
                                      (kagome_mask, "kagome", 4)):
         graph = apply_mask(coupling, mask_fn(array))

@@ -151,6 +151,27 @@ class TestValidation:
         assert "stage 'coupling'" in message
         assert "not achievable" in message
 
+    @pytest.mark.parametrize("command,code,written", [
+        ("solve-crystal", 0, ["positions.csv"]),
+        ("modes", 0, ["modes.csv"]),
+        ("couplings", 1, []),
+    ])
+    def test_crystal_stages_calibrate_no_drive(self, tmp_path, command, code,
+                                               written):
+        # the target is out of reach, which only the stages that read the
+        # drive find out
+        drive = dict(MINI_SCENARIO["drive"],
+                     calibration={"target_j_hz": 1.0e9, "pair": [0, 1],
+                                  "side": "above"})
+        path = write_scenario(tmp_path, dict(MINI_SCENARIO, drive=drive))
+        out = tmp_path / "out"
+        got, err = run_captured([command, "--scenario", path, "--out", out])
+        assert (got, data_files(out)) == (code, written)
+        if code:
+            assert err.startswith("error in stage 'coupling': ")
+        else:
+            assert err == ""
+
 
 class TestPipeline:
     def test_full_run_writes_expected_files(self, tmp_path, capsys):
@@ -605,6 +626,9 @@ RULE_CASES = [
     (SCAN_SCENARIO, {"scan.rabi_freqs_hz": [76e3, 152e3]},
      "$.scan.rabi_freqs_hz"),
     (MINI_SCENARIO, {"drive.direction": [0.0, 0.0, 0.0]}, "$.drive.direction"),
+    # leaving the block out is the one spelling of no decoherence
+    (MINI_SCENARIO, {"decoherence": {}}, "$.decoherence.tau_d_s"),
+    (MINI_SCENARIO, {"decoherence.tau_d_s": None}, "$.decoherence.tau_d_s"),
     # the drive's wavelength_m is the one spelling of its wave vector
     (MINI_SCENARIO, {"drive.delta_k_rad_per_m": 2.5e7}, "$.drive"),
     # a zero drive calibrates nothing and returns no shelved ion

@@ -7,6 +7,7 @@ from ionrewire import (
     solve_equilibrium,
     compute_normal_modes,
 )
+from ionrewire.constants import REDUCED_PLANCK
 from ionrewire.coupling import (
     CalibrationError,
     InteractionGraph,
@@ -48,12 +49,13 @@ def synthetic_two_ion_modes(trap):
 
 class TestRecoil:
     def test_zero_wavevector_gives_zero(self, constants):
-        drive = RamanDrive(rabi_frequency=1.0, delta_k_magnitude=0.0, detuning=1.0)
+        drive = RamanDrive(rabi_frequency=1.0, delta_k_magnitude=0.0, detuning=1.0,
+                           delta_k_direction=XHAT)
         assert recoil_frequency(drive, constants) == 0.0
 
     def test_quadratic_in_delta_k(self, constants):
-        d1 = RamanDrive(1.0, 2.0e7, 1.0)
-        d2 = RamanDrive(1.0, 4.0e7, 1.0)
+        d1 = RamanDrive(1.0, 2.0e7, 1.0, XHAT)
+        d2 = RamanDrive(1.0, 4.0e7, 1.0, XHAT)
         assert recoil_frequency(d2, constants) == pytest.approx(
             4 * recoil_frequency(d1, constants), rel=1e-14)
 
@@ -61,7 +63,7 @@ class TestRecoil:
         drive = RamanDrive.perpendicular_beams(TWO_PI * 76e3, detuning=1.0)
         # independent arithmetic path: hbar/(2m) times dk, squared separately
         dk = np.sqrt(2.0) * TWO_PI / 355e-9
-        expected = (constants.reduced_planck / (2 * constants.ion_mass)) * dk * dk
+        expected = (REDUCED_PLANCK / (2 * constants.ion_mass)) * dk * dk
         assert recoil_frequency(drive, constants) == pytest.approx(expected, rel=1e-12)
         assert recoil_frequency(drive, constants) == pytest.approx(1.1634e5, rel=1e-4)
 
@@ -193,7 +195,7 @@ class TestCouplingMatrix:
     def test_zero_delta_k_rejected_at_use(self, constants, trap):
         modes = synthetic_two_ion_modes(trap)
         drive = RamanDrive(rabi_frequency=1.0, delta_k_magnitude=0.0,
-                           detuning=1.2 * trap.omega_x)
+                           detuning=1.2 * trap.omega_x, delta_k_direction=XHAT)
         with pytest.raises(ValueError):
             coupling_matrix(modes, drive, constants)
 
@@ -211,7 +213,8 @@ class TestConstruction:
 
     def test_negative_rabi_rejected(self):
         with pytest.raises(ValueError):
-            RamanDrive(rabi_frequency=-1.0, delta_k_magnitude=1.0, detuning=0.0)
+            RamanDrive(rabi_frequency=-1.0, delta_k_magnitude=1.0, detuning=0.0,
+                       delta_k_direction=XHAT)
 
     def test_perpendicular_delta_k_value(self):
         assert perpendicular_delta_k(355e-9) == pytest.approx(2.5030e7, rel=1e-4)

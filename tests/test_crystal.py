@@ -18,6 +18,7 @@ from ionrewire import (
     compute_normal_modes,
     project_modes,
 )
+from ionrewire.constants import ELEMENTARY_CHARGE, VACUUM_PERMITTIVITY
 from ionrewire.crystal import (
     ConvergenceError,
     UnstableCrystalError,
@@ -31,8 +32,8 @@ from ionrewire.crystal import (
 
 def two_ion_spacing(constants, trap):
     """Closed-form spacing from force balance on the soft axis."""
-    e = constants.elementary_charge
-    return (e**2 / (2 * np.pi * constants.vacuum_permittivity
+    e = ELEMENTARY_CHARGE
+    return (e**2 / (2 * np.pi * VACUUM_PERMITTIVITY
                     * constants.ion_mass * trap.omega_x**2)) ** (1 / 3)
 
 
@@ -108,10 +109,13 @@ class TestEquilibrium:
         assert np.array_equal(a.positions, b.positions)
         assert a.potential_energy == b.potential_energy
 
-    def test_nonconvergence_raises_with_residual(self, constants, trap):
+    def test_nonconvergence_raises_with_residual(self, constants, trap,
+                                                 monkeypatch):
+        monkeypatch.setattr(crystal_module, "RESTARTS", 1)
+        monkeypatch.setattr(crystal_module, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(crystal_module, "GRADIENT_TOL", 1e-14)
         with pytest.raises(ConvergenceError) as err:
-            solve_equilibrium(constants, trap, 6, seed=1, restarts=1,
-                              max_iterations=1, gradient_tol=1e-14)
+            solve_equilibrium(constants, trap, 6, seed=1)
         assert err.value.best_residual > 0
 
     def test_rejects_empty_crystal(self, constants, trap):

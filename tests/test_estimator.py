@@ -19,11 +19,12 @@ def synthetic_oscillation(j, tau_d, p_inf, times):
 
 class TestPairCoupling:
     times = np.linspace(0.0, 3e-3, 31)
+    shots = 150
 
     def test_noiseless_round_trip(self):
         j, tau_d, p_inf = TWO_PI * 750.0, 5.5e-3, 0.5
         values = synthetic_oscillation(j, tau_d, p_inf, self.times)
-        result = fit_pair_coupling(self.times, values)
+        result = fit_pair_coupling(self.times, values, self.shots)
         assert result.parameters["coupling"] == pytest.approx(j, rel=1e-6)
         assert result.parameters["tau_d"] == pytest.approx(tau_d, rel=1e-4)
         assert result.parameters["p_inf"] == pytest.approx(p_inf, abs=1e-6)
@@ -45,11 +46,12 @@ class TestPairCoupling:
 
     def test_constant_series_raises_fit_error(self):
         with pytest.raises(FitError):
-            fit_pair_coupling(self.times, np.full_like(self.times, 0.25))
+            fit_pair_coupling(self.times, np.full_like(self.times, 0.25),
+                              self.shots)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
-            fit_pair_coupling(self.times[:5], np.sin(self.times[:5]))
+            fit_pair_coupling(self.times[:5], np.sin(self.times[:5]), self.shots)
 
     @pytest.mark.parametrize("order", ["reversed", "repeated", "unsorted"])
     def test_time_points_must_increase(self, order):
@@ -58,20 +60,20 @@ class TestPairCoupling:
                  "repeated": np.full_like(self.times, 1e-3),
                  "unsorted": np.roll(self.times, 1)}[order]
         with pytest.raises(ValueError, match="strictly increasing"):
-            fit_pair_coupling(times, values)
+            fit_pair_coupling(times, values, self.shots)
 
     def test_nan_points_are_ignored(self):
         j = TWO_PI * 600.0
         values = synthetic_oscillation(j, np.inf, 0.5, self.times)
         values = np.where(np.arange(values.size) % 7 == 3, np.nan, values)
-        result = fit_pair_coupling(self.times, values)
+        result = fit_pair_coupling(self.times, values, self.shots)
         assert result.parameters["coupling"] == pytest.approx(j, rel=1e-6)
 
     def test_time_unit_rescaling(self):
         j, tau_d, p_inf = TWO_PI * 750.0, 5.5e-3, 0.5
         values = synthetic_oscillation(j, tau_d, p_inf, self.times)
-        seconds = fit_pair_coupling(self.times, values)
-        millis = fit_pair_coupling(self.times * 1e3, values)
+        seconds = fit_pair_coupling(self.times, values, self.shots)
+        millis = fit_pair_coupling(self.times * 1e3, values, self.shots)
         assert millis.parameters["coupling"] == pytest.approx(
             seconds.parameters["coupling"] / 1e3, rel=1e-6)
         assert millis.parameters["p_inf"] == pytest.approx(
@@ -122,7 +124,7 @@ class TestExponential:
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            fit_exponential(np.array([]), np.array([]))
+            fit_exponential(np.array([]), np.array([]), model="decay")
 
     @pytest.mark.parametrize("model", ["decay", "inverse"])
     def test_one_time_point_repeated_is_a_fit_error(self, model):
@@ -134,7 +136,7 @@ class TestExponential:
         # only the two points at 1 ms are usable for the log-linear guess;
         # a line through them is not drawn, so numpy warns of nothing
         result = fit_exponential(np.array([1e-3, 1e-3, 5.0]),
-                                 np.array([0.98, 0.97, 0.0]))
+                                 np.array([0.98, 0.97, 0.0]), model="decay")
         assert result.parameters["tau"] == pytest.approx(0.0395, rel=1e-3)
 
     def test_unknown_model_rejected(self):

@@ -8,7 +8,6 @@ from ionrewire.lattice import (
     GeometryReport,
     ShelveMask,
     apply_mask,
-    default_adjacency_threshold,
     honeycomb_mask,
     interior_sites,
     kagome_mask,
@@ -178,7 +177,7 @@ class TestPatternMasks:
 
     def test_interior_survivor_degrees(self):
         array = triangular_array(12, 12)
-        coupling = power_law_coupling(array, strength=1.0)
+        coupling = power_law_coupling(array, strength=1.0, exponent=3.0)
         for mask_fn, expected in ((honeycomb_mask, 3), (kagome_mask, 4)):
             graph = apply_mask(coupling, mask_fn(array))
             pattern = "honeycomb" if expected == 3 else "kagome"
@@ -190,7 +189,7 @@ class TestPatternMasks:
 class TestVerifyGeometry:
     def test_unmasked_array_passes_as_triangular(self):
         array = triangular_array(6, 6)
-        coupling = power_law_coupling(array, strength=1.0)
+        coupling = power_law_coupling(array, strength=1.0, exponent=3.0)
         graph = apply_mask(coupling, ShelveMask.all_qubits(len(array.sites)))
         report = verify_geometry(graph, array, "triangular")
         assert report.passed
@@ -198,14 +197,14 @@ class TestVerifyGeometry:
 
     def test_honeycomb_mask_passes_on_nine_site_patch(self):
         array = triangular_array(3, 3)
-        coupling = power_law_coupling(array, strength=1.0)
+        coupling = power_law_coupling(array, strength=1.0, exponent=3.0)
         graph = apply_mask(coupling, honeycomb_mask(array))
         report = verify_geometry(graph, array, "honeycomb")
         assert report.passed  # vacuous interior, still no violations
 
     def test_random_masks_overwhelmingly_fail(self):
         array = triangular_array(8, 8)
-        coupling = power_law_coupling(array, strength=1.0)
+        coupling = power_law_coupling(array, strength=1.0, exponent=3.0)
         target = sum(honeycomb_mask(array).shelved)
         passes = 0
         for seed in range(40):
@@ -220,14 +219,14 @@ class TestVerifyGeometry:
 
     def test_unknown_pattern_rejected(self):
         array = triangular_array(3, 3)
-        coupling = power_law_coupling(array, strength=1.0)
+        coupling = power_law_coupling(array, strength=1.0, exponent=3.0)
         graph = apply_mask(coupling, ShelveMask.all_qubits(9))
         with pytest.raises(ValueError):
             verify_geometry(graph, array, "cubic")
 
     def test_report_contents(self):
         array = triangular_array(5, 5)
-        coupling = power_law_coupling(array, strength=1.0)
+        coupling = power_law_coupling(array, strength=1.0, exponent=3.0)
         graph = apply_mask(coupling, honeycomb_mask(array))
         report = verify_geometry(graph, array, "honeycomb")
         assert isinstance(report, GeometryReport)
@@ -237,14 +236,16 @@ class TestVerifyGeometry:
 
     def test_default_threshold_is_half_median_neighbor_coupling(self):
         array = triangular_array(4, 4)
-        coupling = power_law_coupling(array, strength=2.0)
-        graph = apply_mask(coupling, ShelveMask.all_qubits(16))
-        # unit spacing with strength 2.0: every NN coupling is 2.0
-        assert default_adjacency_threshold(graph, array) == pytest.approx(1.0)
-
-    def test_threshold_prunes_weak_edges(self):
-        array = triangular_array(4, 4)
-        coupling = power_law_coupling(array, strength=1.0)
-        graph = apply_mask(coupling, ShelveMask.all_qubits(16))
-        report = verify_geometry(graph, array, "triangular", threshold=10.0)
-        assert not report.passed
+        # unit spacing with strength 2.0: every NN coupling is 2.0, so the
+        # threshold is 1.0; one edge of an interior site is set below it,
+        # and then above it
+        coupling = power_law_coupling(array, strength=2.0, exponent=3.0)
+        j = coupling.couplings.copy()
+        interior = set(interior_sites(array).tolist())
+        a, b = next(edge for edge in array.adjacency if edge[0] in interior)
+        for value, passed in ((0.99, False), (1.01, True)):
+            j[a, b] = j[b, a] = value
+            graph = InteractionGraph(survivors=np.arange(16), couplings=j)
+            report = verify_geometry(graph, array, "triangular")
+            assert report.passed == passed
+            assert (report.interior_degrees[a] == 6) == passed

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,11 @@ from ionrewire.stochastic import (
 )
 
 TWO_PI = 2 * np.pi
+# the paper's deshelving law: 0.5 s at 2 pi x 76 kHz, exponent 2
+DESHELVING = DeshelvingModel(reference_rabi=TWO_PI * 76e3, reference_tau=0.5,
+                             exponent=2.0)
+# the same law with a return time short enough to show within a protocol
+FAST_DESHELVING = replace(DESHELVING, reference_tau=2e-3)
 SOURCE = Path(stochastic.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -98,36 +104,33 @@ class TestSampleShelving:
 
 class TestDeshelving:
     def test_no_exposure(self):
-        assert deshelve_probability(0.0, TWO_PI * 76e3, DeshelvingModel()) == 0.0
+        assert deshelve_probability(0.0, TWO_PI * 76e3, DESHELVING) == 0.0
 
     def test_reference_point(self):
-        p = deshelve_probability(0.5, TWO_PI * 76e3, DeshelvingModel())
+        p = deshelve_probability(0.5, TWO_PI * 76e3, DESHELVING)
         assert p == pytest.approx(1 - 1 / math.e, rel=1e-12)
 
     def test_doubling_rabi_quarters_tau(self):
-        model = DeshelvingModel()
-        assert model.tau_g(TWO_PI * 152e3) == pytest.approx(0.125, rel=1e-12)
+        assert DESHELVING.tau_g(TWO_PI * 152e3) == pytest.approx(0.125, rel=1e-12)
 
     def test_monotone_in_time_and_intensity(self):
-        model = DeshelvingModel()
         ts = np.linspace(0, 2.0, 40)
-        ps = [deshelve_probability(t, TWO_PI * 76e3, model) for t in ts]
+        ps = [deshelve_probability(t, TWO_PI * 76e3, DESHELVING) for t in ts]
         assert np.all(np.diff(ps) >= 0)
         omegas = TWO_PI * np.linspace(10e3, 800e3, 40)
-        ps = [deshelve_probability(0.1, w, model) for w in omegas]
+        ps = [deshelve_probability(0.1, w, DESHELVING) for w in omegas]
         assert np.all(np.diff(ps) >= 0)
 
     def test_tau_scaling_law_is_exact(self):
-        model = DeshelvingModel(exponent=2.0)
         omegas = TWO_PI * np.array([38e3, 76e3, 152e3, 304e3, 608e3])
-        products = np.array([model.tau_g(w) * w**2 for w in omegas])
+        products = np.array([DESHELVING.tau_g(w) * w**2 for w in omegas])
         assert np.allclose(products, products[0], rtol=1e-12)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            DeshelvingModel(reference_tau=-1.0)
+            replace(DESHELVING, reference_tau=-1.0)
         with pytest.raises(ValueError):
-            DeshelvingModel().tau_g(0.0)
+            DESHELVING.tau_g(0.0)
 
 
 class TestBlockSamplers:
@@ -139,12 +142,13 @@ class TestBlockSamplers:
         coupling = oracles.graph_of_pairs(3, pairs)
         times = np.linspace(0.0, 1e-3, 5)
         measurement = MeasurementModel(shots=60, spam_error=spam)
-        deshelving = DeshelvingModel(reference_tau=2e-3) if deshelve else None
+        deshelving = FAST_DESHELVING if deshelve else None
         drive = TWO_PI * 76e3 if deshelve else None
         result = run_protocol(coupling, beam_time=40e-3, times=times,
                               shelving=ShelvingProcess(),
                               measurement=measurement, seed=4242,
-                              deshelving=deshelving, drive_rabi=drive)
+                              deshelving=deshelving, drive_rabi=drive,
+                              evolved=None)
         expected = oracles.reference_protocol(coupling, 40e-3, times,
                                               measurement, 4242, deshelving,
                                               drive)
@@ -167,7 +171,7 @@ class TestBlockSamplers:
         assert got.tolist() == expected
 
     def test_deshelving_scan_matches_per_shot_draws(self):
-        model = DeshelvingModel()
+        model = DESHELVING
         omegas = [TWO_PI * 76e3, TWO_PI * 152e3]
         scan = sample_deshelving_scan(model, omegas, points=4,
                                       max_time_factor=3.0, shots=30, seed=6)
@@ -184,7 +188,8 @@ class TestBlockSamplers:
         with pytest.raises(ValueError):
             run_protocol(uniform_triangle_coupling(), beam_time=28e-3,
                          times=np.array([1e-3]), shelving=ShelvingProcess(),
-                         measurement=MeasurementModel(shots=10), seed=-1)
+                         measurement=MeasurementModel(shots=10), seed=-1,
+                         evolved=None)
 
 
 def uniform_triangle_coupling(j=TWO_PI * 450.0):
@@ -199,7 +204,7 @@ class TestProtocol:
         result = run_protocol(coupling, beam_time=0.0, times=times,
                               shelving=ShelvingProcess(),
                               measurement=MeasurementModel(shots=shots, spam_error=0.0),
-                              seed=321)
+                              seed=321, evolved=None)
         assert list(result.groups) == ["QQ"]
         group = result.groups["QQ"]
         assert group.n_total[0] == shots and group.n_intact[0] == shots
@@ -221,7 +226,7 @@ class TestProtocol:
                               beam_time=38e-3, times=np.array([0.0, 1e-3]),
                               shelving=ShelvingProcess(),
                               measurement=MeasurementModel(shots=200),
-                              seed=23)
+                              seed=23, evolved=None)
         configs = list(result.groups)
         assert configs == sorted(configs)
         assert len({config[:8] for config in configs}) < len(configs)
@@ -242,7 +247,7 @@ class TestProtocol:
         result = run_protocol(coupling, beam_time=28e-3, times=times,
                               shelving=ShelvingProcess(),
                               measurement=MeasurementModel(shots=shots, spam_error=0.02),
-                              seed=11)
+                              seed=11, evolved=None)
         totals = sum(g.n_total for g in result.groups.values())
         assert np.all(totals == shots)
         assert len(result.records) == shots * times.size
@@ -254,8 +259,8 @@ class TestProtocol:
         times = np.linspace(0, 1e-3, 3)
         kwargs = dict(beam_time=28e-3, times=times, shelving=ShelvingProcess(),
                       measurement=MeasurementModel(shots=120, spam_error=0.04),
-                      seed=99, deshelving=DeshelvingModel(),
-                      drive_rabi=TWO_PI * 76e3)
+                      seed=99, deshelving=DESHELVING,
+                      drive_rabi=TWO_PI * 76e3, evolved=None)
         a = run_protocol(coupling, **kwargs)
         b = run_protocol(coupling, **kwargs)
         assert list(a.groups) == list(b.groups)
@@ -277,8 +282,8 @@ class TestProtocol:
         result = run_protocol(coupling, beam_time=1e3, times=times,
                               shelving=ShelvingProcess(),
                               measurement=MeasurementModel(shots=shots, spam_error=0.0),
-                              seed=17, deshelving=DeshelvingModel(),
-                              drive_rabi=TWO_PI * 76e3)
+                              seed=17, deshelving=DESHELVING,
+                              drive_rabi=TWO_PI * 76e3, evolved=None)
         group = result.groups["S" * k]
         fraction = group.n_intact[0] / group.n_total[0]
         expected = math.exp(-k * 3e-3 / 0.5)
@@ -292,9 +297,9 @@ class TestProtocol:
         kwargs = dict(beam_time=40e-3, times=np.linspace(0.0, 1e-3, 5),
                       shelving=ShelvingProcess(),
                       measurement=MeasurementModel(shots=60, spam_error=0.3),
-                      seed=4242)
+                      seed=4242, evolved=None)
         off = run_protocol(coupling, **kwargs)
-        on = run_protocol(coupling, deshelving=DeshelvingModel(reference_tau=2e-3),
+        on = run_protocol(coupling, deshelving=FAST_DESHELVING,
                           drive_rabi=TWO_PI * 76e3, **kwargs)
         assert list(on.groups) == list(off.groups)
         for column in ("time_index", "config", "outcome"):
@@ -305,14 +310,14 @@ class TestProtocol:
     def test_zero_spin_graph_puts_every_shot_in_one_group(self):
         graph = InteractionGraph(survivors=[], couplings=np.zeros((0, 0)))
         times = np.linspace(0, 1e-3, 4)
-        deshelving = dict(deshelving=DeshelvingModel(),
+        deshelving = dict(deshelving=DESHELVING,
                           drive_rabi=TWO_PI * 76e3)
         for kwargs in ({}, deshelving):
             result = run_protocol(graph, beam_time=28e-3, times=times,
                                   shelving=ShelvingProcess(),
                                   measurement=MeasurementModel(shots=50,
                                                                spam_error=0.04),
-                                  seed=5, **kwargs)
+                                  seed=5, evolved=None, **kwargs)
             assert list(result.groups) == [""]
             group = result.groups[""]
             assert np.all(group.n_total == 50)
@@ -328,7 +333,7 @@ class TestProtocol:
         result = run_protocol(graph, beam_time=28e-3, times=np.array([1e-3]),
                               shelving=ShelvingProcess(),
                               measurement=MeasurementModel(shots=200, spam_error=0.0),
-                              seed=8)
+                              seed=8, evolved=None)
         assert list(result.groups["QQ"].survivors) == [1, 2]
         assert list(result.groups["SQ"].survivors) == [2]
 
@@ -338,7 +343,7 @@ class TestProtocol:
                               times=np.array([2e-3]),
                               shelving=ShelvingProcess(),
                               measurement=MeasurementModel(shots=400, spam_error=0.0),
-                              seed=23)
+                              seed=23, evolved=None)
         assert result.records.intact.all()
 
     def test_single_shelved_group_shows_pair_oscillation(self):
@@ -351,7 +356,7 @@ class TestProtocol:
         result = run_protocol(coupling, beam_time=28e-3, times=times,
                               shelving=ShelvingProcess(),
                               measurement=MeasurementModel(shots=shots, spam_error=0.0),
-                              seed=2718)
+                              seed=2718, evolved=None)
         group = result.groups["QQS"]
         assert list(group.survivors) == [0, 1]
         assert np.all(group.n_intact > 300)
@@ -366,7 +371,7 @@ class TestProtocol:
             run_protocol(coupling, beam_time=1e-3, times=np.array([1e-3]),
                          shelving=ShelvingProcess(),
                          measurement=MeasurementModel(shots=10),
-                         seed=0, deshelving=DeshelvingModel())
+                         seed=0, deshelving=DESHELVING, evolved=None)
 
     def test_empty_bin_frequencies_are_nan(self):
         series = GroupSeries(survivors=np.array([0]),
@@ -402,9 +407,9 @@ class TestEvolvedSeries:
         graph = oracles.graph_of_pairs(3, self.PAIRS)
         kwargs = dict(decoherence=decoherence)
         if deshelve:
-            kwargs.update(deshelving=DeshelvingModel(reference_tau=2e-3),
+            kwargs.update(deshelving=FAST_DESHELVING,
                           drive_rabi=TWO_PI * 76e3)
-        expected = self.protocol(graph, **kwargs)
+        expected = self.protocol(graph, evolved=None, **kwargs)
         evolved = scan_evolution(graph, self.TIMES, model=decoherence)
         before = evolved.probabilities.copy()
 
