@@ -622,7 +622,6 @@ def _versions() -> dict:
         "numpy": np.__version__,
         "python": sys.version.split()[0],
         "pyyaml": yaml.__version__,
-        "scipy": metadata.version("scipy"),
     }
 
 

@@ -14,10 +14,10 @@ returns one over the whole crystal, and lattice.apply_mask maps one to the
 graph of the ions a shelving mask leaves.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .constants import REDUCED_PLANCK, PhysicalConstants
 from .crystal import NormalModes, project_modes
@@ -217,10 +217,8 @@ def calibrate_detuning(modes: NormalModes, drive: RamanDrive,
     # The magnitude of the coupling decays away from the COM resonance until
     # the influence of the next mode (if any) takes over; locate that turning
     # point and bisect on the monotone branch between it and the COM edge.
-    opt = scipy.optimize.minimize_scalar(
-        lambda mu: sign * pair_coupling(mu), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-9 * (hi - lo)})
-    turning = float(opt.x)
+    turning = float(_minimize_scalar_bounded(
+        lambda mu: sign * pair_coupling(mu), lo, hi, 1e-9 * (hi - lo)))
     f_turn = pair_coupling(turning)
 
     f_min, f_max = sorted((sign * f_turn, sign * f_near))
@@ -232,11 +230,157 @@ def calibrate_detuning(modes: NormalModes, drive: RamanDrive,
             achievable=(min(f_turn, f_near), max(f_turn, f_near)))
 
     bracket = (com_end, turning) if side == "above" else (turning, com_end)
-    mu = scipy.optimize.brentq(lambda m: pair_coupling(m) - target,
-                               min(bracket), max(bracket), xtol=1e-3)
+    mu = _brentq(lambda m: pair_coupling(m) - target,
+                 min(bracket), max(bracket))
     achieved = pair_coupling(mu)
     if abs(achieved - target) > 1e-6 * abs(target):
         raise CalibrationError(
             f"bisection stalled at {achieved:.6e} rad/s for target "
             f"{target:.6e} rad/s", achievable=(achieved, achieved))
     return float(mu)
+
+
+def _minimize_scalar_bounded(func, x1, x2, xatol):
+    """scipy 1.17.1's `minimize_scalar(func, bounds=(x1, x2),
+    method="bounded", options={"xatol": xatol})`, operation for operation:
+    Brent's golden-section search with parabolic steps on x1 <= x <= x2
+    (Brent 1973), at most 500 calls of func. Returns the minimizer found."""
+    maxfun = 500
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = 1
+        # a parabolic step through the three best points, if acceptable
+        if np.abs(e) > tol1:
+            golden = 0
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if ((np.abs(p) < np.abs(0.5*q*r)) and (p > q*(a - xf)) and
+                    (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = 1
+
+        if golden:
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean*e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+    return xf
+
+
+def _brentq(f, xa, xb):
+    """scipy 1.17.1's `brentq(f, xa, xb, xtol=1e-3)` (its C `brentq.c`,
+    rtol 4 eps, 100 iterations) in double arithmetic: a root of f in
+    [xa, xb] by bisection, secant and inverse quadratic interpolation
+    (Brent 1973). Raises scipy's errors: ValueError when f(xa) and f(xb)
+    have one sign, RuntimeError when 100 iterations do not converge."""
+    xtol, rtol = 1e-3, 4 * np.finfo(float).eps
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(100):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol*abs(xcur))/2
+        sbis = (xblk - xcur)/2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur*(xcur - xpre)/(fcur - fpre)
+            else:
+                # extrapolate; C's division by a zero denominator makes an
+                # infinite or NaN step, which bisects
+                dpre = (fpre - fcur)/(xpre - xcur)
+                dblk = (fblk - fcur)/(xblk - xcur)
+                denominator = dblk*dpre*(fblk - fpre)
+                stry = (-fcur*(fblk*dblk - fpre*dpre)/denominator
+                        if denominator else math.inf)
+            if 2*abs(stry) < min(abs(spre), 3*abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise RuntimeError("Failed to converge after 100 iterations.")

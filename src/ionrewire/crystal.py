@@ -31,8 +31,10 @@ More-Thuente search, here `_dcsrch` and `_dcstep`). So it returns the same
 iterates, bit for bit, without scipy's per-call wrappers and objects. It has
 no memo of its own in place of scipy's `ScalarFunction`: every energy and
 gradient is asked of `potential` and `gradient`. When `_dcsrch` finds no
-step, `scipy.optimize.line_search` takes over, as in scipy, with its
-private `LineSearchWarning` silenced through the base class `RuntimeWarning`.
+step, `_line_search_wolfe2` takes over, as in scipy: scipy 1.17.1's
+`line_search` (Wright and Nocedal's strong-Wolfe search with `_zoom`), with
+the numpy warnings of its scalar arithmetic silenced as scipy's caller
+silences them.
 """
 
 import functools
@@ -41,7 +43,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .constants import ELEMENTARY_CHARGE, VACUUM_PERMITTIVITY, PhysicalConstants
 
@@ -443,9 +444,9 @@ def _dcsrch(fun_grad, xk, pk, stp, finit, ginit):
 
 def _line_search(alphas, xk, pk, gfk, old_fval, old_old_fval):
     """scipy's `_line_search_wolfe12`: `_dcsrch` from the step guess of
-    `scalar_search_wolfe1`, then `scipy.optimize.line_search` if it finds
-    no step. Both ask `potential` and `gradient`, whose last two pair passes
-    serve a repeated point without another pass.
+    `scalar_search_wolfe1`, then `_line_search_wolfe2` if it finds no step.
+    Both ask `potential` and `gradient`, whose last two pair passes serve a
+    repeated point without another pass.
 
     Returns (step, energy, gradient or None), or None when both searches
     fail.
@@ -464,10 +465,169 @@ def _line_search(alphas, xk, pk, gfk, old_fval, old_old_fval):
         return found
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        stp, _, _, fval, _, g = scipy.optimize.line_search(
-            potential, gradient, xk, pk, gfk, old_fval, old_old_fval,
-            args=(alphas,), c1=_FTOL, c2=_GTOL, amax=_STPMAX)
+        stp, fval, g = _line_search_wolfe2(alphas, xk, pk, gfk, old_fval,
+                                           old_old_fval)
     return None if stp is None else (stp, fval, g)
+
+
+def _line_search_wolfe2(alphas, xk, pk, gfk, old_fval, old_old_fval):
+    """scipy 1.17.1's `line_search(potential, gradient, xk, pk, gfk,
+    old_fval, old_old_fval, args=(alphas,), c1=_FTOL, c2=_GTOL,
+    amax=_STPMAX)`, operation for operation, asking `potential` and
+    `gradient` as often. Returns (step, energy, gradient): step None when
+    no step is found, gradient None when ten doublings end without one."""
+    gval = [None]
+
+    def phi(alpha):
+        return potential(xk + alpha * pk, alphas)
+
+    def derphi(alpha):
+        gval[0] = gradient(xk + alpha * pk, alphas)
+        return np.dot(gval[0], pk)
+
+    derphi0 = np.dot(gfk, pk)
+    alpha_star, phi_star, derphi_star = _scalar_search_wolfe2(
+        phi, derphi, old_fval, old_old_fval, derphi0)
+    # the last gradient asked is the one at alpha_star
+    return alpha_star, phi_star, None if derphi_star is None else gval[0]
+
+
+def _scalar_search_wolfe2(phi, derphi, phi0, old_phi0, derphi0):
+    """scipy 1.17.1's `scalar_search_wolfe2` with c1=_FTOL, c2=_GTOL,
+    amax=_STPMAX and maxiter=10: double the step until it brackets a strong
+    Wolfe step, then `_zoom` in. Returns (alpha, phi, derphi), with alpha
+    None when no step is found and derphi None when the doublings run out."""
+    alpha0 = 0
+    if derphi0 != 0:
+        alpha1 = min(1.0, 1.01*2*(phi0 - old_phi0)/derphi0)
+    else:
+        alpha1 = 1.0
+    if alpha1 < 0:
+        alpha1 = 1.0
+    alpha1 = min(alpha1, _STPMAX)
+    phi_a1 = phi(alpha1)
+    phi_a0 = phi0
+    derphi_a0 = derphi0
+    for i in range(10):
+        if alpha1 == 0 or alpha0 > _STPMAX:
+            return None, phi0, None
+        if (phi_a1 > phi0 + _FTOL * alpha1 * derphi0) or \
+           ((phi_a1 >= phi_a0) and i > 0):
+            return _zoom(alpha0, alpha1, phi_a0, phi_a1, derphi_a0, phi,
+                         derphi, phi0, derphi0)
+        derphi_a1 = derphi(alpha1)
+        if abs(derphi_a1) <= -_GTOL*derphi0:
+            return alpha1, phi_a1, derphi_a1
+        if derphi_a1 >= 0:
+            return _zoom(alpha1, alpha0, phi_a1, phi_a0, derphi_a1, phi,
+                         derphi, phi0, derphi0)
+        alpha2 = min(2 * alpha1, _STPMAX)
+        alpha0 = alpha1
+        alpha1 = alpha2
+        phi_a0 = phi_a1
+        phi_a1 = phi(alpha1)
+        derphi_a0 = derphi_a1
+    return alpha1, phi_a1, None
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """The minimizer of the cubic through (a, fa), (b, fb) and (c, fc) with
+    slope fpa at a, or None; scipy 1.17.1's, in its float operations."""
+    with np.errstate(divide='raise', over='raise', invalid='raise'):
+        try:
+            C = fpa
+            db = b - a
+            dc = c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.empty((2, 2))
+            d1[0, 0] = dc ** 2
+            d1[0, 1] = -db ** 2
+            d1[1, 0] = -dc ** 3
+            d1[1, 1] = db ** 3
+            [A, B] = np.dot(d1, np.asarray([fb - fa - C * db,
+                                            fc - fa - C * dc]).flatten())
+            A /= denom
+            B /= denom
+            radical = B * B - 3 * A * C
+            xmin = a + (-B + np.sqrt(radical)) / (3 * A)
+        except ArithmeticError:
+            return None
+    if not np.isfinite(xmin):
+        return None
+    return xmin
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """The minimizer of the quadratic through (a, fa) and (b, fb) with
+    slope fpa at a, or None; scipy 1.17.1's, in its float operations."""
+    with np.errstate(divide='raise', over='raise', invalid='raise'):
+        try:
+            D = fa
+            C = fpa
+            db = b - a * 1.0
+            B = (fb - D - C * db) / (db * db)
+            xmin = a - C / (2.0 * B)
+        except ArithmeticError:
+            return None
+    if not np.isfinite(xmin):
+        return None
+    return xmin
+
+
+def _zoom(a_lo, a_hi, phi_lo, phi_hi, derphi_lo, phi, derphi, phi0,
+          derphi0):
+    """scipy 1.17.1's `_zoom` (Wright and Nocedal's Algorithm 3.6): shrink
+    [a_lo, a_hi] by cubic, quadratic or bisection trial steps until one
+    meets the strong Wolfe conditions, for at most 11 trials. Returns
+    (alpha, phi, derphi), all None when none does."""
+    i = 0
+    delta1 = 0.2  # cubic interpolant check
+    delta2 = 0.1  # quadratic interpolant check
+    phi_rec = phi0
+    a_rec = 0
+    while True:
+        dalpha = a_hi - a_lo
+        if dalpha < 0:
+            a, b = a_hi, a_lo
+        else:
+            a, b = a_lo, a_hi
+        # the cubic through phi_lo, derphi_lo, phi_hi and the last point
+        # dropped; the quadratic without it if that is too close to an
+        # end or outside; else bisection
+        if i > 0:
+            cchk = delta1 * dalpha
+            a_j = _cubicmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi,
+                            a_rec, phi_rec)
+        if (i == 0) or (a_j is None) or (a_j > b - cchk) or (a_j < a + cchk):
+            qchk = delta2 * dalpha
+            a_j = _quadmin(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+            if (a_j is None) or (a_j > b-qchk) or (a_j < a+qchk):
+                a_j = a_lo + 0.5*dalpha
+
+        phi_aj = phi(a_j)
+        if (phi_aj > phi0 + _FTOL*a_j*derphi0) or (phi_aj >= phi_lo):
+            phi_rec = phi_hi
+            a_rec = a_hi
+            a_hi = a_j
+            phi_hi = phi_aj
+        else:
+            derphi_aj = derphi(a_j)
+            if abs(derphi_aj) <= -_GTOL*derphi0:
+                return a_j, phi_aj, derphi_aj
+            if derphi_aj*(a_hi - a_lo) >= 0:
+                phi_rec = phi_hi
+                a_rec = a_hi
+                a_hi = a_lo
+                phi_hi = phi_lo
+            else:
+                phi_rec = phi_lo
+                a_rec = a_lo
+            a_lo = a_j
+            phi_lo = phi_aj
+            derphi_lo = derphi_aj
+        i += 1
+        if i > 10:
+            return None, None, None
 
 
 def _bfgs(x0, alphas, gtol, maxiter):
@@ -535,12 +695,13 @@ def _bfgs(x0, alphas, gtol, maxiter):
     return xk, old_fval, gfk, k, warnflag
 
 
-def _newton_polish(u, energy, g, alphas, tol, max_steps=60):
+def _newton_polish(u, energy, g, alphas):
     """Newton refinement of a near-converged configuration u, whose energy
-    and gradient are given. The first Hessian reuses the pair pass of u
-    that BFGS ended with."""
-    for _ in range(max_steps):
-        if np.linalg.norm(g) <= tol:
+    and gradient are given, to BFGS's gradient tolerance 0.1 GRADIENT_TOL
+    in at most 60 steps. The first Hessian reuses the pair pass of u that
+    BFGS ended with."""
+    for _ in range(60):
+        if np.linalg.norm(g) <= 0.1 * GRADIENT_TOL:
             break
         h = hessian(u, alphas)
         try:
@@ -595,7 +756,7 @@ def solve_equilibrium(constants: PhysicalConstants, trap: TrapConfig, n: int,
     best_gnorm = np.inf
     for x0 in inits:
         x, fun, g, _, _ = _bfgs(x0, alphas, 0.1 * GRADIENT_TOL, MAX_ITERATIONS)
-        u, energy, gnorm = _newton_polish(x, fun, g, alphas, 0.1 * GRADIENT_TOL)
+        u, energy, gnorm = _newton_polish(x, fun, g, alphas)
         best_gnorm = min(best_gnorm, gnorm)
         if gnorm <= GRADIENT_TOL and (best is None or energy < best[0]):
             best = (energy, u)

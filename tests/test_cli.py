@@ -4,6 +4,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -53,6 +56,32 @@ def run_cli(*argv):
 def data_files(out_dir):
     return sorted(p.name for p in Path(out_dir).iterdir()
                   if p.name != "manifest.json")
+
+
+NO_SCIPY_RUN = """
+import sys
+from pathlib import Path
+from ionrewire.cli import BUNDLED_SCENARIOS, main
+out = Path(sys.argv[1])
+for scenario in (*BUNDLED_SCENARIOS, sys.argv[2]):
+    assert main(["all", "--scenario", scenario,
+                 "--out", str(out / Path(scenario).stem)]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_run_imports_scipy(tmp_path):
+    """`all` on every bundled scenario and a calibrated trap crystal loads
+    no scipy module: the optimizers it runs are the library's own."""
+    trap = Path(__file__).parent / "data/workloads/trap_sweep/trap0-linear-n6.yaml"
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(src), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path), str(trap)],
+        env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "[]"
 
 
 class TestValidation:
@@ -239,7 +268,7 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == MINI_SCENARIO["seed"]
         assert manifest["versions"]["ionrewire"]
-        for library in ("numpy", "scipy", "pyyaml", "jsonschema"):
+        for library in ("numpy", "pyyaml", "jsonschema"):
             assert manifest["versions"][library]
         assert set(manifest["outputs"]) == set(data_files(out))
         import hashlib

@@ -372,17 +372,18 @@ def assert_bfgs_equals_scipy(alphas, x0, maxiter=2000):
 
 
 class CountedLineSearch:
-    """`scipy.optimize.line_search` that tallies what it returns."""
+    """`crystal._line_search_wolfe2`, the fallback step search, that tallies
+    what it returns."""
 
     def __init__(self, monkeypatch):
         self.outcomes = []
-        self._search = scipy.optimize.line_search
-        monkeypatch.setattr(scipy.optimize, "line_search", self)
+        self._search = crystal_module._line_search_wolfe2
+        monkeypatch.setattr(crystal_module, "_line_search_wolfe2", self)
 
-    def __call__(self, *args, **kwargs):
-        found = self._search(*args, **kwargs)
+    def __call__(self, *args):
+        found = self._search(*args)
         self.outcomes.append("fail" if found[0] is None
-                             else "step" if found[5] is not None
+                             else "step" if found[2] is not None
                              else "step, no gradient")
         return found
 
