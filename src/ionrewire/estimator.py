@@ -91,6 +91,15 @@ def fit_pair_coupling(times, values, shots) -> FitResult:
     p_inf0 = float(np.clip(values.mean(), 0.05, 0.95))
     bounds = ([0.0, 1e-3 * span, 0.0], [np.inf, np.inf, 1.0])
 
+    # the solver measures its steps against the norm of the parameters; a
+    # time grid too fine or too wide for float arithmetic overflows it
+    with np.errstate(over="ignore"):
+        start_norm = norm([max(couplings), 2.0 * span, p_inf0])
+    if not np.isfinite(start_norm):
+        raise FitError(f"pair fit left the float range: the start J = "
+                       f"{max(couplings):.3g}, tau_d = {2.0 * span:.3g} has "
+                       f"no finite norm")
+
     best = None
     for j0 in couplings:
         try:

@@ -15,8 +15,10 @@ Each table is written by one of three writers, all with the same bytes:
   vectorized form of Ryu's shortest round-trip digits (Adams, PLDI 2018),
   and are laid out by repr's rules. An int gets its decimal digits. Each
   block's CSV lines or JSON row objects are cut out of one byte array in
-  which every cell has the same fixed-width fields. A dense table with a
-  nan or inf goes to `Table.chunks`.
+  which every cell has the same fixed-width fields. A column whose cells all
+  have zero bits is folded, not laid out: its zero text, and the text
+  before it, go into the text before the next kept cell. A dense table with
+  a nan or inf goes to `Table.chunks`.
 """
 
 import json
@@ -127,6 +129,21 @@ class Table:
             # one flat list, grouped by a zip that reuses its row tuple: a
             # list per row would leave the garbage collector many to scan
             yield zip(*[iter(chunk.ravel().tolist())] * self.width)
+
+
+def _zero_row(rows: Table, pre: list):
+    """The text of the zero row of a table of arrays, the row of all-zero-bit
+    cells (0.0 in a float column, 0 in an int column), each after its text
+    in pre, and where each cell's text starts and ends in it. pre is ASCII,
+    so a text's length is its byte count."""
+    zeros = [text for column in rows.columns
+             for text in [_fmt_cell(column.dtype.type(0).item())]
+             * column.shape[1]]
+    text = "".join(chain.from_iterable(zip(pre, zeros))).encode()
+    pre_len, zero_len = (np.fromiter(map(len, texts), np.int64, rows.width)
+                         for texts in (pre, zeros))
+    ends = np.cumsum(pre_len + zero_len)
+    return text, ends - zero_len, ends
 
 
 # --------------------------------------------------------------------------
@@ -348,19 +365,42 @@ def _int_cells(values: np.ndarray) -> np.ndarray:
 
 
 class _Renderer:
-    """Renders blocks of a table of finite float64 and int64 columns."""
+    """Renders blocks of a table of finite float64 and int64 columns.
+
+    A column whose cells all have zero bits is folded: its zero text, and
+    the text before it, join the text before the next kept column's cell,
+    and only the kept columns are laid out. The last column has no next
+    cell, so it is kept. Every cell's field for that text is as wide as the
+    widest, so every third zero column of a run is kept too: no text before
+    a cell holds more than two folded cells."""
 
     def __init__(self, rows: Table, pre: list):
-        self.width, self.columns = rows.width, rows.columns
-        # the table column where each column starts
-        self.firsts = list(accumulate((c.shape[1] for c in self.columns),
-                                      initial=0))
-        pre = [p.encode() for p in pre]
-        pre_len = np.array([len(p) for p in pre])
-        size = pre_len.max()
-        self.pre_shown = np.arange(size) >= size - pre_len[:, None]
-        self.pre = np.zeros(self.pre_shown.shape, np.uint8)
-        self.pre[self.pre_shown] = np.frombuffer(b"".join(pre), np.uint8)
+        self.columns = rows.columns
+        zero = np.concatenate([~column.view(np.uint64).any(axis=0)
+                               for column in self.columns])
+        zero[-1] = False
+        # each zero column's place in its run of zero columns
+        index = np.arange(len(zero))
+        place = index - np.maximum.accumulate(np.where(zero, -1, index)) - 1
+        folded = zero & (place % 3 != 2)
+        # the kept columns of each array, and the kept column where each
+        # array starts
+        splits = np.cumsum([column.shape[1] for column in self.columns])
+        self.kept = [np.flatnonzero(~f)
+                     for f in np.split(folded, splits[:-1])]
+        self.firsts = list(accumulate(map(len, self.kept), initial=0))
+        self.width = self.firsts[-1]
+        # each kept column's text before, with its folded cells: the zero
+        # row's text from the end of the kept cell before it to its start,
+        # right-aligned in a field as wide as the widest
+        text, starts, ends = _zero_row(rows, pre)
+        starts, ends = starts[~folded], ends[~folded]
+        self.pre_len = starts - np.concatenate([[0], ends[:-1]])
+        size = int(self.pre_len.max())
+        text = np.concatenate([np.zeros(size, np.uint8),
+                               np.frombuffer(text, np.uint8)])
+        self.pre = np.lib.stride_tricks.sliding_window_view(
+            text, size)[starts]
 
     def blocks(self, count: int):
         """The (rows, columns) slices of the blocks of a table of count rows,
@@ -401,7 +441,8 @@ class _Renderer:
 
         width = cells.shape[-1]
         pre[0][:] = self.pre[first:first + width]
-        pre[1][:] = self.pre_shown[first:first + width]
+        pre[1][:] = np.take(_shown(pre[0].shape[-1], last=True),
+                            self.pre_len[first:first + width], axis=0)
         neg[0][:] = ord("-")
         np.not_equal(cells[_NEG, ..., None], 0, out=neg[1])
         digits(whole, cells[_INT], cells[_INT_LEN])
@@ -423,8 +464,10 @@ class _Renderer:
         (rows, cells, bytes) array, every cell in the same fields, with a
         mask of the bytes that show."""
         lo, hi = columns.start, columns.stop
-        pieces = [column[rows, max(lo - first, 0):max(hi - first, 0)]
-                  for first, column in zip(self.firsts, self.columns)]
+        pieces = [np.take(column[rows], kept[max(lo - first, 0):
+                                             max(hi - first, 0)], axis=1)
+                  for first, column, kept in
+                  zip(self.firsts, self.columns, self.kept)]
         # the cell fields of each run of adjacent pieces of one dtype
         runs = [np.concatenate(list(run), axis=1) for _, run in groupby(
             (piece for piece in pieces if piece.size), lambda p: p.dtype)]
@@ -457,16 +500,8 @@ def _splice_rows(out, rows: Table, fmt: str, pre: list, skip: int):
     """Write every row as _write_rows does, as the text of the zero row (the
     row of all-zero-bit cells, made once) with the texts of the row's other
     cells, each from _fmt_cell, in place of its own."""
-    zeros = [text for column in rows.columns
-             for text in [_fmt_cell(column.dtype.type(0).item())]
-             * column.shape[1]]
-    zero_row = memoryview("".join(chain.from_iterable(zip(pre, zeros)))
-                          .encode())
-    # where each cell's text starts and ends in the zero row
-    pre_len, zero_len = (np.fromiter(map(len, texts), np.int64, rows.width)
-                         for texts in (pre, zeros))
-    ends = np.cumsum(pre_len + zero_len)
-    starts = ends - zero_len
+    zero_row, starts, ends = _zero_row(rows, pre)
+    zero_row = memoryview(zero_row)
     firsts = list(accumulate((c.shape[1] for c in rows.columns), initial=0))
     step = max(1, CHUNK_CELLS // rows.width)
     for first_row in range(0, len(rows), step):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionrewire import cli, dynamics, stochastic, tables
+from ionrewire.coupling import InteractionGraph
 from ionrewire.dynamics import SIZE_CAP, ObservableSeries
 from ionrewire.stochastic import GroupSeries
 
@@ -868,21 +869,29 @@ class TestScenarioRules:
         assert run_captured(["all", "--scenario", unfitted,
                              "--out", tmp_path / "none"]) == (0, "")
 
-    @pytest.mark.parametrize("changes", [
-        {"times.stop_s": 1e300}, {"times.start_s": 1e300},
+    @pytest.mark.parametrize("base, changes, message", [
+        (DECAY_SCENARIO, {"times.stop_s": 1e300}, ""),
+        (DECAY_SCENARIO, {"times.start_s": 1e300}, ""),
         # every point at one time: no decay constant to fit
-        {"times": {"list_s": [1e-3] * 16}},
-        {"times.start_s": 1e-3, "times.stop_s": 1e-3},
-    ], ids=["times.stop_s", "times.start_s", "repeated", "start-is-stop"])
-    def test_unfittable_time_grid_fails_in_estimator(self, tmp_path, changes):
-        path = write_scenario(tmp_path, mutated(DECAY_SCENARIO, changes))
+        (DECAY_SCENARIO, {"times": {"list_s": [1e-3] * 16}}, ""),
+        (DECAY_SCENARIO, {"times.start_s": 1e-3, "times.stop_s": 1e-3}, ""),
+        # pair fits whose start has no finite norm
+        (MINI_SCENARIO, {"times.stop_s": 1e-300},
+         "pair fit left the float range: "),
+        (MINI_SCENARIO, {"times.stop_s": 1e300},
+         "pair fit left the float range: "),
+    ], ids=["times.stop_s", "times.start_s", "repeated", "start-is-stop",
+            "pair-stop_s-1e-300", "pair-stop_s-1e300"])
+    def test_unfittable_time_grid_fails_in_estimator(self, tmp_path, base,
+                                                     changes, message):
+        path = write_scenario(tmp_path, mutated(base, changes))
         out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, err = run_captured(["all", "--scenario", path, "--out", out])
         assert [str(w.message) for w in caught] == []
         assert code == 1
-        assert "error in stage 'estimator'" in err
+        assert err.startswith("error in stage 'estimator': " + message)
         assert len(err.splitlines()) == 1
         assert not (out / "fits.json").exists()
 
@@ -932,6 +941,34 @@ def _group_with_empty_bin():
                        n_intact=np.array([0, 4, 0]))
 
 
+def _folding_columns():
+    """Columns with all-zero-bit columns (which the numpy renderer folds into
+    the next kept column's text) first, in an int64 array, in runs of 1 to 3,
+    across the border of two arrays and last; and an all -0.0 column, whose
+    set sign bits keep it. With the "numpy-small" blocks of 5 cells, one
+    block starts right after a folded run."""
+    rng = np.random.default_rng(17)
+    ints = rng.integers(-50, 50, (40, 4))
+    ints[:, [0, 2, 3]] = 0
+    floats = rng.random((40, 8))
+    floats[:, [0, 3, 4, 6, 7]] = 0.0
+    floats[:, 2] = -0.0
+    last = rng.random((40, 3))
+    last[:, [0, 2]] = 0.0
+    return [ints, floats, last]
+
+
+def _even_parity_series():
+    """The series table of a 5-spin graph, damped: the odd-parity outcomes,
+    p_all_up among them, are +0.0 in every row."""
+    rng = np.random.default_rng(19)
+    j = np.triu(rng.normal(0.0, 3e3, (5, 5)), 1)
+    graph = InteractionGraph(np.arange(5), j + j.T)
+    return cli._series_rows(dynamics.scan_evolution(
+        graph, np.linspace(0.0, 2e-3, 30),
+        dynamics.DecoherenceModel(tau_d=1e-3)))
+
+
 def _writer_cases():
     """(name, header, columns) of tables that stress each kind of cell."""
     rng = np.random.default_rng(5)
@@ -944,6 +981,9 @@ def _writer_cases():
     tall = tables.CHUNK_CELLS + 5
     wide = np.zeros((3, tables.CHUNK_CELLS + 2))
     wide[0, 0], wide[1, -1], wide[2, 7] = -0.0, 0.3, 1e-300
+    last_only = np.zeros((40, 6))
+    last_only[:, -1] = rng.random(40)
+    parity_header, parity = _even_parity_series()
     return [
         ("floats", ["x", *[f"b{j}" for j in range(5)]], [floats, block]),
         ("ints_and_bools", ["i", "b", "coded_b", "label"], [
@@ -980,6 +1020,9 @@ def _writer_cases():
             np.arange(tall), cli.Coded([0.0, 2.5e-5, -0.0],
                                        rng.integers(0, 3, tall)),
             np.where(rng.random(tall) < 0.5, 0.0, rng.random(tall))]),
+        ("zero_columns", [f"c{j}" for j in range(15)], _folding_columns()),
+        ("zero_but_the_last", [f"c{j}" for j in range(6)], [last_only]),
+        ("even_parity_series", parity_header, parity.columns),
     ]
 
 
@@ -1150,6 +1193,42 @@ def test_only_the_wide_tables_are_rendered_by_numpy(tmp_path, monkeypatch,
                        for stem in writers}
 
 
+def test_the_lattice_series_lays_out_its_even_outcomes(tmp_path,
+                                                       monkeypatch):
+    """Of the 16,388 columns of the 14-spin series, the renderer lays out
+    8,196: time, the 8,192 even-parity outcomes and the three summaries. The
+    odd-parity outcomes, +0.0 in every row, are folded."""
+    widths, init = [], tables._Renderer.__init__
+
+    def recorded(renderer, rows, pre):
+        init(renderer, rows, pre)
+        widths.append((rows.width, renderer.width))
+
+    monkeypatch.setattr(tables._Renderer, "__init__", recorded)
+    code, err = run_captured([
+        "all", "--scenario", WORKLOADS / "lattice/lattice3-honeycomb-7x3.yaml",
+        "--out", tmp_path])
+    assert (code, err) == (0, "")
+    assert widths == [(16388, 8196)]
+
+
+@pytest.mark.parametrize("name", ["zero_columns", "even_parity_series"])
+def test_small_blocks_start_after_folded_columns(monkeypatch, name):
+    """On the "numpy-small" path, a block of the fold cases starts at a kept
+    column right after folded ones, so the text of a folded run crosses a
+    block boundary."""
+    _, header, columns = next(case for case in WRITER_CASES
+                              if case[0] == name)
+    table = cli.Table(*columns)
+    monkeypatch.setattr(tables, "BLOCK_CELLS", WRITER_PATHS["numpy-small"][
+        "BLOCK_CELLS"](len(table) * table.width))
+    renderer = tables._Renderer(table, tables._pre(header, "csv"))
+    offsets = np.cumsum([0] + [c.shape[1] for c in table.columns])
+    kept = np.concatenate([k + o for k, o in zip(renderer.kept, offsets)])
+    starts = {block.start for _, block in renderer.blocks(len(table))}
+    assert any(kept[s] - kept[s - 1] > 1 for s in starts - {0})
+
+
 # table columns that hold text; every other cell is a number or a boolean
 TEXT_COLUMNS = {"state", "config", "outcomes"}
 
@@ -1192,9 +1271,16 @@ def test_json_tables_hold_the_csv_tables(tmp_path, name):
                 == (json.dumps(rows, indent=2) + "\n").encode()), stem
 
 
-# integer fields that set how much a run allocates; the fuzz never touches them
+# integer fields that set how much a run allocates; the fuzz sets them, as
+# every integer, only to 0-3, and never drops them
 SIZE_FIELDS = {"shots", "num", "n_ions", "rows", "cols", "points_per_curve"}
 EXTREMES = [1e300, 1e-300, -1.0, 0.0, math.inf, math.nan]
+# the scenarios the fuzz starts from: three small ones, the bundled ones and
+# the benchmark's workload instances
+FUZZ_BASES = [MINI_SCENARIO, KAGOME_SCENARIO, DECAY_SCENARIO] + [
+    yaml.safe_load(path.read_text()) for path in
+    [*map(cli.resolve_scenario_path, cli.BUNDLED_SCENARIOS),
+     *sorted(WORKLOADS.glob("*/*.yaml"))]]
 
 
 def _entries(node, path=()):
@@ -1208,29 +1294,38 @@ def _entries(node, path=()):
 
 @st.composite
 def fuzzed_scenarios(draw):
-    raw = copy.deepcopy(draw(st.sampled_from(
-        [MINI_SCENARIO, KAGOME_SCENARIO, DECAY_SCENARIO])))
+    raw = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
     for _ in range(draw(st.integers(1, 2))):
         entries = list(_entries(raw))
-        keys = [p for p, _ in entries
-                if isinstance(p[-1], str) and p[-1] not in SIZE_FIELDS]
-        floats = [p for p, value in entries if isinstance(value, float)]
-        action = draw(st.sampled_from(["float", "mask", "drop"]))
-        if action == "mask":
-            n = raw.get("n_ions", 2)
+        targets = {
+            "drop": [p for p, _ in entries
+                     if isinstance(p[-1], str) and p[-1] not in SIZE_FIELDS],
+            "float": [p for p, value in entries if type(value) is float],
+            "int": [p for p, value in entries if type(value) is int],
+            "bool": [p for p, value in entries if type(value) is bool]}
+        action = draw(st.sampled_from(["mask", *targets]))
+        n = raw.get("n_ions", 2)
+        # a shelving mask on more ions than KAGOME_SCENARIO's four can make a
+        # run evolve thousands of configurations
+        if action == "mask" and n <= 4:
             raw["mask"] = draw(st.sampled_from([
                 {"explicit": "Q" * n}, {"beam_time_s": 0.01},
                 {"pattern": {"name": "triangular", "rows": 1, "cols": n}}]))
             continue
-        *parents, key = draw(st.sampled_from(keys if action == "drop"
-                                             else floats))
+        if action == "mask" or not targets[action]:
+            continue
+        *parents, key = draw(st.sampled_from(targets[action]))
         node = raw
         for name in parents:
             node = node[name]
         if action == "drop":
             del node[key]
-        else:
+        elif action == "float":
             node[key] = draw(st.sampled_from(EXTREMES))
+        elif action == "int":
+            node[key] = draw(st.integers(0, 3))
+        else:
+            node[key] = not node[key]
     return raw
 
 
@@ -1239,8 +1334,11 @@ def fuzzed_scenarios(draw):
 def test_fuzzed_scenarios_fail_cleanly(raw):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_scenario(Path(tmp), raw)
-        code, err = run_captured(["all", "--scenario", path,
-                                  "--out", Path(tmp) / "out"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run_captured(["all", "--scenario", path,
+                                      "--out", Path(tmp) / "out"])
+    assert [str(w.message) for w in caught] == []
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 2:
