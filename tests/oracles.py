@@ -4,14 +4,21 @@ None of these runs in the pipeline: each states a result the long way
 (full-size matrices, explicit loops) so that the fast library code has an
 independent oracle. evolve_ising evolves any SpinState over all 2^n entries;
 scan_evolution, which starts from all spins down and transforms the
-even-parity half, is checked bit for bit against it.
+even-parity half, is checked bit for bit against it. fit_coverage measures
+how often the pair fits' standard errors cover the true coupling.
 """
 
+import contextlib
+import csv
+import io
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
+from ionrewire import cli
 from ionrewire.coupling import InteractionGraph
 from ionrewire.dynamics import (
     _check_cap,
@@ -282,3 +289,26 @@ def survivor_marginal(probabilities: np.ndarray, n_total: int,
     axes = tuple(n_total - 1 - i for i in others)
     reduced = grid.sum(axis=axes) if axes else grid
     return reduced.reshape(-1)
+
+
+def fit_coverage(scenario: str, seeds, work_dir: Path) -> tuple:
+    """The fractions of pair fits whose coupling_hz lies within one and
+    within two std_error_hz of the run's couplings.csv j_hz, over `ionrewire
+    all` of scenario at each seed. Returns (within 1 sigma, within 2 sigma,
+    number of fits); an honest standard error covers 68% and 95%."""
+    z = []
+    for seed in seeds:
+        out = work_dir / f"{Path(scenario).stem}-{seed}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["all", "--scenario", scenario,
+                             "--seed", str(seed), "--out", str(out)])
+        if code:
+            raise RuntimeError(f"{scenario} at seed {seed} exited {code}")
+        with (out / "couplings.csv").open() as handle:
+            truth = {(int(row["i"]), int(row["j"])): float(row["j_hz"])
+                     for row in csv.DictReader(handle)}
+        fits = json.loads((out / "fits.json").read_text())["pair_couplings"]
+        z += [(fit["coupling_hz"] - truth[tuple(sorted(fit["pair"]))])
+              / fit["std_error_hz"] for fit in fits]
+    z = np.abs(np.array(z))
+    return float(np.mean(z < 1)), float(np.mean(z < 2)), z.size

@@ -684,6 +684,32 @@ RULE_CASES = [
     # neither sampler has a qubit readout to flip
     *[(base, {"measurement.spam_error": 0.3}, "$.measurement.spam_error")
       for base in (DECAY_SCENARIO, SCAN_SCENARIO)],
+    # past its range bound a value overflows a stage (RANGE_BOUNDS)
+    *[(MINI_SCENARIO, {f"trap.{f}": 1e300}, f"$.trap.{f}")
+      for f in ("freq_x_hz", "freq_y_hz", "freq_z_hz")],
+    (MINI_SCENARIO, {"drive.wavelength_m": 1e-300}, "$.drive.wavelength_m"),
+    (KAGOME_SCENARIO, {"mask.pattern.coupling_exponent": 1e300},
+     "$.mask.pattern.coupling_exponent"),
+    (SCAN_SCENARIO, {"scan.rabi_freqs_hz": [76e3, 1e300, 304e3]},
+     "$.scan.rabi_freqs_hz.1"),
+]
+
+# (base, dotted path, the schema's bound for it): each bound value runs its
+# stages without a numpy warning
+SCHEMA = json.loads((Path(cli.__file__).parent / "scenarios"
+                     / "scenario.schema.json").read_text())["properties"]
+RANGE_BOUNDS = [
+    *[(MINI_SCENARIO, f"trap.{f}",
+       SCHEMA["trap"]["properties"][f]["maximum"])
+      for f in ("freq_x_hz", "freq_y_hz", "freq_z_hz")],
+    (MINI_SCENARIO, "drive.wavelength_m",
+     SCHEMA["drive"]["properties"]["wavelength_m"]["minimum"]),
+    (KAGOME_SCENARIO, "mask.pattern.coupling_exponent",
+     SCHEMA["mask"]["properties"]["pattern"]["properties"]
+     ["coupling_exponent"]["maximum"]),
+    (SCAN_SCENARIO, "scan.rabi_freqs_hz",
+     [76e3, SCHEMA["scan"]["properties"]["rabi_freqs_hz"]["items"]["maximum"],
+      304e3]),
 ]
 
 # (base, block): a block that the base's kind, or its mask source, never
@@ -707,6 +733,18 @@ UNREAD_VALUES = {
 
 
 class TestScenarioRules:
+    @pytest.mark.parametrize("base,field,bound", RANGE_BOUNDS,
+                             ids=[field for _, field, _ in RANGE_BOUNDS])
+    def test_range_bounds_run_without_warnings(self, tmp_path, base, field,
+                                               bound):
+        path = write_scenario(tmp_path, mutated(base, {field: bound}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run_captured(["all", "--scenario", path,
+                                      "--out", tmp_path / "out"])
+        assert [str(w.message) for w in caught] == []
+        assert code in (0, 1) and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "base,changes,field", RULE_CASES,
         ids=[f"{base['kind']}-{'+'.join(changes)}-{field}"

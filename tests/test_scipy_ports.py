@@ -1,15 +1,18 @@
-"""The library's ports of scipy.optimize against scipy itself, bit for bit.
+"""The library's ports of scipy.optimize, and its fitter, against scipy.
 
-`coupling._minimize_scalar_bounded` and `coupling._brentq`,
-`crystal._line_search_wolfe2` and `estimator._curve_fit` each do the float
-operations of one scipy 1.17.1 routine in the same order. scipy is a test
-dependency only: these tests run the routine and its port on the same seeded
-problems and compare every returned bit and every function call. Another
-scipy release may change its arithmetic, so they skip there.
+`coupling._minimize_scalar_bounded` and `coupling._brentq` and
+`crystal._line_search_wolfe2` each do the float operations of one scipy
+1.17.1 routine in the same order: these tests run the routine and its port
+on the same seeded problems and compare every returned bit and every
+function call. Another scipy release may change its arithmetic, so they skip
+there. `estimator._least_squares` is no port: the fits it runs are checked
+for agreement with `scipy.optimize.curve_fit` on random series, to stated
+tolerances. scipy is a test dependency only.
 """
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,7 +35,11 @@ from ionrewire import crystal as crystal_module  # noqa: E402
 from ionrewire import estimator as estimator_module  # noqa: E402
 from ionrewire.coupling import RamanDrive, calibrate_detuning  # noqa: E402
 from ionrewire.crystal import _alphas  # noqa: E402
-from ionrewire.estimator import binomial_sigma, pair_coupling_model  # noqa: E402
+from ionrewire.estimator import (  # noqa: E402
+    binomial_sigma,
+    fit_pair_coupling,
+    pair_coupling_model,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -267,7 +274,16 @@ def test_wolfe_search_on_random_problems(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the fits
+# the fits: estimator's Levenberg-Marquardt fitter against curve_fit's
+# trust-region-reflective fit of the same model, from the same starts and
+# within the same bounds. Where the two end at one minimum (weighted residual
+# norms within SAME of each other), each parameter curve_fit pins down (its
+# standard error is nonzero and below its value) agrees within 0.01 of that
+# error, and its standard error within 0.1% of the one the analytic Jacobian
+# gives at curve_fit's optimum: curve_fit's own covariance rests on a
+# forward-difference Jacobian, which flat directions leave noisy.
+
+SAME = 1e-9
 
 
 def decay(t, tau):
@@ -278,43 +294,76 @@ def inverse(t, tau):
     return 1.0 - np.exp(-t / tau)
 
 
-class CountedModel:
-    def __init__(self, model):
-        self.model, self.calls = model, 0
+def analytic_errors(model, times, values, popt, sigma):
+    """Standard errors at popt from the pseudo-inverse of J^T W J, with the
+    Jacobian by the parameters curve_fit fits; without sigma, scaled by the
+    residual variance."""
+    if model is pair_coupling_model:
+        coupling, tau_d, p_inf = popt
+        damping = np.exp(-times / tau_d)
+        jac = np.array([np.sin(2 * coupling * times) * times * damping,
+                        (np.sin(coupling * times) ** 2 - p_inf) * damping
+                        * times / tau_d**2,
+                        1 - damping]) / sigma
+    else:
+        (tau,) = popt
+        sign = 1.0 if model is decay else -1.0
+        jac = (sign * np.exp(-times / tau) * times / tau**2)[np.newaxis]
+    _, s, vt = np.linalg.svd(jac.T, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
+    # a parameter of a flat direction may get an infinite error
+    with np.errstate(over="ignore"):
+        errors = np.sqrt(np.sum((vt[keep] / s[keep, np.newaxis]) ** 2,
+                                axis=0))
+    if sigma is None:
+        resid = model(times, *popt) - values
+        errors *= math.sqrt(resid @ resid / (values.size - len(popt)))
+    return errors
 
-    def __call__(self, t, *params):
-        self.calls += 1
-        return self.model(t, *params)
+
+def against_scipy(ours, model, times, values, starts, bounds, sigma=None):
+    """Our fit, (parameters, standard errors, residual norm), against the
+    best curve_fit from the starts: 'worse', 'better', or 'same' once the
+    two are checked to agree. Also returns curve_fit's parameters."""
+    weights = 1.0 if sigma is None else 1.0 / sigma
+    best = None
+    for p0 in starts:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
+                popt, pcov = scipy.optimize.curve_fit(
+                    model, times, values, p0=p0, sigma=sigma,
+                    absolute_sigma=sigma is not None, bounds=bounds,
+                    maxfev=20000)
+        except RuntimeError:
+            continue
+        norm = np.linalg.norm(weights * (model(times, *popt) - values))
+        if best is None or norm < best[0]:
+            best = norm, popt, np.sqrt(np.diag(pcov))
+    params, errors, norm = (np.atleast_1d(x) for x in ours)
+    ref_norm, popt, ref_errors = best
+    if norm > ref_norm * (1 + SAME):
+        return "worse", popt
+    if norm < ref_norm * (1 - SAME):
+        return "better", popt
+    pinned = (ref_errors > 0) & (ref_errors < np.abs(popt))
+    assert np.all(np.abs(params - popt)[pinned]
+                  <= 0.01 * ref_errors[pinned]), (params, popt, ref_errors)
+    # where curve_fit's covariance discards a direction (an error of 0), the
+    # fitter keeps it, and the other errors depend on that choice
+    if np.all(ref_errors > 0):
+        oracle = analytic_errors(model, times, values, popt, sigma)
+        np.testing.assert_allclose(errors[pinned], oracle[pinned], rtol=1e-3)
+    return "same", popt
 
 
-def assert_curve_fit_equals_scipy(model, times, values, p0, bounds,
-                                  sigma=None):
-    """`_curve_fit` returns scipy's popt and pcov bit for bit, or raises
-    its error, after as many model calls; returns popt or None."""
-    ours, ref = CountedModel(model), CountedModel(model)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
-            popt, pcov = scipy.optimize.curve_fit(
-                ref, times, values, p0=p0, sigma=sigma,
-                absolute_sigma=sigma is not None, bounds=bounds,
-                maxfev=20000)
-    except (RuntimeError, ValueError) as err:
-        with pytest.raises(type(err), match=str(err)):
-            estimator_module._curve_fit(ours, times, values, p0, bounds,
-                                        sigma=sigma)
-        assert ours.calls == ref.calls
-        return None
-    got = estimator_module._curve_fit(ours, times, values, p0, bounds,
-                                      sigma=sigma)
-    assert got[0].tobytes() == popt.tobytes()
-    assert got[1].tobytes() == pcov.tobytes()
-    assert ours.calls == ref.calls
-    return popt
+def on_bound(popt, bounds):
+    return bool(np.any(np.isclose(popt, bounds[0], rtol=1e-6)
+                       | np.isclose(popt, bounds[1], rtol=1e-6)))
 
 
 def test_pair_fits_on_random_series():
-    on_bound = off_bound = 0
+    outcomes, bound_hits = Counter(), 0
     for seed in range(150):
         rng = np.random.default_rng(seed)
         times = np.sort(rng.uniform(0.0, 1e-3, int(rng.integers(8, 60))))
@@ -327,24 +376,30 @@ def test_pair_fits_on_random_series():
         values = rng.binomial(shots, truth) / shots
         if np.ptp(values) == 0:
             continue
+        fit = fit_pair_coupling(times, values, shots)
+        names = ("coupling", "tau_d", "p_inf")
+        ours = ([fit.parameters[k] for k in names],
+                [fit.std_errors[k] for k in names], fit.residual_norm)
+        # fit_pair_coupling's starts and bounds
+        starts, nyquist = estimator_module._pair_starts(times, values)
         span = times.max() - times.min()
-        p0 = [coupling * rng.uniform(0.5, 1.5), 2.0 * span,
-              float(np.clip(values.mean(), 0.05, 0.95))]
-        bounds = ([0.0, 1e-3 * span, 0.0], [np.inf, np.inf, 1.0])
-        popt = assert_curve_fit_equals_scipy(
-            pair_coupling_model, times, values, p0, bounds,
-            sigma=binomial_sigma(values, shots))
-        if popt is not None:
-            near = np.isclose(popt, [0.0, 1e-3 * span, 0.0], rtol=1e-6) | \
-                np.isclose(popt, [np.inf, np.inf, 1.0], rtol=1e-6)
-            on_bound += bool(near.any())
-            off_bound += not near.any()
-    assert on_bound > 5 and off_bound > 50
+        bounds = ([0.0, 1e-3 * span, 0.0],
+                  [nyquist, span / estimator_module.RATE_FLOOR, 1.0])
+        outcome, popt = against_scipy(ours, pair_coupling_model, times,
+                                      values, starts, bounds,
+                                      binomial_sigma(values, shots))
+        outcomes[outcome] += 1
+        bound_hits += outcome == "same" and on_bound(popt, bounds)
+    # the sin^2 fit is multimodal, and from these starts each fitter ends
+    # in the lower minimum on some series: curve_fit on 3 of the 146, the
+    # fitter on 21
+    assert outcomes["same"] > 110 and bound_hits > 40
+    assert outcomes["worse"] <= 3 and outcomes["better"] > 2 * outcomes["worse"]
 
 
 @pytest.mark.parametrize("model", [decay, inverse])
 def test_exponential_fits_on_random_series(model):
-    on_bound = off_bound = 0
+    outcomes, bound_hits = Counter(), 0
     for seed in range(150):
         rng = np.random.default_rng(seed)
         times = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(2, 40))))
@@ -355,18 +410,26 @@ def test_exponential_fits_on_random_series(model):
         lower = 1e-12 * span if seed % 3 else tau * rng.uniform(2.0, 5.0)
         tau0 = max(span * rng.uniform(0.1, 10.0), lower)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            popt = assert_curve_fit_equals_scipy(model, times, values, [tau0],
-                                                 ([lower], [np.inf]))
-        if popt is not None:
-            near = popt[0] <= lower * (1 + 1e-6)
-            on_bound += bool(near)
-            off_bound += not near
-    assert on_bound > 20 and off_bound > 50
+            ours = estimator_module._exponential_fit(
+                times, values, model.__name__, tau0, lower)
+        bounds = ([lower], [span / estimator_module.RATE_FLOOR])
+        outcome, popt = against_scipy(ours, model, times, values, [[tau0]],
+                                      bounds)
+        outcomes[outcome] += 1
+        bound_hits += outcome == "same" and on_bound(popt, bounds)
+    assert outcomes["worse"] == 0
+    assert outcomes["same"] > 120 and bound_hits > 20
 
 
-def test_curve_fit_errors_are_scipys():
+def test_a_start_outside_the_bounds_is_clipped_into_them():
+    # curve_fit refuses a start outside its bounds; the fitter starts from
+    # the nearest point inside them
     times = np.linspace(0.0, 1.0, 5)
-    assert assert_curve_fit_equals_scipy(
-        decay, times, np.exp(-times), [1e-14], ([1e-12], [np.inf])) is None
-    assert assert_curve_fit_equals_scipy(
-        decay, times, np.exp(-times), [1.0], ([np.inf], [np.inf])) is None
+    values = np.exp(-times)
+    fit = estimator_module._exponential_fit
+    assert (fit(times, values, "decay", 1e-14, 1e-12)
+            == fit(times, values, "decay", 1e-12, 1e-12))
+    outcome, _ = against_scipy(fit(times, values, "decay", 1e-14, 1e-12),
+                               decay, times, values, [[1e-12]],
+                               ([1e-12], [1.0 / estimator_module.RATE_FLOOR]))
+    assert outcome == "same"
